@@ -3,73 +3,9 @@
 Pipeline: raw country CSVs -> transformed panel -> VAR with exogenous
 controls -> recursive identification -> IRFs -> cumulative multipliers,
 with residual-bootstrap bands and a synthetic-data oracle for validation.
+
+The modules are imported by name (``fiscalsvar.var``, ``fiscalsvar.cli``,
+...); the package itself re-exports nothing.
 """
-from .bootstrap import (
-    BootstrapConfig,
-    BootstrapResult,
-    ModelSpec,
-    bootstrap_inference,
-    derive_seed,
-    quantile_bands,
-    resample_residuals,
-    significance_flags,
-    simulate_bootstrap_series,
-)
-from .dgp import (
-    DgpSpec,
-    RecoveryConfig,
-    RecoveryReport,
-    analytic_irf,
-    analytic_multipliers,
-    monte_carlo_recovery,
-    reference_spec,
-    simulate_var,
-)
-from .errors import (
-    AlignmentError,
-    ConfigError,
-    CsvParseError,
-    DecompositionError,
-    DegenerateDenominatorError,
-    DofError,
-    DomainError,
-    FiscalSvarError,
-    InferenceError,
-    InsufficientDataError,
-    QuarterGapError,
-    RankError,
-    SampleSizeError,
-    SchemaError,
-    ShapeError,
-    UnitError,
-    UnstableDgpError,
-    WindowCoverageError,
-)
-from .ingest import MacroDataset, TransformedPanel, build_panel, load_csv
-from .series import (
-    Quarter,
-    QuarterlySeries,
-    Unit,
-    deflate,
-    first_difference,
-    hall_transform,
-    net_expenditure,
-)
-from .svar import (
-    IrfSet,
-    MultiplierPath,
-    StructuralModel,
-    identify_cholesky,
-    irf,
-    lower_cholesky,
-    multiplier_path,
-)
-from .var import (
-    VarEstimate,
-    companion_matrix,
-    estimate_var,
-    residual_cov,
-    stability,
-)
 
 __version__ = "0.1.0"

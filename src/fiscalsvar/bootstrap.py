@@ -6,20 +6,18 @@ and exogenous values held at their actual values), re-estimates and
 re-identifies, and records the replication's IRF and multiplier path.
 Percentile bands are read off the pooled replication draws.
 
-Replications run as array code over a leading replication axis, in
-chunks of ``CHUNK`` draws: one loop over t simulates every panel of a
-chunk, and stacked least squares, Cholesky, impulse propagation and
-eigenvalues do the rest. A draw that trips a failure check (rank, pivot,
-multiplier denominator, a non-finite value) or lies near one of those
-thresholds is re-run alone through the scalar point pipeline, which
-decides whether it fails and with which error. The point estimate itself
-always takes the scalar path.
+Replications run in chunks of ``CHUNK`` draws through the stack-native
+stages of :mod:`fiscalsvar.var` and :mod:`fiscalsvar.svar`, the same
+functions that compute the point estimate. A draw that trips a failure
+check (rank, pivot, multiplier denominator, a non-finite value) or lies
+near one of those thresholds is re-run alone through the single-fit
+pipeline, which decides whether it fails and with which error.
 
 Determinism contract: replication r draws its residual rows from its own
-stream seeded by ``SeedSequence([seed, r])``, and chunks run in fixed
-index order, so results are a pure function of the data, the model and
-the config. Batched draws match the scalar pipeline to rounding (about
-1e-15 in the responses).
+stream seeded by ``SeedSequence([seed, r])``, and every stacked stage
+runs the single-fit routine matrix by matrix. So every draw equals the
+single-fit path bit for bit, the chunk size never changes a number, and
+results are a pure function of the data, the model and the config.
 """
 from __future__ import annotations
 
@@ -42,11 +40,27 @@ from .svar import (
     DENOMINATOR_TOL,
     IrfSet,
     MultiplierPath,
+    cholesky_factor,
+    cumulative_ratio,
     identify_cholesky,
     irf,
     multiplier_path,
+    propagate_impulse,
 )
-from .var import RANK_RTOL, VarEstimate, estimate_var, stability
+from .var import (
+    RANK_RTOL,
+    VarEstimate,
+    companion_matrix,
+    design_blocks,
+    estimate_var,
+    least_squares,
+    rank_deficient,
+    residual_cov,
+    spectral_radius,
+    split_coefficients,
+    stability,
+    var_recursion,
+)
 
 FAILURE_KINDS = (
     RankError,
@@ -59,16 +73,15 @@ FAILURE_KINDS = (
 
 MAX_FAILURE_SHARE = 0.05
 
-# replications per batched step; larger chunks buy little speed and cost
+# replications per stacked step; larger chunks buy little speed and cost
 # memory for the stacked designs
 CHUNK = 25
 
-# A batched draw this close to a scalar-path threshold is re-run on the
-# scalar path as well, so rounding differences between the two paths
-# (about 1e-14 relative) never decide whether a replication fails: rank
-# and denominator checks use twice their tolerance, a pivot is flagged
-# below PIVOT_GUARD times its diagonal entry, a companion eigenvalue
-# modulus within EIGEN_GUARD of one re-checks stability.
+# A stacked draw this close to a single-fit threshold is re-run on the
+# single-fit path as well, so that path alone decides every failure and
+# its message: rank and denominator checks use twice their tolerance, a
+# pivot is flagged below PIVOT_GUARD times its diagonal entry, a companion
+# eigenvalue modulus within EIGEN_GUARD of one re-checks stability.
 GUARD = 2.0
 PIVOT_GUARD = 1e-12
 EIGEN_GUARD = 1e-9
@@ -126,11 +139,13 @@ class BootstrapConfig:
 class BootstrapResult:
     """Point estimates, per-replication draws, bands, and bookkeeping.
 
+    ``estimate`` is the point fit the replications resample from.
     ``multipliers`` holds one row per successful replication (sorted by
     replication index); band dicts map level -> array with rows
     (lower, upper). ``stars`` follows the two-tier marking convention.
     """
 
+    estimate: VarEstimate
     point_irf: IrfSet
     point_multipliers: MultiplierPath
     multipliers: np.ndarray  # (S, H)
@@ -156,6 +171,18 @@ class BootstrapResult:
         return len(self.failed)
 
 
+def point_fit(
+    panel: TransformedPanel, model: ModelSpec, horizons: int
+) -> tuple[VarEstimate, IrfSet, MultiplierPath]:
+    """One panel through the single-fit pipeline: the VAR estimate, the
+    responses to the model's shock and its multiplier path. The panel's
+    columns must already follow ``model.ordering``."""
+    estimate = estimate_var(panel, model.lags)
+    structural = identify_cholesky(estimate, model.ordering)
+    irfs = irf(structural, model.shock, horizons)
+    return estimate, irfs, multiplier_path(irfs, model.response, model.shock, horizons)
+
+
 def resample_residuals(residuals: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw residual rows i.i.d. with replacement, keeping rows intact.
 
@@ -167,6 +194,15 @@ def resample_residuals(residuals: np.ndarray, rng: np.random.Generator) -> np.nd
         raise ShapeError("residuals must have at least one row")
     idx = rng.integers(0, U.shape[0], size=U.shape[0])
     return U[idx]
+
+
+def _simulate(estimate, resampled, initial, exog):
+    """Artificial panels (..., p + T_eff, k) from a stack of resampled
+    residual blocks (..., T_eff, k)."""
+    base = resampled + estimate.intercept
+    if estimate.exog_coef.shape[1]:
+        base = base + exog[estimate.p:] @ estimate.exog_coef.T
+    return var_recursion(estimate.gammas, base, initial)
 
 
 def simulate_bootstrap_series(
@@ -198,20 +234,7 @@ def simulate_bootstrap_series(
     if exog.shape != (p + T_eff, m):
         raise ShapeError(f"exog must be ({p + T_eff}, {m}), got {exog.shape}")
 
-    base = resampled + estimate.intercept
-    if m:
-        base = base + exog[p:] @ estimate.exog_coef.T
-    g_stack = estimate.companion()[:k]  # (k, k*p)
-
-    X = np.empty((p + T_eff, k))
-    X[:p] = initial
-    # state layout: [x_{t-1}, x_{t-2}, ..., x_{t-p}]
-    state = initial[::-1].reshape(-1)
-    for t in range(T_eff):
-        x = base[t] + g_stack @ state
-        X[p + t] = x
-        state = np.concatenate([x, state[:-k]])
-
+    X = _simulate(estimate, resampled, initial, exog)
     if z_labels is None:
         z_labels = tuple(f"z{j}" for j in range(m))
     return TransformedPanel(start, X, exog, x_labels, z_labels)
@@ -263,8 +286,8 @@ def significance_flags(
 
 
 def _one_replication(r, estimate, initial, exog, model, config, panel):
-    """Replication r through the scalar point pipeline: the reference for
-    the batched kernel, and the path that decides every flagged draw."""
+    """Replication r alone through the single-fit pipeline: the reference
+    for the stacked draws, and the path that decides every flagged draw."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, r]))
     with np.errstate(over="raise", invalid="raise"):
         u_star = resample_residuals(estimate.residuals, rng)
@@ -277,97 +300,44 @@ def _one_replication(r, estimate, initial, exog, model, config, panel):
             x_labels=panel.x_labels,
             z_labels=panel.z_labels,
         )
-        est_star = estimate_var(panel_star, model.lags)
-        structural = identify_cholesky(est_star, model.ordering)
-        irfs = irf(structural, model.shock, config.horizons)
-        m_star = multiplier_path(irfs, model.response, model.shock, config.horizons)
+        est_star, irfs, m_star = point_fit(panel_star, model, config.horizons)
     _, stable = stability(est_star)
     return irfs.responses, m_star.values, stable
 
 
-def _batched_cholesky(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factors of a stack of matrices (C, n, n) by the
-    recurrence of :func:`~fiscalsvar.svar.lower_cholesky`.
-
-    Also returns a mask of the factorisations that met a pivot at or below
-    ``PIVOT_GUARD`` times its diagonal entry; their factors are not usable.
-    """
-    n = sigma.shape[-1]
-    L = np.zeros(sigma.shape)
-    bad = np.zeros(sigma.shape[0], dtype=bool)
-    for j in range(n):
-        pivot = sigma[:, j, j] - np.einsum("ci,ci->c", L[:, j, :j], L[:, j, :j])
-        bad |= ~(pivot > PIVOT_GUARD * sigma[:, j, j])
-        L[:, j, j] = np.sqrt(np.where(bad, 1.0, pivot))
-        L[:, j + 1:, j] = (
-            sigma[:, j + 1:, j] - np.einsum("cij,cj->ci", L[:, j + 1:, :j], L[:, j, :j])
-        ) / L[:, j, j, None]
-    return L, bad
-
-
 def _replication_batch(rs, estimate, panel, model, config):
-    """Replications ``rs`` as one array computation over a leading axis.
+    """Replications ``rs`` as one stack through the stages of
+    :func:`_one_replication`.
 
-    Mirrors :func:`_one_replication` stage by stage. Returns responses
-    (C, H + 1, k), multiplier paths (C, H), stability flags (C,) and a mask
-    of the draws that must be re-run on the scalar path; the other outputs
-    are meaningless in masked rows.
+    Returns responses (C, H + 1, k), multiplier paths (C, H), stability
+    flags (C,) and a mask of the draws that must be re-run on the
+    single-fit path; the other outputs are meaningless in masked rows.
     """
     p, k, H = estimate.p, estimate.k, config.horizons
     U = estimate.residuals
-    n, C, kp = U.shape[0], len(rs), k * p
-    Z = panel.Z[p:]
-
+    n = U.shape[0]
     idx = np.stack([
         np.random.default_rng(np.random.SeedSequence([config.seed, r])).integers(0, n, size=n)
         for r in rs
     ])
-    base = U[idx] + estimate.intercept
-    if Z.shape[1]:
-        base = base + Z @ estimate.exog_coef.T
-
-    g_stack = estimate.companion()[:k]
-    X = np.empty((C, p + n, k))
-    X[:, :p] = panel.X[:p]
-    for t in range(n):
-        state = X[:, t:t + p][:, ::-1].reshape(C, kp)
-        X[:, p + t] = base[:, t] + state @ g_stack.T
+    X = _simulate(estimate, U[idx], panel.X[:p], panel.Z)
     flagged = ~np.isfinite(X).all(axis=(1, 2))
     X[flagged] = panel.X  # keeps the linear algebra below well defined
 
-    W = np.empty((C, n, 1 + kp + Z.shape[1]))
-    W[:, :, 0] = 1.0
-    for lag in range(1, p + 1):
-        W[:, :, 1 + (lag - 1) * k:1 + lag * k] = X[:, p - lag:p + n - lag]
-    W[:, :, 1 + kp:] = Z
-    Y = X[:, p:]
-    Q, R = np.linalg.qr(W)
-    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-    flagged |= diag.min(axis=1) < GUARD * RANK_RTOL * diag.max(axis=1)
-    R[flagged] = np.eye(W.shape[2])
-    coef = np.linalg.solve(R, Q.transpose(0, 2, 1) @ Y)  # (C, n_reg, k)
-    resid = Y - W @ coef
-    sigma = resid.transpose(0, 2, 1) @ resid / (n - W.shape[2])
-    sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
+    Y, W = design_blocks(X, panel.Z, p)
+    coef, residuals, rdiag = least_squares(W, Y)
+    flagged |= rank_deficient(rdiag, GUARD * RANK_RTOL)
+    sigma = residual_cov(residuals, W.shape[-1])
+    L, pivots = cholesky_factor(sigma)
+    flagged |= ~(pivots > PIVOT_GUARD * np.diagonal(sigma, axis1=1, axis2=2)).all(axis=1)
 
-    L, bad_pivot = _batched_cholesky(sigma)
-    flagged |= bad_pivot
-
-    F = np.zeros((C, kp, kp))
-    F[:, :k] = coef[:, 1:1 + kp].transpose(0, 2, 1)
-    F[:, k:, :-k] = np.eye(kp - k)
-    state = np.zeros((C, kp))
-    state[:, :k] = L[:, :, model.ordering.index(model.shock)]
-    responses = np.empty((C, H + 1, k))
-    responses[:, 0] = state[:, :k]
-    for h in range(1, H + 1):
-        state = np.einsum("cij,cj->ci", F, state)
-        responses[:, h] = state[:, :k]
-
-    cum_y = np.cumsum(responses[:, :H, model.ordering.index(model.response)], axis=1)
-    cum_g = np.cumsum(responses[:, :H, model.ordering.index(model.shock)], axis=1)
+    _, gammas, _ = split_coefficients(coef, p, k)
+    F = companion_matrix(gammas)
+    responses = propagate_impulse(F, L[:, :, model.ordering.index(model.shock)], H)
+    paths, cum_g = cumulative_ratio(
+        responses, model.ordering.index(model.response), model.ordering.index(model.shock), H
+    )
     flagged |= np.any(np.abs(cum_g) <= GUARD * DENOMINATOR_TOL, axis=1)
-    paths = cum_y / cum_g
     flagged |= ~(
         np.isfinite(coef).all(axis=(1, 2))
         & np.isfinite(sigma).all(axis=(1, 2))
@@ -375,8 +345,8 @@ def _replication_batch(rs, estimate, panel, model, config):
         & np.isfinite(paths).all(axis=1)
     )
 
-    top = np.ones(C)
-    top[~flagged] = np.abs(np.linalg.eigvals(F[~flagged])).max(axis=1)
+    top = np.ones(len(rs))
+    top[~flagged] = spectral_radius(F[~flagged])
     flagged |= np.abs(top - 1.0) <= EIGEN_GUARD
     return responses, paths, top < 1.0, flagged
 
@@ -385,23 +355,17 @@ def bootstrap_inference(
     panel: TransformedPanel,
     config: BootstrapConfig,
     model: ModelSpec = ModelSpec(),
-    workers: int = 1,
 ) -> BootstrapResult:
     """Full resampling loop around the point pipeline.
 
     Failed replications (rank loss, covariance not PD, degenerate
-    denominator, numeric overflow) are recorded with the scalar path's
-    error and excluded; more than 5% failures aborts. Unstable
-    re-estimates are kept and counted. ``workers`` is accepted and
-    ignored: replications run batched on the calling thread, and results
-    never depended on it.
+    denominator, numeric overflow) are recorded with the single-fit
+    path's error and excluded; more than 5% failures aborts. Unstable
+    re-estimates are kept and counted.
     """
     if panel.x_labels != model.ordering:
         panel = panel.reordered(model.ordering)
-    estimate = estimate_var(panel, model.lags)
-    structural = identify_cholesky(estimate, model.ordering)
-    point_irf = irf(structural, model.shock, config.horizons)
-    point_m = multiplier_path(point_irf, model.response, model.shock, config.horizons)
+    estimate, point_irf, point_m = point_fit(panel, model, config.horizons)
 
     initial = panel.X[: model.lags]
     exog = panel.Z
@@ -443,6 +407,7 @@ def bootstrap_inference(
     stars = significance_flags(m_bands, point_m)
 
     return BootstrapResult(
+        estimate=estimate,
         point_irf=point_irf,
         point_multipliers=point_m,
         multipliers=multipliers,

@@ -48,11 +48,11 @@ from .errors import (
     UnitError,
     WindowCoverageError,
 )
-from .ingest import SERIES_UNITS, build_panel, load_csv
+from .ingest import X_LABELS, build_panel, load_csv
 from .plots import render_band_plot
 from .series import Quarter
-from .svar import IrfSet, MultiplierPath
-from .var import estimate_var, stability
+from .svar import MultiplierPath
+from .var import stability
 
 OUT_ENV_VAR = "FISCALSVAR_OUT"
 
@@ -108,7 +108,6 @@ class RunConfig:
     levels: tuple[int, ...] = (68, 90)
     output_dir: Path = Path("out")
     plots: bool = True
-    workers: int = 1  # accepted and ignored; see bootstrap_inference
 
     def __post_init__(self):
         if not self.countries:
@@ -124,6 +123,10 @@ class RunConfig:
             raise ConfigError("replications must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if sorted(self.ordering) != sorted(X_LABELS):
+            raise ConfigError(
+                f"ordering {list(self.ordering)} is not a permutation of {list(X_LABELS)}"
+            )
         if self.window[0] > self.window[1]:
             raise ConfigError(
                 f"window start {self.window[0]} is after end {self.window[1]}"
@@ -154,6 +157,21 @@ _CONFIG_KEYS = {
 }
 
 
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_run_config(path) -> RunConfig:
     """Parse the strict JSON config; unknown keys are hard errors.
 
@@ -161,14 +179,7 @@ def load_run_config(path) -> RunConfig:
     A minimal config is just {"countries": [{"code": ..., "csv": ...}]}.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
 
@@ -209,15 +220,22 @@ def load_run_config(path) -> RunConfig:
             kwargs["window"] = (Quarter.parse(win["start"]), Quarter.parse(win["end"]))
         except ValueError as exc:
             raise ConfigError(f"{path}: bad window: {exc}") from None
+    # workers is still parsed so older configs load, then discarded
     for key in ("lags", "horizons", "replications", "seed", "workers"):
         if key in raw:
-            if not isinstance(raw[key], int) or isinstance(raw[key], bool):
+            if not _is_int(raw[key]):
                 raise ConfigError(f"{path}: {key} must be an integer")
             kwargs[key] = raw[key]
+    kwargs.pop("workers", None)
     if "ordering" in raw:
+        if not isinstance(raw["ordering"], list):
+            raise ConfigError(f"{path}: ordering must be a list of variable names")
         kwargs["ordering"] = tuple(str(s) for s in raw["ordering"])
     if "levels" in raw:
-        kwargs["levels"] = tuple(raw["levels"])
+        levels = raw["levels"]
+        if not (isinstance(levels, list) and all(_is_int(lv) for lv in levels)):
+            raise ConfigError(f"{path}: levels must be a list of integers")
+        kwargs["levels"] = tuple(levels)
     if "plots" in raw:
         if not isinstance(raw["plots"], bool):
             raise ConfigError(f"{path}: plots must be true or false")
@@ -236,8 +254,8 @@ def load_run_config(path) -> RunConfig:
 def config_hash(config: RunConfig) -> str:
     """SHA-256 over the canonical JSON of the fields that change results.
 
-    Output directory and the ignored worker count are deliberately
-    excluded: neither affects a single number in the bundle.
+    The output directory is deliberately excluded: it does not affect a
+    single number in the bundle.
     """
     payload = {
         "countries": [
@@ -284,7 +302,7 @@ def _run_country(entry: CountryEntry, config: RunConfig) -> tuple[BootstrapResul
         horizons=config.horizons,
     )
     result = bootstrap_inference(panel, boot, model)
-    max_mod, stable = stability(estimate_var(panel.reordered(config.ordering), config.lags))
+    max_mod, stable = stability(result.estimate)
     info = {
         "rows": panel.rows,
         "failed_replications": result.n_failed,
@@ -383,27 +401,27 @@ def _write_multiplier_csv(
 def _write_plots(
     out: Path, entry: CountryEntry, result: BootstrapResult, config: RunConfig
 ) -> list[str]:
-    names = []
     m_name = f"multipliers_{entry.code}.svg"
-    emit_plot(
-        result.point_multipliers,
+    m = result.point_multipliers.values
+    render_band_plot(
+        np.arange(1, len(m) + 1),
+        m,
         result.multiplier_bands,
-        out / m_name,
         title=f"{entry.display}: cumulative spending multiplier",
+        path=out / m_name,
     )
-    names.append(m_name)
 
     y_idx = result.point_irf.ordering.index("Y")
     irf_name = f"irf_{entry.code}.svg"
-    emit_plot(
-        result.point_irf,
+    y = result.point_irf.responses[:, y_idx]
+    render_band_plot(
+        np.arange(y.shape[0]),
+        y,
         {lv: band[:, :, y_idx] for lv, band in result.irf_bands.items()},
-        out / irf_name,
-        variable="Y",
         title=f"{entry.display}: output response to a spending shock",
+        path=out / irf_name,
     )
-    names.append(irf_name)
-    return names
+    return [m_name, irf_name]
 
 
 def emit_table(
@@ -463,31 +481,6 @@ def emit_table(
     return text, buf.getvalue()
 
 
-def emit_plot(
-    series,
-    bands: dict[int, np.ndarray],
-    path,
-    *,
-    variable: str | None = None,
-    title: str = "",
-) -> str:
-    """Band plot for a multiplier path (x = 1..H) or one IRF variable
-    (x = 0..H). Writes SVG text to ``path`` and returns it.
-    """
-    if isinstance(series, MultiplierPath):
-        y = series.values
-        x = np.arange(1, len(y) + 1)
-    elif isinstance(series, IrfSet):
-        if variable is None:
-            raise ShapeError("pass variable= to plot one IRF column")
-        y = series.series(variable)
-        x = np.arange(y.shape[0])
-    else:
-        y = np.asarray(series, dtype=float)
-        x = np.arange(1, y.shape[0] + 1)
-    return render_band_plot(x, y, bands, title=title, path=path)
-
-
 def validate(config_path) -> RunConfig:
     """Parse the config and check every input loads and covers the window.
 
@@ -513,8 +506,6 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
         updates["replications"] = args.reps
     if args.horizon is not None:
         updates["horizons"] = args.horizon
-    if args.workers is not None:
-        updates["workers"] = args.workers
     if args.countries:
         keep = [c.strip() for c in args.countries.split(",") if c.strip()]
         chosen = tuple(c for c in config.countries if c.code in keep)
@@ -555,14 +546,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     path = Path(args.config)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read DGP file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    payload = _read_json(path, "DGP file")
     try:
         spec = dgp_mod.DgpSpec.from_dict(payload)
     except (DomainError, ShapeError, TypeError) as exc:
@@ -623,8 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--workers", type=int, default=None,
-            help="accepted for compatibility and ignored: the bootstrap runs "
-                 "batched on one thread",
+            help="ignored; still accepted so existing command lines parse "
+                 "(the program runs on one thread)",
         )
     return parser
 

@@ -16,6 +16,7 @@ from .bootstrap import (
     ModelSpec,
     bootstrap_inference,
     derive_seed,
+    point_fit,
 )
 from .errors import (
     DecompositionError,
@@ -30,8 +31,7 @@ from .errors import (
 from .ingest import TransformedPanel
 from .series import Quarter
 from .svar import IrfSet, MultiplierPath, multiplier_path, propagate_impulse
-from .var import companion_matrix, estimate_var
-from .svar import identify_cholesky, irf
+from .var import companion_matrix, spectral_radius, var_recursion
 
 SYNTHETIC_START = Quarter(2000, 1)
 
@@ -77,7 +77,7 @@ class DgpSpec:
         if self.burn_in < 0:
             raise DomainError("burn-in must be >= 0")
 
-        top = float(np.max(np.abs(np.linalg.eigvals(companion_matrix(gammas)))))
+        top = float(spectral_radius(companion_matrix(gammas)))
         if top >= 1.0:
             raise UnstableDgpError(
                 f"companion eigenvalue modulus {top:.4f} >= 1; spec is explosive"
@@ -143,14 +143,7 @@ def simulate_var(spec: DgpSpec, rng: np.random.Generator | None = None) -> Trans
         Z = rng.standard_normal((total, m))
         base = base + Z @ spec.exog_coef.T
 
-    g_stack = companion_matrix(spec.gammas)[:k]
-    X = np.empty((total, k))
-    state = np.zeros(k * p)
-    for t in range(total):
-        x = base[t] + g_stack @ state
-        X[t] = x
-        state = np.concatenate([x, state[:-k]])
-
+    X = var_recursion(spec.gammas, base, np.zeros((p, k)))[p:]
     z_labels = tuple(f"z{j}" for j in range(m))
     return TransformedPanel(
         SYNTHETIC_START, X[spec.burn_in:], Z[spec.burn_in:], spec.labels, z_labels
@@ -177,18 +170,13 @@ def analytic_multipliers(
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """How each Monte Carlo trial estimates the model.
-
-    ``workers`` is accepted and ignored; the bootstrap runs batched on the
-    calling thread.
-    """
+    """How each Monte Carlo trial estimates the model."""
 
     lags: int = 4
     horizons: int = 20
     shock: str = "G"
     response: str = "Y"
     bootstrap: BootstrapConfig | None = None
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -253,14 +241,8 @@ def monte_carlo_recovery(
                     hit = (band[0] <= truth.values) & (truth.values <= band[1])
                     covered.setdefault(level, []).append(hit)
             else:
-                est = estimate_var(panel, config.lags)
-                structural = identify_cholesky(est, spec.labels)
-                irfs = irf(structural, config.shock, config.horizons)
-                rows.append(
-                    multiplier_path(
-                        irfs, config.response, config.shock, config.horizons
-                    ).values
-                )
+                _, _, path = point_fit(panel, model, config.horizons)
+                rows.append(path.values)
         except (
             RankError,
             SampleSizeError,

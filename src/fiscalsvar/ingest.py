@@ -7,6 +7,7 @@ order; they are sorted by quarter and then checked for gaps.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,6 +155,10 @@ def load_csv(path, schema: dict[str, str] | None = None, country: str = "") -> M
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) < len(header):
+                raise CsvParseError(
+                    f"{path}:{lineno}: row has {len(row)} cells, header has {len(header)}"
+                )
             raw_date = row[positions[DATE_COLUMN]]
             try:
                 quarter = Quarter.parse(raw_date)
@@ -169,6 +174,11 @@ def load_csv(path, schema: dict[str, str] | None = None, country: str = "") -> M
                         f"{path}:{lineno}: non-numeric value {cell!r} in column "
                         f"'{full_schema[name]}'"
                     ) from None
+                if not math.isfinite(values[name]):
+                    raise CsvParseError(
+                        f"{path}:{lineno}: non-finite value {cell!r} in column "
+                        f"'{full_schema[name]}'"
+                    )
             rows.append((quarter, values))
 
     if not rows:

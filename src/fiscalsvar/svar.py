@@ -18,9 +18,6 @@ from .errors import (
 )
 from .var import VarEstimate
 
-# a pivot this far below zero is treated as a hard failure, not noise
-PIVOT_CLAMP = -1e-10
-
 # a cumulative shock-variable response this close to zero has no ratio
 DENOMINATOR_TOL = 1e-12
 
@@ -94,6 +91,30 @@ class MultiplierPath:
         return float(self.values[q - 1])
 
 
+def cholesky_factor(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack of symmetric matrices (..., n, n)
+    and the pivot met at each step (..., n).
+
+    A factor is valid only when all its pivots are positive. Past a
+    non-positive pivot the recurrence goes on with a unit diagonal entry,
+    so the rest of the stack is unaffected.
+    """
+    A = np.asarray(sigma, dtype=float)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ShapeError("sigma must be square")
+    n = A.shape[-1]
+    L = np.zeros(A.shape)
+    pivots = np.empty(A.shape[:-1])
+    for j in range(n):
+        # one vector dot per row i >= j: row i of L with row j
+        dots = (L[..., j:, None, :j] @ L[..., j, None, :j, None])[..., 0, 0]
+        pivot = A[..., j, j] - dots[..., 0]
+        pivots[..., j] = pivot
+        L[..., j, j] = np.sqrt(np.where(pivot <= 0.0, 1.0, pivot))
+        L[..., j + 1:, j] = (A[..., j + 1:, j] - dots[..., 1:]) / L[..., j, j, None]
+    return L, pivots
+
+
 def lower_cholesky(sigma: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric PD matrix.
 
@@ -104,18 +125,14 @@ def lower_cholesky(sigma: np.ndarray) -> np.ndarray:
     A = np.asarray(sigma, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError("sigma must be square")
-    n = A.shape[0]
-    L = np.zeros((n, n))
-    for j in range(n):
-        pivot = A[j, j] - L[j, :j] @ L[j, :j]
-        if pivot <= 0.0 or pivot <= PIVOT_CLAMP:
-            raise DecompositionError(
-                f"pivot {j + 1} is non-positive ({pivot:.6e}); covariance is not PD",
-                pivot=j + 1,
-            )
-        L[j, j] = np.sqrt(pivot)
-        for i in range(j + 1, n):
-            L[i, j] = (A[i, j] - L[i, :j] @ L[j, :j]) / L[j, j]
+    L, pivots = cholesky_factor(A)
+    bad = np.flatnonzero(pivots <= 0.0)
+    if bad.size:
+        j = int(bad[0])
+        raise DecompositionError(
+            f"pivot {j + 1} is non-positive ({pivots[j]:.6e}); covariance is not PD",
+            pivot=j + 1,
+        )
     return L
 
 
@@ -134,19 +151,20 @@ def identify_cholesky(estimate: VarEstimate, ordering: tuple[str, ...]) -> Struc
 def propagate_impulse(F: np.ndarray, impact: np.ndarray, horizons: int) -> np.ndarray:
     """Iterate the companion map: row h is the top k entries of F^h applied
     to the impact vector. Avoids forming explicit matrix powers.
+
+    Runs over a stack of companions (..., kp, kp) and impact vectors
+    (..., k); the result is (..., horizons + 1, k).
     """
+    F = np.asarray(F, dtype=float)
     impact = np.asarray(impact, dtype=float)
-    k = impact.shape[0]
-    if F.shape[0] != F.shape[1] or F.shape[0] % k != 0:
+    k = impact.shape[-1]
+    if F.shape[-1] != F.shape[-2] or F.shape[-1] % k != 0:
         raise ShapeError(f"companion shape {F.shape} incompatible with k = {k}")
-    responses = np.empty((horizons + 1, k))
-    state = np.zeros(F.shape[0])
-    state[:k] = impact
-    responses[0] = state[:k]
+    states = np.zeros((*F.shape[:-2], horizons + 1, F.shape[-1], 1))
+    states[..., 0, :k, 0] = impact
     for h in range(1, horizons + 1):
-        state = F @ state
-        responses[h] = state[:k]
-    return responses
+        np.matmul(F, states[..., h - 1, :, :], out=states[..., h, :, :])
+    return states[..., :k, 0]
 
 
 def irf(model: StructuralModel, shock: str, horizons: int) -> IrfSet:
@@ -163,6 +181,23 @@ def irf(model: StructuralModel, shock: str, horizons: int) -> IrfSet:
     impact = model.B[:, model.ordering.index(shock)]
     responses = propagate_impulse(F, impact, horizons)
     return IrfSet(shock=shock, ordering=model.ordering, responses=responses)
+
+
+def cumulative_ratio(
+    responses: np.ndarray, numerator: int, denominator: int, horizons: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative response of column ``numerator`` over that of column
+    ``denominator`` for quarters 1..horizons, with the denominators.
+
+    Runs over a stack of responses (..., H + 1, k); both results are
+    (..., horizons). Quarter h sums horizons 0..h-1. A quarter whose
+    denominator lies within DENOMINATOR_TOL of zero has no ratio: nan.
+    """
+    cum_num = np.cumsum(responses[..., :horizons, numerator], axis=-1)
+    cum_den = np.cumsum(responses[..., :horizons, denominator], axis=-1)
+    ratio = np.full(cum_num.shape, np.nan)
+    np.divide(cum_num, cum_den, out=ratio, where=np.abs(cum_den) > DENOMINATOR_TOL)
+    return ratio, cum_den
 
 
 def multiplier_path(
@@ -183,8 +218,12 @@ def multiplier_path(
         raise ShapeError(
             f"IRF covers horizons 0..{irfs.horizons}, need 0..{horizons - 1}"
         )
-    cum_y = irfs.cumulative(response)[:horizons]
-    cum_g = irfs.cumulative(shock_variable)[:horizons]
+    ratio, cum_g = cumulative_ratio(
+        irfs.responses,
+        irfs.ordering.index(response),
+        irfs.ordering.index(shock_variable),
+        horizons,
+    )
     small = np.abs(cum_g) <= DENOMINATOR_TOL
     if np.any(small):
         q = int(np.argmax(small)) + 1
@@ -192,4 +231,4 @@ def multiplier_path(
             f"cumulative {shock_variable} response is {cum_g[q - 1]:.3e} at quarter {q}",
             horizon=q,
         )
-    return MultiplierPath(values=cum_y / cum_g)
+    return MultiplierPath(values=ratio)

@@ -7,6 +7,11 @@ The model for the k endogenous columns x_t of a panel is
 with z_t the exogenous columns entering contemporaneously. All equations
 share the same regressors, so the coefficients solve a single multi-target
 least-squares problem.
+
+Every stage also runs over a leading stack of fits: the bootstrap fits a
+chunk of artificial panels with the same functions that fit one panel.
+A stacked operation applies the single-fit routine matrix by matrix, so
+a fit's numbers never depend on the rest of its stack.
 """
 from __future__ import annotations
 
@@ -59,40 +64,102 @@ class VarEstimate:
 
 
 def companion_matrix(gammas: np.ndarray) -> np.ndarray:
-    """Stack lag matrices into the (k*p) x (k*p) companion form.
+    """Stack lag matrices (..., p, k, k) into companion form (..., k*p, k*p).
 
     The top block row is [Gamma_1 ... Gamma_p]; below sits a shifted
     identity so that powers of the result propagate the lag state.
     """
     gammas = np.asarray(gammas, dtype=float)
-    if gammas.ndim != 3 or gammas.shape[1] != gammas.shape[2]:
+    if gammas.ndim < 3 or gammas.shape[-1] != gammas.shape[-2]:
         raise ShapeError(f"gammas must be (p, k, k), got {gammas.shape}")
-    p, k, _ = gammas.shape
-    F = np.zeros((k * p, k * p))
-    F[:k] = gammas.transpose(1, 0, 2).reshape(k, k * p)
-    if p > 1:
-        F[k:, :-k] = np.eye(k * (p - 1))
+    *lead, p, k, _ = gammas.shape
+    F = np.zeros((*lead, k * p, k * p))
+    F[..., :k, :] = gammas.swapaxes(-3, -2).reshape(*lead, k, k * p)
+    F[..., k:, :-k] = np.eye(k * (p - 1))
     return F
 
 
-def lagged_design(panel: TransformedPanel, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Build the response block Y (T-p, k) and regressor block W.
+def var_recursion(gammas: np.ndarray, base: np.ndarray, presample: np.ndarray) -> np.ndarray:
+    """Run x_t = base_t + Gamma_1 x_{t-1} + ... + Gamma_p x_{t-p} forward.
+
+    ``base`` (..., T, k) carries every term but the lags (intercept,
+    exogenous part, shock) and ``presample`` (..., p, k) the p rows before
+    it. Returns a C-ordered (..., p + T, k), presample rows first.
+    """
+    p, k = gammas.shape[-3], gammas.shape[-1]
+    g_stack = companion_matrix(gammas)[..., :k, :]
+    *lead, T, _ = base.shape
+    # rows run backwards in time, so the lag state [x_{t-1}, ..., x_{t-p}]
+    # of every step is one contiguous block
+    R = np.empty((*lead, p + T, k))
+    R[..., T:, :] = presample[..., ::-1, :]
+    for t in range(T - 1, -1, -1):
+        state = R[..., t + 1:t + 1 + p, :].reshape(*lead, k * p, 1)
+        R[..., t, :] = base[..., T - 1 - t, :] + (g_stack @ state)[..., 0]
+    # forward order and the memory layout of a single panel, so the
+    # stages after the recursion meet the same strides stacked or not
+    return np.ascontiguousarray(R[..., ::-1, :])
+
+
+def design_blocks(X: np.ndarray, Z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Response block Y (..., T-p, k) and regressor block W of a stack of
+    panels X (..., T, k) that share the exogenous columns Z (T, m).
 
     W columns: constant, then lag 1 through lag p of X (each lag keeps the
     panel's column order), then the contemporaneous exogenous columns.
     """
+    *lead, T, k = X.shape
+    W = np.empty((*lead, T - p, 1 + k * p + Z.shape[1]))
+    W[..., 0] = 1.0
+    for lag in range(1, p + 1):
+        W[..., 1 + (lag - 1) * k:1 + lag * k] = X[..., p - lag:T - lag, :]
+    W[..., 1 + k * p:] = Z[p:]
+    return X[..., p:, :], W
+
+
+def lagged_design(panel: TransformedPanel, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Build the response block Y (T-p, k) and regressor block W of one
+    panel; see :func:`design_blocks`.
+    """
     if p < 1:
         raise ShapeError("lag order must be >= 1")
-    X, Z = panel.X, panel.Z
-    T, k = X.shape
+    T = panel.X.shape[0]
     if T <= p:
         raise SampleSizeError(f"need more than {p} rows to form lags, have {T}")
-    Y = X[p:]
-    blocks = [np.ones((T - p, 1))]
-    for lag in range(1, p + 1):
-        blocks.append(X[p - lag:T - lag])
-    blocks.append(Z[p:])
-    return Y, np.hstack(blocks)
+    return design_blocks(panel.X, panel.Z, p)
+
+
+def rank_deficient(rdiag: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+    """Whether the smallest |R_ii| of each fit falls below ``rtol`` times
+    its largest."""
+    return rdiag.min(axis=-1) < rtol * rdiag.max(axis=-1)
+
+
+def least_squares(W: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """QR least squares of Y on W over a stack of fits.
+
+    Returns coefficients (..., n_reg, k), residuals (..., T_eff, k) and
+    |diag R| (..., n_reg). A fit that :func:`rank_deficient` rejects is
+    solved against an identity R instead, so it leaves the rest of its
+    stack usable; its coefficients mean nothing.
+    """
+    Q, R = np.linalg.qr(W)
+    rdiag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    R[rank_deficient(rdiag)] = np.eye(R.shape[-1])
+    coef = np.linalg.solve(R, Q.swapaxes(-1, -2) @ Y)
+    return coef, Y - W @ coef, rdiag
+
+
+def split_coefficients(
+    coef: np.ndarray, p: int, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intercept (..., k), lag matrices (..., p, k, k) and exogenous
+    loadings (..., k, m) from coefficients (..., n_reg, k) ordered as the
+    columns of :func:`design_blocks`.
+    """
+    B = coef.swapaxes(-1, -2)
+    lags = B[..., 1:1 + p * k].reshape(*B.shape[:-2], k, p, k)
+    return B[..., 0], lags.swapaxes(-3, -2), B[..., 1 + p * k:]
 
 
 def estimate_var(panel: TransformedPanel, p: int = 4) -> VarEstimate:
@@ -109,27 +176,12 @@ def estimate_var(panel: TransformedPanel, p: int = 4) -> VarEstimate:
         raise SampleSizeError(
             f"{T_eff} usable rows for {n_reg} regressors; need T - p > n_regressors"
         )
-
-    Q, R = np.linalg.qr(W)
-    diag = np.abs(np.diag(R))
-    if diag.min() < RANK_RTOL * diag.max():
+    coef, residuals, rdiag = least_squares(W, Y)
+    if rank_deficient(rdiag):
         raise RankError(
-            f"regressor matrix is rank deficient (min |R_ii| = {diag.min():.3e})"
+            f"regressor matrix is rank deficient (min |R_ii| = {rdiag.min():.3e})"
         )
-    coef = np.linalg.solve(R, Q.T @ Y)  # (n_reg, k)
-
-    residuals = Y - W @ coef
-    sigma = residual_cov(residuals, n_reg)
-
-    m = panel.Z.shape[1]
-    B = coef.T  # (k, n_reg)
-    intercept = B[:, 0]
-    gammas = np.stack(
-        [B[:, 1 + lag * k: 1 + (lag + 1) * k] for lag in range(p)]
-    )
-    exog_coef = B[:, 1 + p * k:]
-    assert exog_coef.shape == (k, m)
-
+    intercept, gammas, exog_coef = split_coefficients(coef, p, k)
     return VarEstimate(
         p=p,
         k=k,
@@ -137,26 +189,32 @@ def estimate_var(panel: TransformedPanel, p: int = 4) -> VarEstimate:
         gammas=gammas,
         exog_coef=exog_coef,
         residuals=residuals,
-        sigma=sigma,
+        sigma=residual_cov(residuals, n_reg),
         sample_size=T_eff,
     )
 
 
 def residual_cov(residuals: np.ndarray, n_regressors: int) -> np.ndarray:
-    """Degrees-of-freedom adjusted residual covariance U'U / (T_eff - n_reg).
+    """Degrees-of-freedom adjusted residual covariance U'U / (T_eff - n_reg)
+    of each residual block in a stack (..., T_eff, k).
 
     The result is explicitly symmetrised so downstream factorisations never
     see rounding-level asymmetry.
     """
     U = np.asarray(residuals, dtype=float)
-    if U.ndim != 2:
-        raise ShapeError("residuals must be 2-d")
-    T_eff = U.shape[0]
+    if U.ndim < 2:
+        raise ShapeError("residuals must be at least 2-d")
+    T_eff = U.shape[-2]
     dof = T_eff - n_regressors
     if dof <= 0:
         raise DofError(f"non-positive degrees of freedom: {T_eff} rows, {n_regressors} regressors")
-    sigma = (U.T @ U) / dof
-    return (sigma + sigma.T) / 2.0
+    sigma = (U.swapaxes(-1, -2) @ U) / dof
+    return (sigma + sigma.swapaxes(-1, -2)) / 2.0
+
+
+def spectral_radius(F: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue modulus of each matrix in a stack (..., n, n)."""
+    return np.abs(np.linalg.eigvals(F)).max(axis=-1)
 
 
 def stability(estimate: VarEstimate) -> tuple[float, bool]:
@@ -164,6 +222,5 @@ def stability(estimate: VarEstimate) -> tuple[float, bool]:
 
     Reported only; estimation never rejects an explosive fit.
     """
-    eigvals = np.linalg.eigvals(estimate.companion())
-    top = float(np.max(np.abs(eigvals)))
+    top = float(spectral_radius(estimate.companion()))
     return top, top < 1.0

@@ -24,7 +24,6 @@ from fiscalsvar.errors import (
 )
 from fiscalsvar.ingest import TransformedPanel
 from fiscalsvar.series import Quarter
-from fiscalsvar.svar import lower_cholesky
 from fiscalsvar.var import VarEstimate, estimate_var
 
 
@@ -45,8 +44,8 @@ def _scalar_replication(r, estimate, panel, config):
 
 
 def _force_scalar_path(monkeypatch, replications):
-    """Flag ``replications`` in the batched kernel, as if they had tripped
-    a failure check, so that the scalar routine re-runs them."""
+    """Flag ``replications`` in the stacked kernel, as if they had tripped
+    a failure check, so that the single-fit routine re-runs them."""
     real = bootstrap_mod._replication_batch
 
     def batch(rs, *args):
@@ -58,7 +57,7 @@ def _force_scalar_path(monkeypatch, replications):
 
 def _fail_on_scalar_path(monkeypatch, replications):
     """Send ``replications`` down the per-replication failure path and make
-    the scalar re-run raise a synthetic RankError there."""
+    the single-fit re-run raise a synthetic RankError there."""
     _force_scalar_path(monkeypatch, replications)
     real = bootstrap_mod._one_replication
 
@@ -68,25 +67,6 @@ def _fail_on_scalar_path(monkeypatch, replications):
         return real(r, *args)
 
     monkeypatch.setattr(bootstrap_mod, "_one_replication", flaky)
-
-
-class TestBatchedCholesky:
-    def test_matches_scalar_factor(self):
-        rng = np.random.default_rng(11)
-        A = rng.normal(size=(30, 4, 4))
-        sigma = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(4)
-        L, bad = bootstrap_mod._batched_cholesky(sigma)
-        assert not bad.any()
-        for s, factor in zip(sigma, L):
-            assert np.max(np.abs(factor - lower_cholesky(s))) < 1e-14
-
-    def test_flags_what_the_scalar_factor_rejects(self):
-        sigma = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0]), np.ones((3, 3))])
-        _, bad = bootstrap_mod._batched_cholesky(sigma)
-        assert bad.tolist() == [False, True, True]
-        for s in sigma[1:]:
-            with pytest.raises(DecompositionError):
-                lower_cholesky(s)
 
 
 class TestDeriveSeed:
@@ -228,15 +208,27 @@ class TestSignificanceFlags:
 
 
 class TestBootstrapInference:
-    def test_worker_count_invariance(self, panel):
+    def test_chunk_size_invariance(self, panel, monkeypatch):
         cfg = BootstrapConfig(replications=64, seed=5)
-        a = bootstrap_inference(panel, cfg, ModelSpec(), workers=1)
-        b = bootstrap_inference(panel, cfg, ModelSpec(), workers=8)
-        assert np.array_equal(a.multipliers, b.multipliers)
-        for lv in cfg.levels:
-            assert np.array_equal(a.multiplier_bands[lv], b.multiplier_bands[lv])
-            assert np.array_equal(a.irf_bands[lv], b.irf_bands[lv])
-        assert a.stars == b.stars
+        runs = []
+        for chunk in (1, 7, 25, 64):
+            monkeypatch.setattr(bootstrap_mod, "CHUNK", chunk)
+            runs.append(bootstrap_inference(panel, cfg, ModelSpec()))
+        a = runs[0]
+        for b in runs[1:]:
+            assert np.array_equal(a.replication_index, b.replication_index)
+            assert np.array_equal(a.multipliers, b.multipliers)
+            assert np.array_equal(a.irf_draws, b.irf_draws)
+            for lv in cfg.levels:
+                assert np.array_equal(a.multiplier_bands[lv], b.multiplier_bands[lv])
+                assert np.array_equal(a.irf_bands[lv], b.irf_bands[lv])
+            assert a.stars == b.stars
+            assert a.unstable == b.unstable
+
+    def test_result_carries_point_estimate(self, panel, estimate):
+        res = bootstrap_inference(panel, BootstrapConfig(replications=5, seed=1))
+        assert np.array_equal(res.estimate.gammas, estimate.gammas)
+        assert np.array_equal(res.estimate.sigma, estimate.sigma)
 
     def test_band_monotonicity_and_bookkeeping(self, panel):
         res = bootstrap_inference(panel, BootstrapConfig(replications=80, seed=2))
@@ -288,16 +280,14 @@ class TestBootstrapInference:
         cfg = BootstrapConfig(replications=60, seed=4)
         _force_scalar_path(monkeypatch, {24})
         res = bootstrap_inference(panel, cfg)
-        index = list(res.replication_index)
-        assert index == list(range(60))
-        for r in (0, 1, 24, 25, 59):
-            responses, path, _ = _scalar_replication(r, estimate, panel, cfg)
-            assert np.max(np.abs(res.irf_draws[index.index(r)] - responses)) < 1e-12
-            assert np.max(np.abs(res.multipliers[index.index(r)] - path)) < 1e-12
-        # a re-run draw carries the scalar routine's values unchanged
-        responses, path, _ = _scalar_replication(24, estimate, panel, cfg)
-        assert np.array_equal(res.irf_draws[24], responses)
-        assert np.array_equal(res.multipliers[24], path)
+        assert list(res.replication_index) == list(range(60))
+        unstable = 0
+        for r in range(60):
+            responses, path, stable = _scalar_replication(r, estimate, panel, cfg)
+            assert np.array_equal(res.irf_draws[r], responses), r
+            assert np.array_equal(res.multipliers[r], path), r
+            unstable += not stable
+        assert res.unstable == unstable
 
     def test_fallback_failure_reported_as_by_scalar_path(self, panel, estimate, monkeypatch):
         cfg = BootstrapConfig(replications=40, seed=6)

@@ -100,6 +100,23 @@ class TestLoadRunConfig:
             load_run_config(path)
 
 
+    @pytest.mark.parametrize("levels", [[68, "90"], [68.5, 90], "68"])
+    def test_non_integer_levels_rejected(self, tmp_path, data_dir, levels):
+        path = write_config(tmp_path / "c.json", data_dir, levels=levels)
+        with pytest.raises(ConfigError, match="levels"):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("ordering", [["G", "T", "Y", "X"], ["G", "T", "Y"], "GTYi"])
+    def test_ordering_must_permute_the_variables(self, tmp_path, data_dir, ordering):
+        path = write_config(tmp_path / "c.json", data_dir, ordering=ordering)
+        with pytest.raises(ConfigError, match="ordering"):
+            load_run_config(path)
+
+    def test_permuted_ordering_accepted(self, tmp_path, data_dir):
+        path = write_config(tmp_path / "c.json", data_dir, ordering=["T", "G", "Y", "i"])
+        assert load_run_config(path).ordering == ("T", "G", "Y", "i")
+
+
 class TestConfigHash:
     def test_sensitive_to_seed(self, tmp_path, data_dir):
         a = load_run_config(write_config(tmp_path / "a.json", data_dir, seed=1))
@@ -251,6 +268,38 @@ class TestMainExitCodes:
         assert main(["validate", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert "cz" in err and "absent.csv" in err
+
+    @pytest.mark.parametrize("broken", ["short_row", "nan_cell"])
+    def test_malformed_csv_exit_3(self, tmp_path, data_dir, capsys, broken):
+        csv_path = tmp_path / "cz.csv"
+        write_country_csv(csv_path, synthetic_levels(START, N_QUARTERS, seed=0))
+        lines = csv_path.read_text().splitlines()
+        cells = lines[5].split(",")
+        if broken == "short_row":
+            cells = cells[:4]
+        else:
+            cells[4] = "nan"  # the gdp column
+        lines[5] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        path = tmp_path / "c.json"
+        payload = {
+            "countries": [{"code": "cz", "csv": str(csv_path)}],
+            "window": {"start": str(START), "end": str(END)},
+        }
+        path.write_text(json.dumps(payload))
+        assert main(["validate", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "cz.csv:6" in err
+
+    @pytest.mark.parametrize(
+        "override", [{"levels": [68, "90"]}, {"ordering": ["G", "T", "Y", "X"]}]
+    )
+    @pytest.mark.parametrize("command", ["validate", "estimate"])
+    def test_bad_levels_or_ordering_exit_2(self, tmp_path, data_dir, capsys, override, command):
+        path = write_config(tmp_path / "c.json", data_dir, **override)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_short_window_exit_4(self, tmp_path, data_dir, capsys):
         path = write_config(

@@ -87,6 +87,24 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="n/a"):
             load_csv(path)
 
+    def test_short_row_names_line(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_country_csv(path, tiny_columns())
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:3])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvParseError, match=r"x\.csv:4: row has 3 cells, header has 10"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_location(self, tmp_path, cell):
+        cols = tiny_columns()
+        cols["gdp"][1] = cell
+        path = tmp_path / "x.csv"
+        write_country_csv(path, cols)
+        with pytest.raises(CsvParseError, match=r"x\.csv:3: non-finite .* column 'gdp'"):
+            load_csv(path)
+
     def test_missing_column(self, tmp_path):
         cols = tiny_columns()
         del cols["vat"]

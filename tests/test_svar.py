@@ -11,6 +11,8 @@ from fiscalsvar.errors import (
 )
 from fiscalsvar.svar import (
     IrfSet,
+    cholesky_factor,
+    cumulative_ratio,
     identify_cholesky,
     irf,
     lower_cholesky,
@@ -64,6 +66,27 @@ class TestLowerCholesky:
     def test_rejects_nonsquare(self):
         with pytest.raises(ShapeError):
             lower_cholesky(np.zeros((2, 3)))
+
+
+class TestCholeskyFactor:
+    def test_stack_matches_single_factor(self):
+        rng = np.random.default_rng(11)
+        A = rng.normal(size=(30, 4, 4))
+        sigma = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(4)
+        L, pivots = cholesky_factor(sigma)
+        assert np.all(pivots > 0.0)
+        for s, factor in zip(sigma, L):
+            assert np.array_equal(factor, lower_cholesky(s))
+
+    def test_pivots_flag_what_the_single_factor_rejects(self):
+        sigma = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0]), np.ones((3, 3))])
+        L, pivots = cholesky_factor(sigma)
+        assert (pivots <= 0.0).any(axis=1).tolist() == [False, True, True]
+        assert np.array_equal(L[0], np.eye(3))
+        for s, expected in zip(sigma[1:], (2, 2)):
+            with pytest.raises(DecompositionError) as err:
+                lower_cholesky(s)
+            assert err.value.pivot == expected
 
 
 class TestIdentify:
@@ -127,6 +150,15 @@ class TestIrf:
         with pytest.raises(ShapeError):
             irf(model, "Q", 4)
 
+    def test_propagate_stack_matches_single_runs(self):
+        rng = np.random.default_rng(4)
+        F = 0.3 * rng.normal(size=(5, 6, 6))
+        impact = rng.normal(size=(5, 3))
+        out = propagate_impulse(F, impact, 8)
+        assert out.shape == (5, 9, 3)
+        for f, i, o in zip(F, impact, out):
+            assert np.array_equal(propagate_impulse(f, i, 8), o)
+
     def test_propagate_zero_gamma_dies_after_impact(self):
         F = np.zeros((3, 3))
         impact = np.array([1.0, 2.0, 3.0])
@@ -160,6 +192,16 @@ class TestMultiplierPath:
         with pytest.raises(DegenerateDenominatorError) as err:
             multiplier_path(out, "Y", "G", 3)
         assert err.value.horizon == 2
+
+    def test_cumulative_ratio_leaves_degenerate_quarters_undefined(self):
+        responses = np.array([
+            [[1.0, 2.0], [1.0, 0.0], [1.0, 1.0]],
+            [[1.0, 1.0], [-1.0, 1.0], [1.0, 1.0]],
+        ])
+        ratio, cum_g = cumulative_ratio(responses, 1, 0, 3)
+        assert np.array_equal(cum_g, [[1.0, 2.0, 3.0], [1.0, 0.0, 1.0]])
+        assert ratio[0].tolist() == [2.0, 1.0, 1.0]
+        assert ratio[1, 0] == 1.0 and np.isnan(ratio[1, 1]) and ratio[1, 2] == 3.0
 
     def test_needs_enough_horizons(self):
         out = irfset([1.0, 1.0], [1.0, 1.0])

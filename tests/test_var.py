@@ -8,10 +8,15 @@ from fiscalsvar.ingest import TransformedPanel
 from fiscalsvar.series import Quarter
 from fiscalsvar.var import (
     companion_matrix,
+    design_blocks,
     estimate_var,
     lagged_design,
+    least_squares,
+    rank_deficient,
     residual_cov,
+    split_coefficients,
     stability,
+    var_recursion,
 )
 
 
@@ -132,6 +137,52 @@ class TestEstimateVar:
         est = estimate_var(panel, p=4)
         assert np.array_equal(est.sigma, est.sigma.T)
         assert np.min(np.linalg.eigvalsh(est.sigma)) > -1e-18
+
+
+class TestStackedFit:
+    """A stack of fits gives each member exactly the numbers of its own
+    single fit."""
+
+    def panels(self):
+        return [simulate_var(reference_spec(T=84, seed=s)) for s in range(3)]
+
+    def test_stacked_fit_matches_single_fits(self):
+        panels = self.panels()
+        X = np.stack([pn.X for pn in panels])
+        Y, W = design_blocks(X, panels[0].Z, 4)
+        coef, residuals, rdiag = least_squares(W, Y)
+        assert not rank_deficient(rdiag).any()
+        sigma = residual_cov(residuals, W.shape[-1])
+        _, gammas, _ = split_coefficients(coef, 4, 4)
+        for i, pn in enumerate(panels):
+            est = estimate_var(pn, p=4)
+            assert np.array_equal(residuals[i], est.residuals)
+            assert np.array_equal(sigma[i], est.sigma)
+            assert np.array_equal(gammas[i], est.gammas)
+
+    def test_rank_deficient_member_leaves_stack_usable(self):
+        panels = self.panels()
+        X = np.stack([pn.X for pn in panels])
+        X[1, :, 1] = 2.0 * X[1, :, 0]  # collinear pair in one member
+        Y, W = design_blocks(X, panels[0].Z, 4)
+        coef, residuals, rdiag = least_squares(W, Y)
+        assert rank_deficient(rdiag).tolist() == [False, True, False]
+        assert np.isfinite(coef).all()
+        for i in (0, 2):
+            assert np.array_equal(residuals[i], estimate_var(panels[i], p=4).residuals)
+
+    def test_recursion_stack_matches_single_runs(self):
+        rng = np.random.default_rng(8)
+        gammas = reference_spec().gammas
+        base = 0.01 * rng.normal(size=(4, 30, 4))
+        presample = rng.normal(size=(4, 1, 4))
+        X = var_recursion(gammas, base, presample)
+        assert np.array_equal(X[:, :1], presample)
+        for b, pre, x in zip(base, presample, X):
+            assert np.array_equal(var_recursion(gammas, b, pre), x)
+        # one step by hand
+        step = base[:, 0] + presample[:, 0] @ gammas[0].T
+        assert X[:, 1] == pytest.approx(step, rel=1e-14, abs=1e-16)
 
 
 class TestResidualCov:
