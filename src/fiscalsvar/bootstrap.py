@@ -25,15 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DecompositionError,
-    DegenerateDenominatorError,
-    DomainError,
-    InferenceError,
-    RankError,
-    SampleSizeError,
-    ShapeError,
-)
+from .errors import DomainError, EstimationError, InferenceError, ShapeError
 from .ingest import TransformedPanel
 from .series import Quarter
 from .svar import (
@@ -62,15 +54,6 @@ from .var import (
     var_recursion,
 )
 
-FAILURE_KINDS = (
-    RankError,
-    SampleSizeError,
-    DecompositionError,
-    DegenerateDenominatorError,
-    ShapeError,
-    FloatingPointError,
-)
-
 MAX_FAILURE_SHARE = 0.05
 
 # replications per stacked step; larger chunks buy little speed and cost
@@ -95,6 +78,12 @@ def derive_seed(*parts: int) -> int:
     """
     state = np.random.SeedSequence(list(parts)).generate_state(2, np.uint64)
     return int(state[0]) ^ (int(state[1]) << 64)
+
+
+def substream(*parts: int) -> np.random.Generator:
+    """Generator on the stream that ``SeedSequence(parts)`` seeds: one per
+    (master, replication) or (master, trial, ...) tuple."""
+    return np.random.default_rng(np.random.SeedSequence(list(parts)))
 
 
 @dataclass(frozen=True)
@@ -288,7 +277,7 @@ def significance_flags(
 def _one_replication(r, estimate, initial, exog, model, config, panel):
     """Replication r alone through the single-fit pipeline: the reference
     for the stacked draws, and the path that decides every flagged draw."""
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, r]))
+    rng = substream(config.seed, r)
     with np.errstate(over="raise", invalid="raise"):
         u_star = resample_residuals(estimate.residuals, rng)
         panel_star = simulate_bootstrap_series(
@@ -316,10 +305,7 @@ def _replication_batch(rs, estimate, panel, model, config):
     p, k, H = estimate.p, estimate.k, config.horizons
     U = estimate.residuals
     n = U.shape[0]
-    idx = np.stack([
-        np.random.default_rng(np.random.SeedSequence([config.seed, r])).integers(0, n, size=n)
-        for r in rs
-    ])
+    idx = np.stack([substream(config.seed, r).integers(0, n, size=n) for r in rs])
     X = _simulate(estimate, U[idx], panel.X[:p], panel.Z)
     flagged = ~np.isfinite(X).all(axis=(1, 2))
     X[flagged] = panel.X  # keeps the linear algebra below well defined
@@ -385,7 +371,7 @@ def bootstrap_inference(
                 responses[i], paths[i], stable[i] = _one_replication(
                     r, estimate, initial, exog, model, config, panel
                 )
-            except FAILURE_KINDS as exc:
+            except (EstimationError, FloatingPointError) as exc:
                 failed[r] = f"{type(exc).__name__}: {exc}"
                 keep[i] = False
         chunks.append((rs[keep], responses[keep], paths[keep], stable[keep]))

@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -29,25 +30,7 @@ from .bootstrap import (
     bootstrap_inference,
     derive_seed,
 )
-from .errors import (
-    AlignmentError,
-    ConfigError,
-    CsvParseError,
-    DecompositionError,
-    DegenerateDenominatorError,
-    DofError,
-    DomainError,
-    FiscalSvarError,
-    InferenceError,
-    InsufficientDataError,
-    QuarterGapError,
-    RankError,
-    SampleSizeError,
-    SchemaError,
-    ShapeError,
-    UnitError,
-    WindowCoverageError,
-)
+from .errors import ConfigError, DataError, EstimationError, FiscalSvarError, ShapeError
 from .ingest import X_LABELS, build_panel, load_csv
 from .plots import render_band_plot
 from .series import Quarter
@@ -60,28 +43,7 @@ DEFAULT_WINDOW = (Quarter(1999, 1), Quarter(2019, 4))
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-EXIT_INFERENCE = 4
-
-DATA_ERRORS = (
-    SchemaError,
-    CsvParseError,
-    QuarterGapError,
-    WindowCoverageError,
-    InsufficientDataError,
-    UnitError,
-    AlignmentError,
-    DomainError,
-    FileNotFoundError,
-)
-INFERENCE_ERRORS = (
-    RankError,
-    SampleSizeError,
-    DofError,
-    DecompositionError,
-    DegenerateDenominatorError,
-    InferenceError,
-    ShapeError,
-)
+EXIT_ESTIMATION = 4
 
 
 @dataclass(frozen=True)
@@ -160,12 +122,12 @@ _CONFIG_KEYS = {
 def _read_json(path: Path, what: str):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
 def _is_int(value) -> bool:
@@ -188,6 +150,8 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
     if "countries" not in raw:
         raise ConfigError(f"{path}: missing required key 'countries'")
+    if not isinstance(raw["countries"], list):
+        raise ConfigError(f"{path}: countries must be a list of objects")
 
     entries = []
     for i, item in enumerate(raw["countries"]):
@@ -202,10 +166,14 @@ def load_run_config(path) -> RunConfig:
         schema = item.get("schema")
         if schema is not None and not isinstance(schema, dict):
             raise ConfigError(f"{path}: countries[{i}]: schema must be an object")
+        try:
+            csv_path = (path.parent / item["csv"]).resolve()
+        except (TypeError, ValueError):  # not a string, a NUL byte, a lone surrogate
+            raise ConfigError(f"{path}: countries[{i}]: csv must be a path string") from None
         entries.append(
             CountryEntry(
                 code=str(item["code"]),
-                csv=(path.parent / item["csv"]).resolve(),
+                csv=csv_path,
                 name=str(item.get("name", "")),
                 schema=schema,
             )
@@ -240,15 +208,11 @@ def load_run_config(path) -> RunConfig:
         if not isinstance(raw["plots"], bool):
             raise ConfigError(f"{path}: plots must be true or false")
         kwargs["plots"] = raw["plots"]
-    if "output_dir" in raw:
-        kwargs["output_dir"] = Path(raw["output_dir"])
-    else:
-        kwargs["output_dir"] = Path(os.environ.get(OUT_ENV_VAR, "out"))
-
-    try:
-        return RunConfig(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    output_dir = raw.get("output_dir", os.environ.get(OUT_ENV_VAR, "out"))
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"{path}: output_dir must be a path string")
+    kwargs["output_dir"] = Path(output_dir)
+    return RunConfig(**kwargs)
 
 
 def config_hash(config: RunConfig) -> str:
@@ -313,21 +277,41 @@ def _run_country(entry: CountryEntry, config: RunConfig) -> tuple[BootstrapResul
     return result, info
 
 
+@contextmanager
+def _for_country(code: str):
+    """Name the country in any package error raised inside, once; the
+    error keeps its type and attributes."""
+    try:
+        yield
+    except FiscalSvarError as exc:
+        prefix = f"country {code}: "
+        if not str(exc).startswith(prefix):
+            exc.args = (prefix + str(exc),)
+        raise
+
+
+def _output_dir(out: Path) -> Path:
+    """Create the output directory; a path that cannot be one is a
+    config error."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
+    return out
+
+
 def run_pipeline(config: RunConfig) -> dict:
     """Run every country, one after another, and write the full report
     bundle.
 
     Returns the manifest dict (also written to manifest.json).
     """
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config.output_dir)
 
     results = {}
     for entry in config.countries:
-        try:
+        with _for_country(entry.code):
             results[entry.code] = _run_country(entry, config)
-        except (FiscalSvarError, FileNotFoundError) as exc:
-            raise type(exc)(f"country {entry.code}: {exc}") from None
 
     written = []
     for entry in config.countries:
@@ -488,11 +472,9 @@ def validate(config_path) -> RunConfig:
     """
     config = load_run_config(config_path)
     for entry in config.countries:
-        try:
+        with _for_country(entry.code):
             data = load_csv(entry.csv, entry.schema, country=entry.code)
             build_panel(data, config.window)
-        except (FiscalSvarError, FileNotFoundError) as exc:
-            raise type(exc)(f"country {entry.code}: {exc}") from None
     return config
 
 
@@ -513,10 +495,7 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
         if missing:
             raise ConfigError(f"--countries names unknown code(s): {', '.join(missing)}")
         updates["countries"] = chosen
-    try:
-        return replace(config, **updates) if updates else config
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+    return replace(config, **updates) if updates else config
 
 
 def _cmd_validate(args) -> int:
@@ -547,14 +526,18 @@ def _cmd_estimate(args) -> int:
 def _cmd_montecarlo(args) -> int:
     path = Path(args.config)
     payload = _read_json(path, "DGP file")
-    try:
-        spec = dgp_mod.DgpSpec.from_dict(payload)
-    except (DomainError, ShapeError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    if args.seed is not None:
-        spec = dgp_mod.DgpSpec.from_dict({**spec.to_dict(), "seed": args.seed})
+    if args.seed is not None and isinstance(payload, dict):
+        payload = {**payload, "seed": args.seed}
     trials = args.reps if args.reps is not None else 100
     horizons = args.horizon if args.horizon is not None else 20
+    if trials < 1 or horizons < 1:
+        raise ConfigError("--reps and --horizon must be >= 1")
+    try:
+        spec = dgp_mod.DgpSpec.from_dict(payload)
+        # the true path needs the spec to have G and Y columns
+        dgp_mod.analytic_multipliers(spec, horizons)
+    except FiscalSvarError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     report = dgp_mod.monte_carlo_recovery(
         spec, trials, dgp_mod.RecoveryConfig(horizons=horizons)
     )
@@ -566,8 +549,7 @@ def _cmd_montecarlo(args) -> int:
             f"  {report.median_abs_error[h]:>9.4f}  {report.rmse[h]:>7.4f}"
         )
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _output_dir(Path(args.out))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["h", "analytic", "median_bias", "median_abs_error", "rmse"])
@@ -625,12 +607,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DATA_ERRORS as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except INFERENCE_ERRORS as exc:
-        print(f"inference error: {exc}", file=sys.stderr)
-        return EXIT_INFERENCE
+    except EstimationError as exc:
+        print(f"estimation error: {exc}", file=sys.stderr)
+        return EXIT_ESTIMATION
 
 
 if __name__ == "__main__":

@@ -17,20 +17,18 @@ from .bootstrap import (
     bootstrap_inference,
     derive_seed,
     point_fit,
+    substream,
 )
 from .errors import (
-    DecompositionError,
-    DegenerateDenominatorError,
     DomainError,
+    EstimationError,
     InferenceError,
-    RankError,
-    SampleSizeError,
     ShapeError,
     UnstableDgpError,
 )
 from .ingest import TransformedPanel
 from .series import Quarter
-from .svar import IrfSet, MultiplierPath, multiplier_path, propagate_impulse
+from .svar import IrfSet, MultiplierPath, column_of, multiplier_path, propagate_impulse
 from .var import companion_matrix, spectral_radius, var_recursion
 
 SYNTHETIC_START = Quarter(2000, 1)
@@ -72,10 +70,14 @@ class DgpSpec:
             if exog.ndim != 2 or exog.shape[0] != k:
                 raise ShapeError(f"exog_coef must be ({k}, m)")
             exog.setflags(write=False)
+        if not all(np.isfinite(a).all() for a in (gammas, B, intercept, exog) if a is not None):
+            raise DomainError("DGP parameters must be finite")
         if self.T < 1:
             raise DomainError("T must be >= 1")
         if self.burn_in < 0:
             raise DomainError("burn-in must be >= 0")
+        if self.seed < 0:
+            raise DomainError("seed must be non-negative")
 
         top = float(spectral_radius(companion_matrix(gammas)))
         if top >= 1.0:
@@ -114,14 +116,24 @@ class DgpSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DgpSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = sorted(set(payload) - known)
+        """Spec from its :meth:`to_dict` form, as read from a JSON file.
+
+        Every malformed payload raises a :class:`FiscalSvarError`.
+        """
+        if not isinstance(payload, dict):
+            raise DomainError("a DGP spec must be a JSON object")
+        unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
         if unknown:
             raise DomainError(f"unknown DGP fields: {', '.join(unknown)}")
+        if not all(isinstance(payload.get(name, 0), int) for name in ("T", "burn_in", "seed")):
+            raise DomainError("T, burn_in and seed must be integers")
         kwargs = dict(payload)
-        if "labels" in kwargs:
-            kwargs["labels"] = tuple(kwargs["labels"])
-        return cls(**kwargs)
+        try:
+            if "labels" in kwargs:
+                kwargs["labels"] = tuple(kwargs["labels"])
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"malformed DGP spec: {exc}") from None
 
 
 def simulate_var(spec: DgpSpec, rng: np.random.Generator | None = None) -> TransformedPanel:
@@ -152,10 +164,8 @@ def simulate_var(spec: DgpSpec, rng: np.random.Generator | None = None) -> Trans
 
 def analytic_irf(spec: DgpSpec, horizons: int, shock: str) -> IrfSet:
     """Exact responses from the true parameters, no estimation involved."""
-    if shock not in spec.labels:
-        raise ShapeError(f"unknown shock '{shock}', labels are {spec.labels}")
     F = companion_matrix(spec.gammas)
-    impact = spec.B[:, spec.labels.index(shock)]
+    impact = spec.B[:, column_of(spec.labels, shock)]
     responses = propagate_impulse(F, impact, horizons)
     return IrfSet(shock=shock, ordering=spec.labels, responses=responses)
 
@@ -228,8 +238,7 @@ def monte_carlo_recovery(
     covered: dict[int, list[np.ndarray]] = {}
     failures = 0
     for t in range(n_trials):
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, t, 0]))
-        panel = simulate_var(spec, rng)
+        panel = simulate_var(spec, substream(spec.seed, t, 0))
         try:
             if config.bootstrap is not None:
                 boot_cfg = replace(
@@ -243,13 +252,7 @@ def monte_carlo_recovery(
             else:
                 _, _, path = point_fit(panel, model, config.horizons)
                 rows.append(path.values)
-        except (
-            RankError,
-            SampleSizeError,
-            DecompositionError,
-            DegenerateDenominatorError,
-            InferenceError,
-        ):
+        except EstimationError:
             failures += 1
 
     if not rows:

@@ -1,55 +1,78 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error derives from exactly one of three bases, and the base alone
+sets the command-line exit code: :class:`ConfigError` 2,
+:class:`DataError` 3, :class:`EstimationError` 4. The bootstrap and the
+Monte Carlo harness count an :class:`EstimationError` in one replication
+or trial as a failed draw, not a failed run.
+"""
 
 
 class FiscalSvarError(Exception):
     """Base class for all package-specific errors."""
 
 
-class UnitError(FiscalSvarError):
+class ConfigError(FiscalSvarError):
+    """Run configuration is malformed (unknown key, bad value, no countries)."""
+
+
+class DataError(FiscalSvarError):
+    """An input file cannot be read or holds unusable values."""
+
+
+class EstimationError(FiscalSvarError):
+    """The model cannot be estimated, identified or bootstrapped."""
+
+
+class UnstableDgpError(ConfigError):
+    """Synthetic-data generator parameters imply an explosive process."""
+
+
+class UnitError(DataError):
     """Series has the wrong unit tag for an operation."""
 
 
-class AlignmentError(FiscalSvarError):
+class AlignmentError(DataError):
     """Two series do not share the same start quarter and length."""
 
 
-class DomainError(FiscalSvarError):
+class DomainError(DataError):
     """A value is outside the mathematically admissible domain (e.g. CPI <= 0)."""
 
 
-class InsufficientDataError(FiscalSvarError):
+class InsufficientDataError(DataError):
     """Too few observations for the requested operation."""
 
 
-class SchemaError(FiscalSvarError):
+class SchemaError(DataError):
     """A required CSV column is missing or the schema map is malformed."""
 
 
-class QuarterGapError(FiscalSvarError):
+class QuarterGapError(DataError):
     """Quarterly index is not contiguous (gap or duplicate)."""
 
 
-class CsvParseError(FiscalSvarError):
+class CsvParseError(DataError):
     """A CSV cell could not be parsed (bad date or non-numeric value)."""
 
 
-class WindowCoverageError(FiscalSvarError):
+class WindowCoverageError(DataError):
     """Requested analysis window extends beyond the loaded data."""
 
 
-class SampleSizeError(FiscalSvarError):
+class SampleSizeError(EstimationError):
     """Not enough effective observations to fit the regression."""
 
 
-class RankError(FiscalSvarError):
+class RankError(EstimationError):
     """Regressor matrix is rank deficient (perfect collinearity)."""
 
 
-class DofError(FiscalSvarError):
+class DofError(EstimationError):
     """No degrees of freedom left for the residual covariance."""
 
 
-class DecompositionError(FiscalSvarError):
+class DecompositionError(EstimationError):
     """Cholesky factorization failed: matrix not positive definite.
 
     ``pivot`` is the 1-based index of the failing pivot.
@@ -60,7 +83,7 @@ class DecompositionError(FiscalSvarError):
         self.pivot = pivot
 
 
-class DegenerateDenominatorError(FiscalSvarError):
+class DegenerateDenominatorError(EstimationError):
     """Cumulative spending response too close to zero to form a ratio.
 
     ``horizon`` is the first offending multiplier horizon (1-based).
@@ -71,17 +94,9 @@ class DegenerateDenominatorError(FiscalSvarError):
         self.horizon = horizon
 
 
-class ShapeError(FiscalSvarError):
+class ShapeError(EstimationError):
     """Array arguments have inconsistent shapes."""
 
 
-class UnstableDgpError(FiscalSvarError):
-    """Synthetic-data generator parameters imply an explosive process."""
-
-
-class InferenceError(FiscalSvarError):
+class InferenceError(EstimationError):
     """Too many bootstrap replications failed to produce usable bands."""
-
-
-class ConfigError(FiscalSvarError):
-    """Run configuration is malformed (unknown key, bad value, no countries)."""

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     CsvParseError,
+    DataError,
     QuarterGapError,
     SchemaError,
     ShapeError,
@@ -139,47 +140,52 @@ def load_csv(path, schema: dict[str, str] | None = None, country: str = "") -> M
             raise SchemaError(f"unknown schema keys: {', '.join(unknown)}")
         full_schema.update(schema)
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty, expected a header row") from None
-        positions = {}
-        for canonical, column in full_schema.items():
-            if column not in header:
-                raise SchemaError(f"{path}: missing column '{column}' (for {canonical})")
-            positions[canonical] = header.index(column)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    # not UTF-8, a path the OS cannot take, a cell over the csv size limit
+    except (ValueError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if not table:
+        raise SchemaError(f"{path}: file is empty, expected a header row")
+    header, records = table[0], table[1:]
+    positions = {}
+    for canonical, column in full_schema.items():
+        if column not in header:
+            raise SchemaError(f"{path}: missing column '{column}' (for {canonical})")
+        positions[canonical] = header.index(column)
 
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise CsvParseError(
-                    f"{path}:{lineno}: row has {len(row)} cells, header has {len(header)}"
-                )
-            raw_date = row[positions[DATE_COLUMN]]
+    rows = []
+    for lineno, row in enumerate(records, start=2):
+        if not row:
+            continue
+        if len(row) < len(header):
+            raise CsvParseError(
+                f"{path}:{lineno}: row has {len(row)} cells, header has {len(header)}"
+            )
+        raw_date = row[positions[DATE_COLUMN]]
+        try:
+            quarter = Quarter.parse(raw_date)
+        except ValueError as exc:
+            raise CsvParseError(f"{path}:{lineno}: bad date cell: {exc}") from None
+        values = {}
+        for name in SERIES_UNITS:
+            cell = row[positions[name]]
             try:
-                quarter = Quarter.parse(raw_date)
-            except ValueError as exc:
-                raise CsvParseError(f"{path}:{lineno}: bad date cell: {exc}") from None
-            values = {}
-            for name in SERIES_UNITS:
-                cell = row[positions[name]]
-                try:
-                    values[name] = float(cell)
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}:{lineno}: non-numeric value {cell!r} in column "
-                        f"'{full_schema[name]}'"
-                    ) from None
-                if not math.isfinite(values[name]):
-                    raise CsvParseError(
-                        f"{path}:{lineno}: non-finite value {cell!r} in column "
-                        f"'{full_schema[name]}'"
-                    )
-            rows.append((quarter, values))
+                values[name] = float(cell)
+            except ValueError:
+                raise CsvParseError(
+                    f"{path}:{lineno}: non-numeric value {cell!r} in column "
+                    f"'{full_schema[name]}'"
+                ) from None
+            if not math.isfinite(values[name]):
+                raise CsvParseError(
+                    f"{path}:{lineno}: non-finite value {cell!r} in column "
+                    f"'{full_schema[name]}'"
+                )
+        rows.append((quarter, values))
 
     if not rows:
         raise SchemaError(f"{path}: no data rows")

@@ -22,6 +22,14 @@ from .var import VarEstimate
 DENOMINATOR_TOL = 1e-12
 
 
+def column_of(ordering: tuple[str, ...], variable: str) -> int:
+    """Position of ``variable`` in ``ordering``; ShapeError if absent."""
+    try:
+        return ordering.index(variable)
+    except ValueError:
+        raise ShapeError(f"unknown variable '{variable}', ordering is {ordering}") from None
+
+
 @dataclass(frozen=True)
 class StructuralModel:
     """A reduced-form estimate together with its impact matrix B."""
@@ -63,7 +71,7 @@ class IrfSet:
         return self.responses.shape[0] - 1
 
     def series(self, variable: str) -> np.ndarray:
-        return self.responses[:, self.ordering.index(variable)]
+        return self.responses[:, column_of(self.ordering, variable)]
 
     def cumulative(self, variable: str) -> np.ndarray:
         return np.cumsum(self.series(variable))
@@ -173,12 +181,10 @@ def irf(model: StructuralModel, shock: str, horizons: int) -> IrfSet:
     Horizon h response is the top-left k x k block of F^h applied to the
     shock's column of B.
     """
-    if shock not in model.ordering:
-        raise ShapeError(f"unknown shock '{shock}', ordering is {model.ordering}")
     if horizons < 0:
         raise ShapeError("horizons must be >= 0")
     F = model.estimate.companion()
-    impact = model.B[:, model.ordering.index(shock)]
+    impact = model.B[:, column_of(model.ordering, shock)]
     responses = propagate_impulse(F, impact, horizons)
     return IrfSet(shock=shock, ordering=model.ordering, responses=responses)
 
@@ -220,8 +226,8 @@ def multiplier_path(
         )
     ratio, cum_g = cumulative_ratio(
         irfs.responses,
-        irfs.ordering.index(response),
-        irfs.ordering.index(shock_variable),
+        column_of(irfs.ordering, response),
+        column_of(irfs.ordering, shock_variable),
         horizons,
     )
     small = np.abs(cum_g) <= DENOMINATOR_TOL

@@ -12,12 +12,14 @@ from fiscalsvar.bootstrap import (
     resample_residuals,
     significance_flags,
     simulate_bootstrap_series,
+    substream,
 )
 from fiscalsvar.dgp import reference_spec, simulate_var
 from fiscalsvar.errors import (
     DecompositionError,
     DegenerateDenominatorError,
     DomainError,
+    EstimationError,
     InferenceError,
     RankError,
     ShapeError,
@@ -79,6 +81,12 @@ class TestDeriveSeed:
 
     def test_order_sensitive(self):
         assert derive_seed(1, 2) != derive_seed(2, 1)
+
+    def test_substream_is_the_seed_sequence_stream(self):
+        # replication r of master seed s draws from SeedSequence([s, r])
+        a = substream(7, np.int64(3)).integers(0, 1 << 30, size=8)
+        b = np.random.default_rng(np.random.SeedSequence([7, 3])).integers(0, 1 << 30, size=8)
+        assert np.array_equal(a, b)
 
 
 class TestResampleResiduals:
@@ -300,7 +308,7 @@ class TestBootstrapInference:
             "resample_residuals",
             lambda U, rng: np.repeat(U[:1], U.shape[0], axis=0),
         )
-        with pytest.raises(bootstrap_mod.FAILURE_KINDS) as scalar:
+        with pytest.raises((EstimationError, FloatingPointError)) as scalar:
             _scalar_replication(7, estimate, panel, cfg)
         res = bootstrap_inference(panel, cfg)
         assert res.failed == {7: f"{type(scalar.value).__name__}: {scalar.value}"}

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import fiscalsvar.cli as cli_mod
 from conftest import synthetic_levels, write_country_csv
 from fiscalsvar.cli import (
     RunConfig,
@@ -14,7 +15,7 @@ from fiscalsvar.cli import (
     run_pipeline,
 )
 from fiscalsvar.dgp import reference_spec
-from fiscalsvar.errors import ConfigError, ShapeError
+from fiscalsvar.errors import ConfigError, DecompositionError, ShapeError
 from fiscalsvar.series import Quarter
 from fiscalsvar.svar import MultiplierPath
 
@@ -269,7 +270,7 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "cz" in err and "absent.csv" in err
 
-    @pytest.mark.parametrize("broken", ["short_row", "nan_cell"])
+    @pytest.mark.parametrize("broken", ["short_row", "nan_cell", "directory", "not_utf8"])
     def test_malformed_csv_exit_3(self, tmp_path, data_dir, capsys, broken):
         csv_path = tmp_path / "cz.csv"
         write_country_csv(csv_path, synthetic_levels(START, N_QUARTERS, seed=0))
@@ -281,6 +282,14 @@ class TestMainExitCodes:
             cells[4] = "nan"  # the gdp column
         lines[5] = ",".join(cells)
         csv_path.write_text("\n".join(lines) + "\n")
+        where = "cz.csv:6"
+        if broken == "directory":
+            csv_path.unlink()
+            csv_path.mkdir()
+            where = "cz.csv"
+        elif broken == "not_utf8":
+            csv_path.write_bytes(csv_path.read_bytes().replace(b"date", b"d\xe4te"))
+            where = "cz.csv"
         path = tmp_path / "c.json"
         payload = {
             "countries": [{"code": "cz", "csv": str(csv_path)}],
@@ -289,17 +298,35 @@ class TestMainExitCodes:
         path.write_text(json.dumps(payload))
         assert main(["validate", "--config", str(path)]) == 3
         err = capsys.readouterr().err
-        assert "data error" in err and "cz.csv:6" in err
+        assert "data error" in err and where in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "override", [{"levels": [68, "90"]}, {"ordering": ["G", "T", "Y", "X"]}]
+        "override",
+        [
+            {"levels": [68, "90"]},
+            {"ordering": ["G", "T", "Y", "X"]},
+            {"countries": 5},
+            {"countries": [{"code": "cz", "csv": 5}]},
+            {"window": {"start": 5, "end": str(END)}},
+            {"output_dir": 5},
+        ],
     )
     @pytest.mark.parametrize("command", ["validate", "estimate"])
     def test_bad_levels_or_ordering_exit_2(self, tmp_path, data_dir, capsys, override, command):
         path = write_config(tmp_path / "c.json", data_dir, **override)
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    def test_out_naming_a_file_exit_2(self, tmp_path, data_dir, capsys):
+        path = write_config(tmp_path / "c.json", data_dir)
+        (tmp_path / "o").write_text("not a directory")
+        assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "output directory" in err
+        assert len(err.splitlines()) == 1
 
     def test_short_window_exit_4(self, tmp_path, data_dir, capsys):
         path = write_config(
@@ -348,6 +375,51 @@ class TestMainExitCodes:
         spec_path.write_text(json.dumps(payload))
         assert main(["montecarlo", "--config", str(spec_path)]) == 2
         assert "wrong" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, flags, message",
+        [
+            ({"gammas": [[[1.05, 0, 0, 0], [0, 0.3, 0, 0], [0, 0, 0.3, 0], [0, 0, 0, 0.4]]]},
+             [], "explosive"),
+            ({"gammas": [[["a", 0, 0, 0]] * 4]}, [], "malformed DGP spec"),
+            ({"seed": -1}, [], "seed must be non-negative"),
+            ({}, ["--seed", "-1"], "seed must be non-negative"),
+            ({}, ["--reps", "0"], "--reps"),
+            ({}, ["--horizon", "0"], "--horizon"),
+        ],
+        ids=["explosive", "non_numeric_gammas", "negative_seed", "seed_flag", "zero_reps",
+             "zero_horizon"],
+    )
+    def test_montecarlo_bad_input_exit_2(self, tmp_path, capsys, change, flags, message):
+        spec_path = tmp_path / "dgp.json"
+        spec_path.write_text(json.dumps({**reference_spec().to_dict(), **change}))
+        assert main(["montecarlo", "--config", str(spec_path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert len(err.splitlines()) == 1
+
+
+class TestCountryErrors:
+    def test_window_error_names_country_once(self, tmp_path, data_dir, capsys):
+        path = write_config(
+            tmp_path / "c.json", data_dir, window={"start": "1990-Q1", "end": str(END)}
+        )
+        assert main(["validate", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: country cz: window") and err.count("country") == 1
+
+    def test_error_keeps_type_and_attributes(self, tmp_path, data_dir, monkeypatch):
+        def fail(entry, config):
+            raise DecompositionError("pivot 2 is non-positive", pivot=2)
+
+        monkeypatch.setattr(cli_mod, "_run_country", fail)
+        config = load_run_config(
+            write_config(tmp_path / "c.json", data_dir, output_dir=str(tmp_path / "o"))
+        )
+        with pytest.raises(DecompositionError) as err:
+            run_pipeline(config)
+        assert err.value.pivot == 2
+        assert str(err.value) == "country cz: pivot 2 is non-positive"
 
 
 class TestRunConfigValidation:

@@ -208,6 +208,21 @@ class TestMultiplierPath:
         with pytest.raises(ShapeError):
             multiplier_path(out, "Y", "G", 5)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda out: multiplier_path(out, "Q", "G", 2),
+            lambda out: multiplier_path(out, "Y", "Q", 2),
+            lambda out: out.series("Q"),
+            lambda out: out.cumulative("Q"),
+        ],
+        ids=["response", "shock_variable", "series", "cumulative"],
+    )
+    def test_unknown_variable_is_shape_error(self, call):
+        out = irfset([1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ShapeError, match="unknown variable 'Q'"):
+            call(out)
+
     @pytest.mark.parametrize("alpha", [0.25, 4.0])
     def test_scale_invariance_bitwise(self, alpha):
         # covariance scaling cancels exactly in the cumulative ratio
