@@ -6,12 +6,14 @@ and exogenous values held at their actual values), re-estimates and
 re-identifies, and records the replication's IRF and multiplier path.
 Percentile bands are read off the pooled replication draws.
 
-Replications run in chunks of ``CHUNK`` draws through the stack-native
-stages of :mod:`fiscalsvar.var` and :mod:`fiscalsvar.svar`, the same
-functions that compute the point estimate. A draw that trips a failure
-check (rank, pivot, multiplier denominator, a non-finite value) or lies
-near one of those thresholds is re-run alone through the single-fit
-pipeline, which decides whether it fails and with which error.
+Replications run in chunks of ``CHUNK`` draws through
+:func:`stacked_fit`, which chains the stack-native stages of
+:mod:`fiscalsvar.var` and :mod:`fiscalsvar.svar`, the same functions
+that compute the point estimate; Monte Carlo trials use it as well. A
+draw that trips a failure check (rank, pivot, multiplier denominator, a
+non-finite value) or lies near one of those thresholds is re-run alone
+through the single-fit pipeline, which decides whether it fails and with
+which error.
 
 Determinism contract: replication r draws its residual rows from its own
 stream seeded by ``SeedSequence([seed, r])``, and every stacked stage
@@ -294,23 +296,28 @@ def _one_replication(r, estimate, initial, exog, model, config, panel):
     return irfs.responses, m_star.values, stable
 
 
-def _replication_batch(rs, estimate, panel, model, config):
-    """Replications ``rs`` as one stack through the stages of
-    :func:`_one_replication`.
+def stacked_fit(
+    X: np.ndarray, Z: np.ndarray, model: ModelSpec, horizons: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A stack of panels X (C, T, k), columns in ``model.ordering``, through
+    the stages of :func:`point_fit`; Z is (T, m) or (C, T, m), see
+    :func:`~fiscalsvar.var.design_blocks`.
 
-    Returns responses (C, H + 1, k), multiplier paths (C, H), stability
-    flags (C,) and a mask of the draws that must be re-run on the
-    single-fit path; the other outputs are meaningless in masked rows.
+    Returns responses (C, H + 1, k), multiplier paths (C, H), companions
+    (C, kp, kp) and a mask of the fits that trip a failure check or lie
+    near its threshold, which the single-fit path must decide; the other
+    outputs are meaningless in masked rows. Non-finite panels are zeroed
+    in X, and a stack too short for the lag order is masked whole.
     """
-    p, k, H = estimate.p, estimate.k, config.horizons
-    U = estimate.residuals
-    n = U.shape[0]
-    idx = np.stack([substream(config.seed, r).integers(0, n, size=n) for r in rs])
-    X = _simulate(estimate, U[idx], panel.X[:p], panel.Z)
+    C, T, k = X.shape
+    p, H = model.lags, horizons
+    if T - p <= 1 + k * p + Z.shape[-1]:
+        return (np.full((C, H + 1, k), np.nan), np.full((C, H), np.nan),
+                np.full((C, k * p, k * p), np.nan), np.ones(C, dtype=bool))
     flagged = ~np.isfinite(X).all(axis=(1, 2))
-    X[flagged] = panel.X  # keeps the linear algebra below well defined
+    X[flagged] = 0.0  # keeps the linear algebra below well defined
 
-    Y, W = design_blocks(X, panel.Z, p)
+    Y, W = design_blocks(X, Z, p)
     coef, residuals, rdiag = least_squares(W, Y)
     flagged |= rank_deficient(rdiag, GUARD * RANK_RTOL)
     sigma = residual_cov(residuals, W.shape[-1])
@@ -330,6 +337,22 @@ def _replication_batch(rs, estimate, panel, model, config):
         & np.isfinite(responses).all(axis=(1, 2))
         & np.isfinite(paths).all(axis=1)
     )
+    return responses, paths, F, flagged
+
+
+def _replication_batch(rs, estimate, panel, model, config):
+    """Replications ``rs`` as one stack through the stages of
+    :func:`_one_replication`.
+
+    Returns responses (C, H + 1, k), multiplier paths (C, H), stability
+    flags (C,) and a mask of the draws that must be re-run on the
+    single-fit path; the other outputs are meaningless in masked rows.
+    """
+    U = estimate.residuals
+    n = U.shape[0]
+    idx = np.stack([substream(config.seed, r).integers(0, n, size=n) for r in rs])
+    X = _simulate(estimate, U[idx], panel.X[: estimate.p], panel.Z)
+    responses, paths, F, flagged = stacked_fit(X, panel.Z, model, config.horizons)
 
     top = np.ones(len(rs))
     top[~flagged] = spectral_radius(F[~flagged])

@@ -93,6 +93,12 @@ class RunConfig:
             raise ConfigError(
                 f"window start {self.window[0]} is after end {self.window[1]}"
             )
+        quarters = self.window[1] - self.window[0] + 1
+        if self.lags >= quarters or self.horizons >= quarters:
+            raise ConfigError(
+                f"lags ({self.lags}) and horizons ({self.horizons}) must be below "
+                f"the window's {quarters} quarters"
+            )
         if any(not 0 < lv < 100 for lv in self.levels) or len(set(self.levels)) != len(
             self.levels
         ):
@@ -534,6 +540,8 @@ def _cmd_montecarlo(args) -> int:
         raise ConfigError("--reps and --horizon must be >= 1")
     try:
         spec = dgp_mod.DgpSpec.from_dict(payload)
+        if horizons >= spec.T:
+            raise ConfigError(f"--horizon {horizons} must be below the DGP's T ({spec.T})")
         # the true path needs the spec to have G and Y columns
         dgp_mod.analytic_multipliers(spec, horizons)
     except FiscalSvarError as exc:

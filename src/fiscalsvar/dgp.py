@@ -4,6 +4,19 @@ A :class:`DgpSpec` carries true coefficients, so simulated panels come
 with exact impulse responses and multiplier paths to check the whole
 estimation chain against: least-squares recovery, identification,
 band coverage.
+
+Point-estimate Monte Carlo trials run in chunks of ``bootstrap.CHUNK``:
+one recursion simulates the chunk over a leading trial axis, each trial
+with its own exogenous columns Z, and :func:`bootstrap.stacked_fit`
+fits the chunk with the stages that fit a single panel. A trial that
+trips a failure check, or lies near one, is re-run alone through
+:func:`simulate_var` and :func:`bootstrap.point_fit`, which decide
+whether it fails.
+
+Determinism contract: trial t draws its shocks, then its exogenous
+columns, from its own stream seeded by ``SeedSequence([seed, t, 0])``,
+so every trial equals the single-trial path bit for bit and the chunk
+size never changes a number.
 """
 from __future__ import annotations
 
@@ -11,12 +24,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import bootstrap
 from .bootstrap import (
     BootstrapConfig,
     ModelSpec,
     bootstrap_inference,
     derive_seed,
     point_fit,
+    stacked_fit,
     substream,
 )
 from .errors import (
@@ -76,6 +91,11 @@ class DgpSpec:
             raise DomainError("T must be >= 1")
         if self.burn_in < 0:
             raise DomainError("burn-in must be >= 0")
+        # the 40000 quarters a YYYY-Qn label spans dwarf any macro sample;
+        # the cap rejects a size that would exhaust memory before anything
+        # is allocated
+        if self.T + self.burn_in > 40_000:
+            raise DomainError("T + burn_in must not exceed 40000 quarters")
         if self.seed < 0:
             raise DomainError("seed must be non-negative")
 
@@ -136,6 +156,30 @@ class DgpSpec:
             raise DomainError(f"malformed DGP spec: {exc}") from None
 
 
+def _simulate_panels(
+    spec: DgpSpec, rngs: list[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one panel per generator from the spec's law, as one stack:
+    endogenous columns (C, T, k) and exogenous columns (C, T, m).
+
+    Each generator draws its shocks, then its exogenous columns, so a
+    panel depends on its own generator alone.
+    """
+    k, p, m = spec.k, spec.p, spec.m
+    total = spec.burn_in + spec.T
+    eps = np.empty((len(rngs), total, k))
+    Z = np.zeros((len(rngs), total, m))
+    for i, rng in enumerate(rngs):
+        eps[i] = rng.standard_normal((total, k))
+        if m:
+            Z[i] = rng.standard_normal((total, m))
+    base = eps @ spec.B.T + spec.intercept
+    if m:
+        base = base + Z @ spec.exog_coef.T
+    X = var_recursion(spec.gammas, base, np.zeros((len(rngs), p, k)))
+    return X[:, p + spec.burn_in:], Z[:, spec.burn_in:]
+
+
 def simulate_var(spec: DgpSpec, rng: np.random.Generator | None = None) -> TransformedPanel:
     """Draw a panel from the spec's law.
 
@@ -145,21 +189,9 @@ def simulate_var(spec: DgpSpec, rng: np.random.Generator | None = None) -> Trans
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    k, p, m = spec.k, spec.p, spec.m
-    total = spec.burn_in + spec.T
-
-    eps = rng.standard_normal((total, k))
-    base = eps @ spec.B.T + spec.intercept
-    Z = np.zeros((total, 0))
-    if m:
-        Z = rng.standard_normal((total, m))
-        base = base + Z @ spec.exog_coef.T
-
-    X = var_recursion(spec.gammas, base, np.zeros((p, k)))[p:]
-    z_labels = tuple(f"z{j}" for j in range(m))
-    return TransformedPanel(
-        SYNTHETIC_START, X[spec.burn_in:], Z[spec.burn_in:], spec.labels, z_labels
-    )
+    X, Z = _simulate_panels(spec, [rng])
+    z_labels = tuple(f"z{j}" for j in range(spec.m))
+    return TransformedPanel(SYNTHETIC_START, X[0], Z[0], spec.labels, z_labels)
 
 
 def analytic_irf(spec: DgpSpec, horizons: int, shock: str) -> IrfSet:
@@ -214,6 +246,25 @@ class RecoveryReport:
             object.__setattr__(self, name, arr)
 
 
+def _one_trial(t: int, spec: DgpSpec, model: ModelSpec, horizons: int) -> np.ndarray:
+    """Trial t alone through the single-fit pipeline: the reference for
+    the stacked trials, and the path that decides every flagged trial."""
+    panel = simulate_var(spec, substream(spec.seed, t, 0))
+    return point_fit(panel, model, horizons)[2].values
+
+
+def _trial_batch(ts, spec, model, horizons):
+    """Trials ``ts`` as one stack through the stages of :func:`_one_trial`.
+
+    Returns multiplier paths (C, H) and a mask of the trials that must be
+    re-run alone; paths are meaningless in masked rows.
+    """
+    X, Z = _simulate_panels(spec, [substream(spec.seed, t, 0) for t in ts])
+    with np.errstate(all="ignore"):
+        _, paths, _, flagged = stacked_fit(X, Z, model, horizons)
+    return paths, flagged
+
+
 def monte_carlo_recovery(
     spec: DgpSpec, n_trials: int, config: RecoveryConfig = RecoveryConfig()
 ) -> RecoveryReport:
@@ -237,23 +288,31 @@ def monte_carlo_recovery(
     rows = []
     covered: dict[int, list[np.ndarray]] = {}
     failures = 0
-    for t in range(n_trials):
-        panel = simulate_var(spec, substream(spec.seed, t, 0))
-        try:
-            if config.bootstrap is not None:
-                boot_cfg = replace(
-                    config.bootstrap, seed=derive_seed(spec.seed, t, 1)
-                )
+    if config.bootstrap is None:
+        for start in range(0, n_trials, bootstrap.CHUNK):
+            ts = range(start, min(start + bootstrap.CHUNK, n_trials))
+            paths, flagged = _trial_batch(ts, spec, model, config.horizons)
+            keep = ~flagged
+            for i in np.flatnonzero(flagged):
+                try:
+                    paths[i] = _one_trial(ts[i], spec, model, config.horizons)
+                    keep[i] = True
+                except EstimationError:
+                    failures += 1
+            rows.extend(paths[keep])
+    else:
+        for t in range(n_trials):
+            panel = simulate_var(spec, substream(spec.seed, t, 0))
+            boot_cfg = replace(config.bootstrap, seed=derive_seed(spec.seed, t, 1))
+            try:
                 result = bootstrap_inference(panel, boot_cfg, model)
-                rows.append(result.point_multipliers.values)
-                for level, band in result.multiplier_bands.items():
-                    hit = (band[0] <= truth.values) & (truth.values <= band[1])
-                    covered.setdefault(level, []).append(hit)
-            else:
-                _, _, path = point_fit(panel, model, config.horizons)
-                rows.append(path.values)
-        except EstimationError:
-            failures += 1
+            except EstimationError:
+                failures += 1
+                continue
+            rows.append(result.point_multipliers.values)
+            for level, band in result.multiplier_bands.items():
+                hit = (band[0] <= truth.values) & (truth.values <= band[1])
+                covered.setdefault(level, []).append(hit)
 
     if not rows:
         raise InferenceError(f"all {n_trials} trials failed")

@@ -103,17 +103,19 @@ def var_recursion(gammas: np.ndarray, base: np.ndarray, presample: np.ndarray) -
 
 def design_blocks(X: np.ndarray, Z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Response block Y (..., T-p, k) and regressor block W of a stack of
-    panels X (..., T, k) that share the exogenous columns Z (T, m).
+    panels X (..., T, k) with exogenous columns Z: either one (T, m) block
+    every panel shares, as in the bootstrap, or one block per panel
+    (..., T, m), as in Monte Carlo trials that each draw their own.
 
     W columns: constant, then lag 1 through lag p of X (each lag keeps the
     panel's column order), then the contemporaneous exogenous columns.
     """
     *lead, T, k = X.shape
-    W = np.empty((*lead, T - p, 1 + k * p + Z.shape[1]))
+    W = np.empty((*lead, T - p, 1 + k * p + Z.shape[-1]))
     W[..., 0] = 1.0
     for lag in range(1, p + 1):
         W[..., 1 + (lag - 1) * k:1 + lag * k] = X[..., p - lag:T - lag, :]
-    W[..., 1 + k * p:] = Z[p:]
+    W[..., 1 + k * p:] = Z[..., p:, :]
     return X[..., p:, :], W
 
 

@@ -329,13 +329,35 @@ class TestMainExitCodes:
         assert len(err.splitlines()) == 1
 
     def test_short_window_exit_4(self, tmp_path, data_dir, capsys):
+        # 12 quarters leave too few rows for 4 lags; horizons stay below
+        # the window's quarter count so that the estimate, not the config,
+        # fails
         path = write_config(
             tmp_path / "c.json", data_dir,
             window={"start": "1999-Q1", "end": "2001-Q4"},
+            horizons=8,
             output_dir=str(tmp_path / "o"),
         )
         assert main(["estimate", "--config", str(path)]) == 4
         assert "cz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, flags",
+        [({"lags": N_QUARTERS}, []), ({"horizons": N_QUARTERS}, []),
+         ({"window": {"start": "1999-Q1", "end": "2001-Q4"}}, []),
+         ({}, ["--horizon", str(10**13)])],
+        ids=["lags", "horizons", "short_window_default_horizons", "horizon_flag"],
+    )
+    def test_sizes_not_below_window_exit_2(self, tmp_path, data_dir, capsys, monkeypatch,
+                                           overrides, flags):
+        def never(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli_mod, "run_pipeline", never)
+        path = write_config(tmp_path / "c.json", data_dir, **overrides)
+        assert main(["estimate", "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "must be below the window's" in err
 
     def test_estimate_with_filter_and_overrides(self, tmp_path, data_dir, capsys):
         path = write_config(tmp_path / "c.json", data_dir)
@@ -391,6 +413,31 @@ class TestMainExitCodes:
              "zero_horizon"],
     )
     def test_montecarlo_bad_input_exit_2(self, tmp_path, capsys, change, flags, message):
+        spec_path = tmp_path / "dgp.json"
+        spec_path.write_text(json.dumps({**reference_spec().to_dict(), **change}))
+        assert main(["montecarlo", "--config", str(spec_path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert len(err.splitlines()) == 1
+
+
+    @pytest.mark.parametrize(
+        "change, flags, message",
+        [({}, ["--horizon", "84"], "--horizon 84 must be below the DGP's T (84)"),
+         ({}, ["--horizon", str(10**13)], "must be below the DGP's T"),
+         ({"T": 10**13}, [], "T + burn_in must not exceed"),
+         ({"burn_in": 10**13}, [], "T + burn_in must not exceed")],
+        ids=["horizon_at_t", "huge_horizon", "huge_t", "huge_burn_in"],
+    )
+    def test_montecarlo_oversized_input_exit_2(self, tmp_path, capsys, monkeypatch,
+                                               change, flags, message):
+        # validation must reject these before the true path or the trials
+        # allocate anything
+        def never(*args, **kwargs):
+            raise AssertionError("allocation reached")
+
+        monkeypatch.setattr(cli_mod.dgp_mod, "analytic_multipliers", never)
+        monkeypatch.setattr(cli_mod.dgp_mod, "monte_carlo_recovery", never)
         spec_path = tmp_path / "dgp.json"
         spec_path.write_text(json.dumps({**reference_spec().to_dict(), **change}))
         assert main(["montecarlo", "--config", str(spec_path), *flags]) == 2

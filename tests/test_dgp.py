@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fiscalsvar.bootstrap import BootstrapConfig
+import fiscalsvar.bootstrap as bootstrap_mod
+import fiscalsvar.dgp as dgp_mod
+from fiscalsvar.bootstrap import BootstrapConfig, ModelSpec, point_fit, substream
 from fiscalsvar.dgp import (
     DgpSpec,
     RecoveryConfig,
@@ -11,7 +15,13 @@ from fiscalsvar.dgp import (
     reference_spec,
     simulate_var,
 )
-from fiscalsvar.errors import DomainError, ShapeError, UnstableDgpError
+from fiscalsvar.errors import (
+    DomainError,
+    InferenceError,
+    RankError,
+    ShapeError,
+    UnstableDgpError,
+)
 from fiscalsvar.svar import identify_cholesky
 from fiscalsvar.var import estimate_var
 
@@ -28,6 +38,40 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return DgpSpec(**base)
+
+
+def exog_spec(seed=0):
+    loadings = 0.001 * np.array([[0.5, 0.0], [0.2, 1.0], [1.0, -0.5], [0.0, 30.0]])
+    return replace(reference_spec(seed=seed), exog_coef=loadings)
+
+
+def per_trial_estimates(spec, n_trials, horizons=20):
+    """The reference for the stacked trials: one simulate_var and one
+    point_fit per trial, each on its own stream."""
+    model = ModelSpec(ordering=spec.labels)
+    return np.stack([
+        point_fit(simulate_var(spec, substream(spec.seed, t, 0)), model, horizons)[2].values
+        for t in range(n_trials)
+    ])
+
+
+def rerun_alone(monkeypatch, flagged, failing=()):
+    """Flag ``flagged`` trials in the stacked kernel, as if they had tripped
+    a failure check, and make the single-trial re-run of ``failing`` raise
+    a synthetic RankError."""
+    real_batch, real_one = dgp_mod._trial_batch, dgp_mod._one_trial
+
+    def batch(ts, *args):
+        paths, mask = real_batch(ts, *args)
+        return paths, mask | np.isin(ts, sorted(flagged))
+
+    def one(t, *args):
+        if t in failing:
+            raise RankError("synthetic failure")
+        return real_one(t, *args)
+
+    monkeypatch.setattr(dgp_mod, "_trial_batch", batch)
+    monkeypatch.setattr(dgp_mod, "_one_trial", one)
 
 
 class TestDgpSpec:
@@ -50,6 +94,11 @@ class TestDgpSpec:
         assert np.array_equal(clone.gammas, spec.gammas)
         assert np.array_equal(clone.B, spec.B)
         assert (clone.T, clone.seed, clone.labels) == (spec.T, spec.seed, spec.labels)
+
+    @pytest.mark.parametrize("sizes", [{"T": 10**13}, {"burn_in": 10**13}, {"T": 39_801}])
+    def test_oversized_chain_rejected(self, sizes):
+        with pytest.raises(DomainError, match="T \\+ burn_in"):
+            replace(reference_spec(), **sizes)
 
     def test_unknown_field_rejected(self):
         payload = reference_spec().to_dict()
@@ -156,3 +205,39 @@ class TestRecovery:
     def test_trial_count_validated(self):
         with pytest.raises(DomainError):
             monte_carlo_recovery(reference_spec(), 0)
+
+
+class TestStackedTrials:
+    """Point-estimate trials run in stacked chunks yet equal the
+    single-trial path bit for bit."""
+
+    @pytest.mark.parametrize("spec", [reference_spec(seed=11), exog_spec(seed=4)],
+                             ids=["reference", "exogenous"])
+    def test_estimates_equal_per_trial_path(self, spec, monkeypatch):
+        want = per_trial_estimates(spec, 53)
+        for chunk in (1, 7, 25, 64):
+            monkeypatch.setattr(bootstrap_mod, "CHUNK", chunk)
+            rep = monte_carlo_recovery(spec, 53)
+            assert rep.failures == 0
+            assert np.array_equal(rep.estimates, want), chunk
+
+    def test_flagged_trials_decided_alone(self, monkeypatch):
+        spec = reference_spec(seed=5)
+        want = per_trial_estimates(spec, 30)
+        monkeypatch.setattr(bootstrap_mod, "CHUNK", 7)
+        rerun_alone(monkeypatch, flagged={0, 3, 9, 29}, failing={3, 29})
+        rep = monte_carlo_recovery(spec, 30)
+        assert rep.failures == 2
+        assert np.array_equal(rep.estimates, np.delete(want, [3, 29], axis=0))
+
+    def test_every_trial_failing_raises(self, monkeypatch):
+        monkeypatch.setattr(bootstrap_mod, "CHUNK", 2)
+        rerun_alone(monkeypatch, flagged=range(5), failing=range(5))
+        with pytest.raises(InferenceError, match="all 5 trials failed"):
+            monte_carlo_recovery(reference_spec(seed=1), 5)
+
+    def test_sample_too_short_for_lags(self):
+        # 10 rows leave 6 for 17 regressors: the single-trial path fails
+        # every trial with its SampleSizeError
+        with pytest.raises(InferenceError, match="all 3 trials failed"):
+            monte_carlo_recovery(reference_spec(T=10), 3)

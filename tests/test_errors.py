@@ -43,6 +43,7 @@ def test_main_maps_every_error_by_its_base(cls, monkeypatch, capsys):
 
 START = Quarter(1999, 1)
 N = 12
+# horizons must stay below the window's N quarters for a config to be valid
 WINDOW = {"start": str(START), "end": str(START + (N - 1))}
 COLUMNS = synthetic_levels(START, N, seed=3)
 HEADER = ["date", *SERIES_UNITS]
@@ -100,7 +101,8 @@ def test_csv_input_fails_only_with_data_errors(work, raw):
         pass
     config = work / "csv_fuzz.json"
     config.write_text(
-        json.dumps({"countries": [{"code": "cz", "csv": "fuzz.csv"}], "window": WINDOW})
+        json.dumps({"countries": [{"code": "cz", "csv": "fuzz.csv"}], "window": WINDOW,
+                    "horizons": N - 1})
     )
     assert _validate_exit_code(config) in (0, 3)
 
@@ -133,6 +135,7 @@ def configs(draw):
     payload = {
         "countries": [{"code": "cz", "csv": "good.csv", "name": "Czechia"}],
         "window": dict(WINDOW),
+        "horizons": N - 1,
         "replications": 10,
     }
     target = draw(st.sampled_from(TARGETS))

@@ -160,6 +160,17 @@ class TestStackedFit:
             assert np.array_equal(sigma[i], est.sigma)
             assert np.array_equal(gammas[i], est.gammas)
 
+    def test_per_panel_exogenous_columns(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(3, 30, 2))
+        Z = rng.normal(size=(3, 30, 2))
+        Y, W = design_blocks(X, Z, 2)
+        for i in range(3):
+            Y_i, W_i = design_blocks(X[i], Z[i], 2)
+            assert np.array_equal(Y[i], Y_i)
+            assert np.array_equal(W[i], W_i)
+        assert np.array_equal(W[:, :, -2:], Z[:, 2:])
+
     def test_rank_deficient_member_leaves_stack_usable(self):
         panels = self.panels()
         X = np.stack([pn.X for pn in panels])
