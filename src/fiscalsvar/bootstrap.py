@@ -8,12 +8,12 @@ Percentile bands are read off the pooled replication draws.
 
 Replications run in chunks of ``CHUNK`` draws through
 :func:`stacked_fit`, which chains the stack-native stages of
-:mod:`fiscalsvar.var` and :mod:`fiscalsvar.svar`, the same functions
-that compute the point estimate; Monte Carlo trials use it as well. A
-draw that trips a failure check (rank, pivot, multiplier denominator, a
-non-finite value) or lies near one of those thresholds is re-run alone
-through the single-fit pipeline, which decides whether it fails and with
-which error.
+:mod:`fiscalsvar.var` and :mod:`fiscalsvar.svar`; the point estimate is
+the same function on a stack of one, and Monte Carlo trials use it as
+well. The stack reports, per draw, the first check that fails (sample
+size, a non-finite panel, rank, pivot, multiplier denominator, a
+non-finite result) in the order the single-fit functions run them, and
+that report alone decides which draws fail and with which error.
 
 Determinism contract: replication r draws its residual rows from its own
 stream seeded by ``SeedSequence([seed, r])``, and every stacked stage
@@ -24,10 +24,11 @@ results are a pure function of the data, the model and the config.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, EstimationError, InferenceError, ShapeError
+from .errors import DomainError, InferenceError, ShapeError, fit_error
 from .ingest import TransformedPanel
 from .series import Quarter
 from .svar import (
@@ -36,23 +37,17 @@ from .svar import (
     MultiplierPath,
     cholesky_factor,
     cumulative_ratio,
-    identify_cholesky,
-    irf,
-    multiplier_path,
     propagate_impulse,
 )
 from .var import (
-    RANK_RTOL,
     VarEstimate,
     companion_matrix,
     design_blocks,
-    estimate_var,
     least_squares,
     rank_deficient,
     residual_cov,
     spectral_radius,
     split_coefficients,
-    stability,
     var_recursion,
 )
 
@@ -61,15 +56,6 @@ MAX_FAILURE_SHARE = 0.05
 # replications per stacked step; larger chunks buy little speed and cost
 # memory for the stacked designs
 CHUNK = 25
-
-# A stacked draw this close to a single-fit threshold is re-run on the
-# single-fit path as well, so that path alone decides every failure and
-# its message: rank and denominator checks use twice their tolerance, a
-# pivot is flagged below PIVOT_GUARD times its diagonal entry, a companion
-# eigenvalue modulus within EIGEN_GUARD of one re-checks stability.
-GUARD = 2.0
-PIVOT_GUARD = 1e-12
-EIGEN_GUARD = 1e-9
 
 
 def derive_seed(*parts: int) -> int:
@@ -162,16 +148,100 @@ class BootstrapResult:
         return len(self.failed)
 
 
+class StackedFit(NamedTuple):
+    """A stack of C fits, row by row; see :func:`stacked_fit`.
+
+    ``failures`` maps each failed row to its first failing check as the
+    ``(check, index, value)`` arguments of
+    :func:`~fiscalsvar.errors.fit_error`; the arrays are meaningless in
+    those rows.
+    """
+
+    coef: np.ndarray  # (C, n_reg, k), ordered as the design's columns
+    residuals: np.ndarray  # (C, T - p, k)
+    sigma: np.ndarray  # (C, k, k)
+    companion: np.ndarray  # (C, kp, kp)
+    responses: np.ndarray  # (C, H + 1, k)
+    paths: np.ndarray  # (C, H)
+    failures: dict[int, tuple]
+
+
+@np.errstate(all="ignore")
+def stacked_fit(X: np.ndarray, Z: np.ndarray, model: ModelSpec, horizons: int) -> StackedFit:
+    """A stack of panels X (C, T, k), columns in ``model.ordering``, through
+    VAR estimation, Cholesky identification, the responses to the model's
+    shock and its multiplier path; Z is (T, m) or (C, T, m), see
+    :func:`~fiscalsvar.var.design_blocks`.
+
+    Each row gets exactly the numbers of its own single fit, or fails at
+    the first check that trips, in the order the single-fit functions run
+    them: sample size, a non-finite panel, rank, Cholesky pivot,
+    multiplier denominator, non-finite results. X is never written to; a
+    non-finite panel is fitted as zeros in a copy, so no stage meets a nan.
+    """
+    C, T, k = X.shape
+    p, H = model.lags, horizons
+    n_reg = 1 + k * p + Z.shape[-1]
+    if T - p <= n_reg:
+        failure = ("lags", T, p) if T <= p else ("sample size", T - p, n_reg)
+        shapes = (n_reg, k), (max(T - p, 0), k), (k, k), (k * p, k * p), (H + 1, k), (H,)
+        blank = (np.full((C, *shape), np.nan) for shape in shapes)
+        return StackedFit(*blank, dict.fromkeys(range(C), failure))
+    finite = np.isfinite(X).all(axis=(1, 2))
+    if not finite.all():
+        X = np.where(finite[:, None, None], X, 0.0)
+
+    Y, W = design_blocks(X, Z, p)
+    coef, residuals, rdiag = least_squares(W, Y)
+    sigma = residual_cov(residuals, n_reg)
+    L, pivots = cholesky_factor(sigma)
+    F = companion_matrix(split_coefficients(coef, p, k)[1])
+    shock = model.ordering.index(model.shock)
+    responses = propagate_impulse(F, L[:, :, shock], H)
+    paths, cum_g = cumulative_ratio(responses, model.ordering.index(model.response), shock, H)
+
+    rows, zero = np.arange(C), np.zeros(C)
+    bad_pivot = pivots <= 0.0
+    small = np.abs(cum_g) <= DENOMINATOR_TOL
+    j, q = bad_pivot.argmax(axis=1), small.argmax(axis=1)
+    results = np.concatenate([a.reshape(C, -1) for a in (coef, sigma, responses, paths)], axis=1)
+    failures: dict[int, tuple] = {}
+    for check, failed, index, value in (
+        ("non-finite panel", ~finite, zero, zero),
+        ("rank", rank_deficient(rdiag), zero, rdiag.min(axis=1)),
+        ("pivot", bad_pivot.any(axis=1), j + 1, pivots[rows, j]),
+        ("denominator", small.any(axis=1), q + 1, cum_g[rows, q]),
+        ("non-finite fit", ~np.isfinite(results).all(axis=1), zero, zero),
+    ):
+        for i in np.flatnonzero(failed):
+            failures.setdefault(int(i), (check, int(index[i]), float(value[i])))
+    return StackedFit(coef, residuals, sigma, F, responses, paths, failures)
+
+
 def point_fit(
     panel: TransformedPanel, model: ModelSpec, horizons: int
 ) -> tuple[VarEstimate, IrfSet, MultiplierPath]:
-    """One panel through the single-fit pipeline: the VAR estimate, the
-    responses to the model's shock and its multiplier path. The panel's
-    columns must already follow ``model.ordering``."""
-    estimate = estimate_var(panel, model.lags)
-    structural = identify_cholesky(estimate, model.ordering)
-    irfs = irf(structural, model.shock, horizons)
-    return estimate, irfs, multiplier_path(irfs, model.response, model.shock, horizons)
+    """One panel through :func:`stacked_fit` as a stack of one: the VAR
+    estimate, the responses to the model's shock and its multiplier path.
+    The panel's columns must already follow ``model.ordering``. A failed
+    check raises its typed error, as the single-fit functions would."""
+    fit = stacked_fit(panel.X[None], panel.Z, model, horizons)
+    if fit.failures:
+        raise fit_error(*fit.failures[0], model.shock)
+    k = panel.X.shape[1]
+    intercept, gammas, exog_coef = split_coefficients(fit.coef[0], model.lags, k)
+    estimate = VarEstimate(
+        p=model.lags,
+        k=k,
+        intercept=intercept,
+        gammas=gammas,
+        exog_coef=exog_coef,
+        residuals=fit.residuals[0],
+        sigma=fit.sigma[0],
+        sample_size=fit.residuals.shape[1],
+    )
+    irfs = IrfSet(shock=model.shock, ordering=model.ordering, responses=fit.responses[0])
+    return estimate, irfs, MultiplierPath(values=fit.paths[0])
 
 
 def resample_residuals(residuals: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -276,88 +346,14 @@ def significance_flags(
     return tuple(flags)
 
 
-def _one_replication(r, estimate, initial, exog, model, config, panel):
-    """Replication r alone through the single-fit pipeline: the reference
-    for the stacked draws, and the path that decides every flagged draw."""
-    rng = substream(config.seed, r)
-    with np.errstate(over="raise", invalid="raise"):
-        u_star = resample_residuals(estimate.residuals, rng)
-        panel_star = simulate_bootstrap_series(
-            estimate,
-            u_star,
-            initial,
-            exog,
-            start=panel.start,
-            x_labels=panel.x_labels,
-            z_labels=panel.z_labels,
-        )
-        est_star, irfs, m_star = point_fit(panel_star, model, config.horizons)
-    _, stable = stability(est_star)
-    return irfs.responses, m_star.values, stable
-
-
-def stacked_fit(
-    X: np.ndarray, Z: np.ndarray, model: ModelSpec, horizons: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A stack of panels X (C, T, k), columns in ``model.ordering``, through
-    the stages of :func:`point_fit`; Z is (T, m) or (C, T, m), see
-    :func:`~fiscalsvar.var.design_blocks`.
-
-    Returns responses (C, H + 1, k), multiplier paths (C, H), companions
-    (C, kp, kp) and a mask of the fits that trip a failure check or lie
-    near its threshold, which the single-fit path must decide; the other
-    outputs are meaningless in masked rows. Non-finite panels are zeroed
-    in X, and a stack too short for the lag order is masked whole.
-    """
-    C, T, k = X.shape
-    p, H = model.lags, horizons
-    if T - p <= 1 + k * p + Z.shape[-1]:
-        return (np.full((C, H + 1, k), np.nan), np.full((C, H), np.nan),
-                np.full((C, k * p, k * p), np.nan), np.ones(C, dtype=bool))
-    flagged = ~np.isfinite(X).all(axis=(1, 2))
-    X[flagged] = 0.0  # keeps the linear algebra below well defined
-
-    Y, W = design_blocks(X, Z, p)
-    coef, residuals, rdiag = least_squares(W, Y)
-    flagged |= rank_deficient(rdiag, GUARD * RANK_RTOL)
-    sigma = residual_cov(residuals, W.shape[-1])
-    L, pivots = cholesky_factor(sigma)
-    flagged |= ~(pivots > PIVOT_GUARD * np.diagonal(sigma, axis1=1, axis2=2)).all(axis=1)
-
-    _, gammas, _ = split_coefficients(coef, p, k)
-    F = companion_matrix(gammas)
-    responses = propagate_impulse(F, L[:, :, model.ordering.index(model.shock)], H)
-    paths, cum_g = cumulative_ratio(
-        responses, model.ordering.index(model.response), model.ordering.index(model.shock), H
-    )
-    flagged |= np.any(np.abs(cum_g) <= GUARD * DENOMINATOR_TOL, axis=1)
-    flagged |= ~(
-        np.isfinite(coef).all(axis=(1, 2))
-        & np.isfinite(sigma).all(axis=(1, 2))
-        & np.isfinite(responses).all(axis=(1, 2))
-        & np.isfinite(paths).all(axis=1)
-    )
-    return responses, paths, F, flagged
-
-
 def _replication_batch(rs, estimate, panel, model, config):
-    """Replications ``rs`` as one stack through the stages of
-    :func:`_one_replication`.
-
-    Returns responses (C, H + 1, k), multiplier paths (C, H), stability
-    flags (C,) and a mask of the draws that must be re-run on the
-    single-fit path; the other outputs are meaningless in masked rows.
-    """
+    """Replications ``rs`` simulated and fitted as one stack: their
+    :class:`StackedFit`."""
     U = estimate.residuals
     n = U.shape[0]
     idx = np.stack([substream(config.seed, r).integers(0, n, size=n) for r in rs])
     X = _simulate(estimate, U[idx], panel.X[: estimate.p], panel.Z)
-    responses, paths, F, flagged = stacked_fit(X, panel.Z, model, config.horizons)
-
-    top = np.ones(len(rs))
-    top[~flagged] = spectral_radius(F[~flagged])
-    flagged |= np.abs(top - 1.0) <= EIGEN_GUARD
-    return responses, paths, top < 1.0, flagged
+    return stacked_fit(X, panel.Z, model, config.horizons)
 
 
 def bootstrap_inference(
@@ -368,36 +364,27 @@ def bootstrap_inference(
     """Full resampling loop around the point pipeline.
 
     Failed replications (rank loss, covariance not PD, degenerate
-    denominator, numeric overflow) are recorded with the single-fit
-    path's error and excluded; more than 5% failures aborts. Unstable
-    re-estimates are kept and counted.
+    denominator, numeric overflow) are recorded with the typed error of
+    their first failing check and excluded; more than 5% failures aborts.
+    Unstable re-estimates are kept and counted.
     """
     if panel.x_labels != model.ordering:
         panel = panel.reordered(model.ordering)
     estimate, point_irf, point_m = point_fit(panel, model, config.horizons)
 
-    initial = panel.X[: model.lags]
-    exog = panel.Z
-
     chunks = []
     failed: dict[int, str] = {}
     for start in range(0, config.replications, CHUNK):
         rs = np.arange(start, min(start + CHUNK, config.replications))
-        with np.errstate(all="ignore"):
-            responses, paths, stable, flagged = _replication_batch(
-                rs, estimate, panel, model, config
-            )
+        with np.errstate(all="ignore"):  # an overflowing draw fails as non-finite
+            fit = _replication_batch(rs, estimate, panel, model, config)
         keep = np.ones(len(rs), dtype=bool)
-        for i in np.flatnonzero(flagged):
-            r = int(rs[i])
-            try:
-                responses[i], paths[i], stable[i] = _one_replication(
-                    r, estimate, initial, exog, model, config, panel
-                )
-            except (EstimationError, FloatingPointError) as exc:
-                failed[r] = f"{type(exc).__name__}: {exc}"
-                keep[i] = False
-        chunks.append((rs[keep], responses[keep], paths[keep], stable[keep]))
+        for i, failure in sorted(fit.failures.items()):
+            exc = fit_error(*failure, model.shock)
+            failed[int(rs[i])] = f"{type(exc).__name__}: {exc}"
+            keep[i] = False
+        stable = spectral_radius(fit.companion[keep]) < 1.0
+        chunks.append((rs[keep], fit.responses[keep], fit.paths[keep], stable))
 
     if len(failed) > MAX_FAILURE_SHARE * config.replications:
         raise InferenceError(

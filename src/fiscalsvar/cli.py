@@ -41,6 +41,10 @@ OUT_ENV_VAR = "FISCALSVAR_OUT"
 
 DEFAULT_WINDOW = (Quarter(1999, 1), Quarter(2019, 4))
 
+# 100 times the paper's 1000; every kept draw stays in memory until the
+# bands are read, so a larger count is refused before the run starts
+MAX_REPLICATIONS = 100_000
+
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_ESTIMATION = 4
@@ -81,8 +85,8 @@ class RunConfig:
             raise ConfigError("horizons must be >= 1")
         if self.lags < 1:
             raise ConfigError("lags must be >= 1")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
+        if not 1 <= self.replications <= MAX_REPLICATIONS:
+            raise ConfigError(f"replications must be between 1 and {MAX_REPLICATIONS}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if sorted(self.ordering) != sorted(X_LABELS):
@@ -538,6 +542,8 @@ def _cmd_montecarlo(args) -> int:
     horizons = args.horizon if args.horizon is not None else 20
     if trials < 1 or horizons < 1:
         raise ConfigError("--reps and --horizon must be >= 1")
+    if trials > MAX_REPLICATIONS:
+        raise ConfigError(f"--reps must not exceed {MAX_REPLICATIONS}")
     try:
         spec = dgp_mod.DgpSpec.from_dict(payload)
         if horizons >= spec.T:

@@ -8,10 +8,8 @@ band coverage.
 Point-estimate Monte Carlo trials run in chunks of ``bootstrap.CHUNK``:
 one recursion simulates the chunk over a leading trial axis, each trial
 with its own exogenous columns Z, and :func:`bootstrap.stacked_fit`
-fits the chunk with the stages that fit a single panel. A trial that
-trips a failure check, or lies near one, is re-run alone through
-:func:`simulate_var` and :func:`bootstrap.point_fit`, which decide
-whether it fails.
+fits the chunk with the stages that fit a single panel; a trial fails
+when the stack reports a failing check for it.
 
 Determinism contract: trial t draws its shocks, then its exogenous
 columns, from its own stream seeded by ``SeedSequence([seed, t, 0])``,
@@ -30,7 +28,6 @@ from .bootstrap import (
     ModelSpec,
     bootstrap_inference,
     derive_seed,
-    point_fit,
     stacked_fit,
     substream,
 )
@@ -246,23 +243,11 @@ class RecoveryReport:
             object.__setattr__(self, name, arr)
 
 
-def _one_trial(t: int, spec: DgpSpec, model: ModelSpec, horizons: int) -> np.ndarray:
-    """Trial t alone through the single-fit pipeline: the reference for
-    the stacked trials, and the path that decides every flagged trial."""
-    panel = simulate_var(spec, substream(spec.seed, t, 0))
-    return point_fit(panel, model, horizons)[2].values
-
-
 def _trial_batch(ts, spec, model, horizons):
-    """Trials ``ts`` as one stack through the stages of :func:`_one_trial`.
-
-    Returns multiplier paths (C, H) and a mask of the trials that must be
-    re-run alone; paths are meaningless in masked rows.
-    """
+    """Trials ``ts`` simulated and fitted as one stack: their
+    :class:`~fiscalsvar.bootstrap.StackedFit`."""
     X, Z = _simulate_panels(spec, [substream(spec.seed, t, 0) for t in ts])
-    with np.errstate(all="ignore"):
-        _, paths, _, flagged = stacked_fit(X, Z, model, horizons)
-    return paths, flagged
+    return stacked_fit(X, Z, model, horizons)
 
 
 def monte_carlo_recovery(
@@ -291,15 +276,9 @@ def monte_carlo_recovery(
     if config.bootstrap is None:
         for start in range(0, n_trials, bootstrap.CHUNK):
             ts = range(start, min(start + bootstrap.CHUNK, n_trials))
-            paths, flagged = _trial_batch(ts, spec, model, config.horizons)
-            keep = ~flagged
-            for i in np.flatnonzero(flagged):
-                try:
-                    paths[i] = _one_trial(ts[i], spec, model, config.horizons)
-                    keep[i] = True
-                except EstimationError:
-                    failures += 1
-            rows.extend(paths[keep])
+            fit = _trial_batch(ts, spec, model, config.horizons)
+            failures += len(fit.failures)
+            rows.extend(np.delete(fit.paths, list(fit.failures), axis=0))
     else:
         for t in range(n_trials):
             panel = simulate_var(spec, substream(spec.seed, t, 0))

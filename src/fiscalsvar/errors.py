@@ -2,9 +2,13 @@
 
 Every error derives from exactly one of three bases, and the base alone
 sets the command-line exit code: :class:`ConfigError` 2,
-:class:`DataError` 3, :class:`EstimationError` 4. The bootstrap and the
-Monte Carlo harness count an :class:`EstimationError` in one replication
-or trial as a failed draw, not a failed run.
+:class:`DataError` 3, :class:`EstimationError` 4.
+
+A fit stops at the first of its checks that fails, and :func:`fit_error`
+turns that check into its typed :class:`EstimationError`, so each
+failure message is written once. The single-fit functions raise it; the
+bootstrap and the Monte Carlo harness read it off the stacked fit and
+count it as one failed draw, not a failed run.
 """
 
 
@@ -94,9 +98,46 @@ class DegenerateDenominatorError(EstimationError):
         self.horizon = horizon
 
 
+class NonFiniteError(EstimationError):
+    """A fit met a non-finite value: an overflowing draw or its results."""
+
+
 class ShapeError(EstimationError):
     """Array arguments have inconsistent shapes."""
 
 
 class InferenceError(EstimationError):
     """Too many bootstrap replications failed to produce usable bands."""
+
+
+def fit_error(
+    check: str, index: int = 0, value: float = 0.0, variable: str = "G"
+) -> EstimationError:
+    """The typed error of a fit whose first failing check is ``check``.
+
+    ``index`` and ``value`` are panel rows and lag order for ``"lags"``,
+    usable rows and regressors for ``"sample size"``, 0 and the smallest
+    |R_ii| for ``"rank"``, the 1-based pivot and its value for ``"pivot"``,
+    the 1-based quarter and the cumulative ``variable`` response for
+    ``"denominator"``; ``"non-finite panel"`` and ``"non-finite fit"``
+    use neither.
+    """
+    if check == "lags":
+        return SampleSizeError(f"need more than {value} rows to form lags, have {index}")
+    if check == "sample size":
+        return SampleSizeError(
+            f"{index} usable rows for {value} regressors; need T - p > n_regressors"
+        )
+    if check == "rank":
+        return RankError(f"regressor matrix is rank deficient (min |R_ii| = {value:.3e})")
+    if check == "pivot":
+        return DecompositionError(
+            f"pivot {index} is non-positive ({value:.6e}); covariance is not PD", pivot=index
+        )
+    if check == "denominator":
+        return DegenerateDenominatorError(
+            f"cumulative {variable} response is {value:.3e} at quarter {index}", horizon=index
+        )
+    if check == "non-finite panel":
+        return NonFiniteError("simulated panel holds non-finite values")
+    return NonFiniteError("fit produced non-finite coefficients or responses")

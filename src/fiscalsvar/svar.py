@@ -11,11 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DecompositionError,
-    DegenerateDenominatorError,
-    ShapeError,
-)
+from .errors import ShapeError, fit_error
 from .var import VarEstimate
 
 # a cumulative shock-variable response this close to zero has no ratio
@@ -136,11 +132,7 @@ def lower_cholesky(sigma: np.ndarray) -> np.ndarray:
     L, pivots = cholesky_factor(A)
     bad = np.flatnonzero(pivots <= 0.0)
     if bad.size:
-        j = int(bad[0])
-        raise DecompositionError(
-            f"pivot {j + 1} is non-positive ({pivots[j]:.6e}); covariance is not PD",
-            pivot=j + 1,
-        )
+        raise fit_error("pivot", int(bad[0]) + 1, float(pivots[bad[0]]))
     return L
 
 
@@ -233,8 +225,5 @@ def multiplier_path(
     small = np.abs(cum_g) <= DENOMINATOR_TOL
     if np.any(small):
         q = int(np.argmax(small)) + 1
-        raise DegenerateDenominatorError(
-            f"cumulative {shock_variable} response is {cum_g[q - 1]:.3e} at quarter {q}",
-            horizon=q,
-        )
+        raise fit_error("denominator", q, float(cum_g[q - 1]), shock_variable)
     return MultiplierPath(values=ratio)

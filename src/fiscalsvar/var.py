@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DofError, RankError, SampleSizeError, ShapeError
+from .errors import DofError, ShapeError, fit_error
 from .ingest import TransformedPanel
 
 # relative tolerance on the diagonal of R in the QR factorisation
@@ -127,7 +127,7 @@ def lagged_design(panel: TransformedPanel, p: int) -> tuple[np.ndarray, np.ndarr
         raise ShapeError("lag order must be >= 1")
     T = panel.X.shape[0]
     if T <= p:
-        raise SampleSizeError(f"need more than {p} rows to form lags, have {T}")
+        raise fit_error("lags", T, p)
     return design_blocks(panel.X, panel.Z, p)
 
 
@@ -175,14 +175,10 @@ def estimate_var(panel: TransformedPanel, p: int = 4) -> VarEstimate:
     T_eff, n_reg = W.shape
     k = Y.shape[1]
     if T_eff <= n_reg:
-        raise SampleSizeError(
-            f"{T_eff} usable rows for {n_reg} regressors; need T - p > n_regressors"
-        )
+        raise fit_error("sample size", T_eff, n_reg)
     coef, residuals, rdiag = least_squares(W, Y)
     if rank_deficient(rdiag):
-        raise RankError(
-            f"regressor matrix is rank deficient (min |R_ii| = {rdiag.min():.3e})"
-        )
+        raise fit_error("rank", value=float(rdiag.min()))
     intercept, gammas, exog_coef = split_coefficients(coef, p, k)
     return VarEstimate(
         p=p,

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import fiscalsvar.bootstrap as bootstrap_mod
 from fiscalsvar.bootstrap import (
@@ -8,10 +10,12 @@ from fiscalsvar.bootstrap import (
     ModelSpec,
     bootstrap_inference,
     derive_seed,
+    point_fit,
     quantile_bands,
     resample_residuals,
     significance_flags,
     simulate_bootstrap_series,
+    stacked_fit,
     substream,
 )
 from fiscalsvar.dgp import reference_spec, simulate_var
@@ -21,12 +25,22 @@ from fiscalsvar.errors import (
     DomainError,
     EstimationError,
     InferenceError,
+    NonFiniteError,
     RankError,
     ShapeError,
+    fit_error,
 )
 from fiscalsvar.ingest import TransformedPanel
 from fiscalsvar.series import Quarter
-from fiscalsvar.var import VarEstimate, estimate_var
+from fiscalsvar.svar import identify_cholesky, irf, multiplier_path
+from fiscalsvar.var import (
+    VarEstimate,
+    companion_matrix,
+    estimate_var,
+    spectral_radius,
+    stability,
+    var_recursion,
+)
 
 
 @pytest.fixture(scope="module")
@@ -39,36 +53,49 @@ def estimate(panel):
     return estimate_var(panel, p=4)
 
 
-def _scalar_replication(r, estimate, panel, config):
-    return bootstrap_mod._one_replication(
-        r, estimate, panel.X[: estimate.p], panel.Z, ModelSpec(), config, panel
+def single_fit(panel, model, horizons):
+    """One panel through the public single-fit functions: its estimate,
+    responses and multiplier path."""
+    est = estimate_var(panel, model.lags)
+    irfs = irf(identify_cholesky(est, model.ordering), model.shock, horizons)
+    return est, irfs.responses, multiplier_path(irfs, model.response, model.shock, horizons)
+
+
+def reference_draw(r, estimate, panel, config, model=ModelSpec()):
+    """Replication r alone through the public single-fit functions: its
+    responses, multiplier path and whether the refit is stable."""
+    u_star = resample_residuals(estimate.residuals, substream(config.seed, r))
+    panel_star = simulate_bootstrap_series(
+        estimate, u_star, panel.X[: estimate.p], panel.Z, x_labels=panel.x_labels
     )
+    est, responses, path = single_fit(panel_star, model, config.horizons)
+    return responses, path.values, stability(est)[1]
 
 
-def _force_scalar_path(monkeypatch, replications):
-    """Flag ``replications`` in the stacked kernel, as if they had tripped
-    a failure check, so that the single-fit routine re-runs them."""
+def fail_draws(monkeypatch, replications):
+    """Make the stacked classification fail ``replications`` at the rank
+    check, as if their designs had lost rank."""
     real = bootstrap_mod._replication_batch
 
     def batch(rs, *args):
-        responses, paths, stable, flagged = real(rs, *args)
-        return responses, paths, stable, flagged | np.isin(rs, sorted(replications))
+        fit = real(rs, *args)
+        for i in np.flatnonzero(np.isin(rs, sorted(replications))):
+            fit.failures[int(i)] = ("rank", 0, 0.0)
+        return fit
 
     monkeypatch.setattr(bootstrap_mod, "_replication_batch", batch)
 
 
-def _fail_on_scalar_path(monkeypatch, replications):
-    """Send ``replications`` down the per-replication failure path and make
-    the single-fit re-run raise a synthetic RankError there."""
-    _force_scalar_path(monkeypatch, replications)
-    real = bootstrap_mod._one_replication
-
-    def flaky(r, *args):
-        if r in replications:
-            raise RankError("synthetic failure")
-        return real(r, *args)
-
-    monkeypatch.setattr(bootstrap_mod, "_one_replication", flaky)
+def explosive_panel():
+    """84 quarters from a system whose G equation has a root of 1.02: the
+    point estimate's companion modulus is about 1.01, and its draws fall
+    on both sides of one."""
+    spec = reference_spec()
+    gammas = np.array(spec.gammas)
+    gammas[0, 0, 0] = 1.02
+    rng = np.random.default_rng(1)
+    X = var_recursion(gammas, rng.normal(size=(84, 4)) @ spec.B.T, np.zeros((1, 4)))[1:]
+    return TransformedPanel(Quarter(2000, 1), X, np.zeros((84, 0)), spec.labels, ())
 
 
 class TestDeriveSeed:
@@ -272,48 +299,42 @@ class TestBootstrapInference:
             )
 
     def test_failure_budget_enforced(self, panel, monkeypatch):
-        _fail_on_scalar_path(monkeypatch, set(range(0, 100, 10)))
+        fail_draws(monkeypatch, set(range(0, 100, 10)))
         with pytest.raises(InferenceError, match="failed"):
             bootstrap_inference(panel, BootstrapConfig(replications=100, seed=3))
 
     def test_few_failures_tolerated(self, panel, monkeypatch):
-        _fail_on_scalar_path(monkeypatch, {3, 15})
+        fail_draws(monkeypatch, {3, 15})
         res = bootstrap_inference(panel, BootstrapConfig(replications=100, seed=3))
         assert res.n_failed == 2
         assert sorted(res.failed) == [3, 15]
         assert res.multipliers.shape[0] == 98
         assert all("RankError" in msg for msg in res.failed.values())
 
-    def test_batched_draws_match_scalar_routine(self, panel, estimate, monkeypatch):
+    def test_batched_draws_match_scalar_routine(self, panel, estimate):
         cfg = BootstrapConfig(replications=60, seed=4)
-        _force_scalar_path(monkeypatch, {24})
         res = bootstrap_inference(panel, cfg)
         assert list(res.replication_index) == list(range(60))
         unstable = 0
         for r in range(60):
-            responses, path, stable = _scalar_replication(r, estimate, panel, cfg)
+            responses, path, stable = reference_draw(r, estimate, panel, cfg)
             assert np.array_equal(res.irf_draws[r], responses), r
             assert np.array_equal(res.multipliers[r], path), r
             unstable += not stable
         assert res.unstable == unstable
 
-    def test_fallback_failure_reported_as_by_scalar_path(self, panel, estimate, monkeypatch):
-        cfg = BootstrapConfig(replications=40, seed=6)
-        _force_scalar_path(monkeypatch, {7})
-        # only re-run draws resample through this function; repeating one
-        # residual row makes the rebuilt panel deterministic, which the
-        # scalar pipeline rejects with one of its typed errors
-        monkeypatch.setattr(
-            bootstrap_mod,
-            "resample_residuals",
-            lambda U, rng: np.repeat(U[:1], U.shape[0], axis=0),
-        )
-        with pytest.raises((EstimationError, FloatingPointError)) as scalar:
-            _scalar_replication(7, estimate, panel, cfg)
-        res = bootstrap_inference(panel, cfg)
-        assert res.failed == {7: f"{type(scalar.value).__name__}: {scalar.value}"}
-        assert 7 not in res.replication_index
-        assert res.multipliers.shape[0] == 39
+    def test_unstable_count_with_explosive_draws(self, monkeypatch):
+        panel = explosive_panel()
+        cfg = BootstrapConfig(replications=64, seed=1)
+        estimate = estimate_var(panel, 4)
+        assert not stability(estimate)[1]
+        want = sum(not reference_draw(r, estimate, panel, cfg)[2] for r in range(64))
+        assert 0 < want < 64
+        for chunk in (1, 7, 25, 64):
+            monkeypatch.setattr(bootstrap_mod, "CHUNK", chunk)
+            res = bootstrap_inference(panel, cfg)
+            assert res.n_failed == 0
+            assert res.unstable == want, chunk
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -324,3 +345,155 @@ class TestBootstrapInference:
             BootstrapConfig(seed=-1)
         with pytest.raises(DomainError):
             ModelSpec(shock="X")
+
+
+KINDS = ("stable", "near_unit", "overflow", "collinear", "predictable_g", "collinear_residuals")
+
+
+def make_panel(kind, seed, exponent, T, k, p):
+    """A (T, k) panel of one kind, columns ordered as ORDERINGS[k]:
+
+    - stable: a random VAR(p) with companion modulus 0.2 to 0.9;
+    - near_unit: modulus 0.95 to 1.05;
+    - overflow: modulus 1e100, so the recursion overflows within 4 steps;
+    - collinear: column 1 is twice column 0 plus noise of scale
+      10**-exponent, which puts the design on either side of the rank
+      tolerance;
+    - predictable_g: G is half of last quarter's Y plus noise of scale
+      10**-exponent, so G's own shock and cumulative response are near
+      zero (and, with two lags, G's first lag nearly collinear);
+    - collinear_residuals: Y is twice G plus its own lag and noise of scale
+      10**-exponent, so the residual covariance is nearly singular.
+    """
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(p, k, k))
+    modulus = {"near_unit": 0.95 + 0.1 * rng.random(), "overflow": 1e100}.get(
+        kind, 0.2 + 0.7 * rng.random()
+    )
+    # scaling lag l by c**l scales every companion eigenvalue by c
+    c = modulus / spectral_radius(companion_matrix(A))
+    gammas = A * c ** np.arange(1, p + 1)[:, None, None]
+    X = var_recursion(gammas, rng.normal(size=(T, k)), rng.normal(size=(p, k)))[p:]
+    noise = 10.0 ** -exponent * rng.normal(size=T)
+    y = k - 1
+    if kind == "collinear":
+        X[:, 1] = 2.0 * X[:, 0] + noise
+    elif kind == "predictable_g":
+        X[1:, 0] = 0.5 * X[:-1, y] + noise[1:]
+    elif kind == "collinear_residuals":
+        X[1:, y] = 2.0 * X[1:, 0] + 0.3 * X[:-1, y] + noise[1:]
+    return X
+
+
+ORDERINGS = {2: ("G", "Y"), 3: ("G", "T", "Y")}
+
+rows_strategy = st.lists(
+    st.tuples(st.sampled_from(KINDS), st.integers(0, 2**32 - 1), st.floats(6.0, 17.0)),
+    min_size=1,
+    max_size=5,
+)
+
+
+def wrapper_chain(row, T, k, model, horizons):
+    """One panel built and fitted by the single-fit functions under
+    errstate(over="raise", invalid="raise"): its estimate, responses and
+    path, or the error that stops it, a FloatingPointError standing for
+    the non-finite failure."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            X = make_panel(*row, T, k, model.lags)
+            panel = TransformedPanel(Quarter(2000, 1), X, np.zeros((T, 0)), model.ordering, ())
+            return single_fit(panel, model, horizons)
+    except FloatingPointError:
+        return NonFiniteError
+    except EstimationError as exc:
+        return exc
+
+
+class TestStackedFit:
+    """The stacked fit decides every failure itself: per row it gives the
+    single-fit functions' numbers, or their first failing check and
+    error."""
+
+    def test_read_only_stack_of_one_left_unchanged(self, panel):
+        X = panel.X[None]
+        assert not X.flags.writeable
+        fit = stacked_fit(X, panel.Z, ModelSpec(), 20)
+        assert fit.failures == {}
+        est, responses, path = single_fit(panel, ModelSpec(), 20)
+        assert np.array_equal(fit.responses[0], responses)
+        assert np.array_equal(fit.paths[0], path.values)
+        assert np.array_equal(fit.sigma[0], est.sigma)
+
+    def test_non_finite_member_zeroed_in_a_copy(self, panel):
+        X = np.stack([panel.X, panel.X, panel.X])
+        X[1, 40, 2] = np.inf
+        before = X.copy()
+        fit = stacked_fit(X, panel.Z, ModelSpec(), 20)
+        assert np.array_equal(X, before)
+        assert fit.failures == {1: ("non-finite panel", 0, 0.0)}
+        assert np.array_equal(fit.paths[0], fit.paths[2])
+        assert np.isfinite(spectral_radius(fit.companion)).all()
+
+    def test_point_fit_equals_single_fit(self, panel):
+        est, irfs, path = point_fit(panel, ModelSpec(), 20)
+        want, responses, want_path = single_fit(panel, ModelSpec(), 20)
+        for name in ("intercept", "gammas", "exog_coef", "residuals", "sigma"):
+            assert np.array_equal(getattr(est, name), getattr(want, name)), name
+        assert est.sample_size == want.sample_size
+        assert np.array_equal(irfs.responses, responses)
+        assert np.array_equal(path.values, want_path.values)
+        assert stability(est) == stability(want)
+
+    def test_failed_member_reports_wrapper_error(self, panel, estimate):
+        # repeating one residual row makes the rebuilt panel deterministic,
+        # which the single-fit functions reject with one of their errors
+        rebuilt = simulate_bootstrap_series(
+            estimate,
+            np.repeat(estimate.residuals[:1], estimate.residuals.shape[0], axis=0),
+            panel.X[:4],
+            panel.Z,
+        )
+        with pytest.raises(EstimationError) as single:
+            single_fit(rebuilt, ModelSpec(), 20)
+        fit = stacked_fit(np.stack([panel.X, rebuilt.X]), panel.Z, ModelSpec(), 20)
+        assert list(fit.failures) == [1]
+        exc = fit_error(*fit.failures[1])
+        assert type(exc) is type(single.value)
+        assert str(exc) == str(single.value)
+        with pytest.raises(type(single.value), match="^" + re.escape(str(exc)) + "$"):
+            point_fit(rebuilt, ModelSpec(), 20)
+
+    @given(
+        rows=rows_strategy,
+        T=st.integers(1, 60),
+        k=st.sampled_from([2, 3]),
+        p=st.integers(1, 2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_wrapper_chain(self, rows, T, k, p):
+        model = ModelSpec(lags=p, ordering=ORDERINGS[k], shock="G", response="Y")
+        short = T - p <= 1 + k * p
+        # the stack checks the sample size before it looks at a panel; the
+        # chain simulates first, so a short overflowing panel is left out
+        assume(not (short and any(kind == "overflow" for kind, *_ in rows)))
+        with np.errstate(all="ignore"):
+            X = np.stack([make_panel(*row, T, k, p) for row in rows])
+        fit = stacked_fit(X, np.zeros((T, 0)), model, 8)
+        for i, row in enumerate(rows):
+            want = wrapper_chain(row, T, k, model, 8)
+            if want is NonFiniteError:
+                assert fit.failures[i][0].startswith("non-finite"), (row, fit.failures.get(i))
+            elif isinstance(want, EstimationError):
+                assert i in fit.failures, (row, want)
+                got = fit_error(*fit.failures[i], model.shock)
+                assert type(got) is type(want)
+                assert str(got) == str(want)
+                assert getattr(got, "pivot", None) == getattr(want, "pivot", None)
+                assert getattr(got, "horizon", None) == getattr(want, "horizon", None)
+            else:
+                est, responses, path = want
+                assert i not in fit.failures, (row, fit.failures[i])
+                assert np.array_equal(fit.responses[i], responses)
+                assert np.array_equal(fit.paths[i], path.values)
+                assert spectral_radius(fit.companion[i]) == stability(est)[0]

@@ -359,6 +359,23 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "must be below the window's" in err
 
+    @pytest.mark.parametrize(
+        "overrides, flags",
+        [({"replications": 100_001}, []), ({}, ["--reps", "100001"]),
+         ({}, ["--reps", str(10**13)])],
+        ids=["config_key", "reps_flag", "huge_reps_flag"],
+    )
+    def test_oversized_replications_exit_2(self, tmp_path, data_dir, capsys, monkeypatch,
+                                           overrides, flags):
+        def never(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli_mod, "run_pipeline", never)
+        path = write_config(tmp_path / "c.json", data_dir, **overrides)
+        assert main(["estimate", "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "replications must be between 1 and 100000" in err
+
     def test_estimate_with_filter_and_overrides(self, tmp_path, data_dir, capsys):
         path = write_config(tmp_path / "c.json", data_dir)
         code = main([
@@ -426,8 +443,9 @@ class TestMainExitCodes:
         [({}, ["--horizon", "84"], "--horizon 84 must be below the DGP's T (84)"),
          ({}, ["--horizon", str(10**13)], "must be below the DGP's T"),
          ({"T": 10**13}, [], "T + burn_in must not exceed"),
-         ({"burn_in": 10**13}, [], "T + burn_in must not exceed")],
-        ids=["horizon_at_t", "huge_horizon", "huge_t", "huge_burn_in"],
+         ({"burn_in": 10**13}, [], "T + burn_in must not exceed"),
+         ({}, ["--reps", "100001"], "--reps must not exceed 100000")],
+        ids=["horizon_at_t", "huge_horizon", "huge_t", "huge_burn_in", "huge_reps"],
     )
     def test_montecarlo_oversized_input_exit_2(self, tmp_path, capsys, monkeypatch,
                                                change, flags, message):

@@ -5,7 +5,7 @@ import pytest
 
 import fiscalsvar.bootstrap as bootstrap_mod
 import fiscalsvar.dgp as dgp_mod
-from fiscalsvar.bootstrap import BootstrapConfig, ModelSpec, point_fit, substream
+from fiscalsvar.bootstrap import BootstrapConfig, substream
 from fiscalsvar.dgp import (
     DgpSpec,
     RecoveryConfig,
@@ -18,11 +18,10 @@ from fiscalsvar.dgp import (
 from fiscalsvar.errors import (
     DomainError,
     InferenceError,
-    RankError,
     ShapeError,
     UnstableDgpError,
 )
-from fiscalsvar.svar import identify_cholesky
+from fiscalsvar.svar import identify_cholesky, irf, multiplier_path
 from fiscalsvar.var import estimate_var
 
 
@@ -46,32 +45,28 @@ def exog_spec(seed=0):
 
 
 def per_trial_estimates(spec, n_trials, horizons=20):
-    """The reference for the stacked trials: one simulate_var and one
-    point_fit per trial, each on its own stream."""
-    model = ModelSpec(ordering=spec.labels)
-    return np.stack([
-        point_fit(simulate_var(spec, substream(spec.seed, t, 0)), model, horizons)[2].values
-        for t in range(n_trials)
-    ])
+    """The reference for the stacked trials: each trial simulated on its
+    own stream and fitted by the public single-fit functions."""
+    paths = []
+    for t in range(n_trials):
+        panel = simulate_var(spec, substream(spec.seed, t, 0))
+        irfs = irf(identify_cholesky(estimate_var(panel, 4), spec.labels), "G", horizons)
+        paths.append(multiplier_path(irfs, "Y", "G", horizons).values)
+    return np.stack(paths)
 
 
-def rerun_alone(monkeypatch, flagged, failing=()):
-    """Flag ``flagged`` trials in the stacked kernel, as if they had tripped
-    a failure check, and make the single-trial re-run of ``failing`` raise
-    a synthetic RankError."""
-    real_batch, real_one = dgp_mod._trial_batch, dgp_mod._one_trial
+def fail_trials(monkeypatch, failing):
+    """Make the stacked classification fail ``failing`` trials at the rank
+    check, as if their designs had lost rank."""
+    real = dgp_mod._trial_batch
 
     def batch(ts, *args):
-        paths, mask = real_batch(ts, *args)
-        return paths, mask | np.isin(ts, sorted(flagged))
-
-    def one(t, *args):
-        if t in failing:
-            raise RankError("synthetic failure")
-        return real_one(t, *args)
+        fit = real(ts, *args)
+        for i in np.flatnonzero(np.isin(ts, sorted(failing))):
+            fit.failures[int(i)] = ("rank", 0, 0.0)
+        return fit
 
     monkeypatch.setattr(dgp_mod, "_trial_batch", batch)
-    monkeypatch.setattr(dgp_mod, "_one_trial", one)
 
 
 class TestDgpSpec:
@@ -209,7 +204,7 @@ class TestRecovery:
 
 class TestStackedTrials:
     """Point-estimate trials run in stacked chunks yet equal the
-    single-trial path bit for bit."""
+    single-trial path bit for bit; the stack alone decides which fail."""
 
     @pytest.mark.parametrize("spec", [reference_spec(seed=11), exog_spec(seed=4)],
                              ids=["reference", "exogenous"])
@@ -221,23 +216,23 @@ class TestStackedTrials:
             assert rep.failures == 0
             assert np.array_equal(rep.estimates, want), chunk
 
-    def test_flagged_trials_decided_alone(self, monkeypatch):
+    def test_failed_trials_counted_in_order(self, monkeypatch):
         spec = reference_spec(seed=5)
         want = per_trial_estimates(spec, 30)
         monkeypatch.setattr(bootstrap_mod, "CHUNK", 7)
-        rerun_alone(monkeypatch, flagged={0, 3, 9, 29}, failing={3, 29})
+        fail_trials(monkeypatch, {3, 29})
         rep = monte_carlo_recovery(spec, 30)
         assert rep.failures == 2
         assert np.array_equal(rep.estimates, np.delete(want, [3, 29], axis=0))
 
     def test_every_trial_failing_raises(self, monkeypatch):
         monkeypatch.setattr(bootstrap_mod, "CHUNK", 2)
-        rerun_alone(monkeypatch, flagged=range(5), failing=range(5))
+        fail_trials(monkeypatch, range(5))
         with pytest.raises(InferenceError, match="all 5 trials failed"):
             monte_carlo_recovery(reference_spec(seed=1), 5)
 
     def test_sample_too_short_for_lags(self):
-        # 10 rows leave 6 for 17 regressors: the single-trial path fails
-        # every trial with its SampleSizeError
+        # 10 rows leave 6 for 17 regressors: the stack fails every trial
+        # at its sample-size check
         with pytest.raises(InferenceError, match="all 3 trials failed"):
             monte_carlo_recovery(reference_spec(T=10), 3)
