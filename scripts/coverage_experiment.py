@@ -5,34 +5,42 @@ Simulates the reference system at its working sample size, runs the
 full bootstrap in every trial, and reports how often each nominal band
 contains the true cumulative multiplier. The defaults reproduce the
 release-gate numbers (300 trials x 1000 replications, about 90 s on
-two cores); pass smaller --trials/--reps for a quick look.
+two cores); pass smaller --trials/--reps for a quick look. A count
+outside 1..100000, or a --sample or --seed the reference system
+rejects, is a config error: one line on stderr and exit code 2, before
+anything is simulated.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import io
+import sys
 import time
 from pathlib import Path
 
 from fiscalsvar.bootstrap import BootstrapConfig
 from fiscalsvar.dgp import RecoveryConfig, monte_carlo_recovery, reference_spec
+from fiscalsvar.errors import ConfigError, DomainError
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=300)
     parser.add_argument("--reps", type=int, default=1000)
     parser.add_argument("--sample", type=int, default=84, help="simulated sample length")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="optional directory for coverage.csv")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    spec = reference_spec(T=args.sample, seed=args.seed)
-    config = RecoveryConfig(bootstrap=BootstrapConfig(replications=args.reps))
-
-    start = time.perf_counter()
-    report = monte_carlo_recovery(spec, args.trials, config)
+    try:
+        spec = reference_spec(T=args.sample, seed=args.seed)
+        config = RecoveryConfig(bootstrap=BootstrapConfig(replications=args.reps))
+        start = time.perf_counter()
+        report = monte_carlo_recovery(spec, args.trials, config)
+    except (ConfigError, DomainError) as exc:  # DomainError: a bad --sample or --seed
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - start
 
     levels = sorted(report.coverage)

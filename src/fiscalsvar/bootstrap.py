@@ -28,11 +28,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InferenceError, ShapeError, fit_error
+from .errors import ConfigError, InferenceError, ShapeError, fit_error
 from .ingest import TransformedPanel
 from .series import Quarter
 from .svar import (
     DENOMINATOR_TOL,
+    RESPONSE,
+    SHOCK,
     IrfSet,
     MultiplierPath,
     cholesky_factor,
@@ -50,6 +52,11 @@ from .var import (
     split_coefficients,
     var_recursion,
 )
+
+# cap on replications and on Monte Carlo trials, 100 times the paper's
+# 1000; every kept draw stays in memory until the bands are read, so a
+# larger count is refused before the run starts
+MAX_REPLICATIONS = 100_000
 
 MAX_FAILURE_SHARE = 0.05
 
@@ -76,20 +83,21 @@ def substream(*parts: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """What to estimate: lag order, identification ordering, shock pair."""
+    """What to estimate: lag order and identification ordering. The
+    multiplier is always the response of ``svar.RESPONSE`` to a shock in
+    ``svar.SHOCK``, so the ordering must hold both."""
 
     lags: int = 4
     ordering: tuple[str, ...] = ("G", "T", "Y", "i")
-    shock: str = "G"
-    response: str = "Y"
 
     def __post_init__(self):
         object.__setattr__(self, "ordering", tuple(self.ordering))
         if self.lags < 1:
-            raise DomainError("lag order must be >= 1")
-        if self.shock not in self.ordering or self.response not in self.ordering:
-            raise DomainError(
-                f"shock '{self.shock}' and response '{self.response}' must be in {self.ordering}"
+            raise ConfigError("lags must be >= 1")
+        if SHOCK not in self.ordering or RESPONSE not in self.ordering:
+            raise ConfigError(
+                f"ordering {list(self.ordering)} must hold the shock '{SHOCK}' "
+                f"and the response '{RESPONSE}'"
             )
 
 
@@ -102,14 +110,15 @@ class BootstrapConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(sorted(self.levels)))
-        if self.replications < 1:
-            raise DomainError("replications must be >= 1")
+        if not 1 <= self.replications <= MAX_REPLICATIONS:
+            raise ConfigError(f"replications must be between 1 and {MAX_REPLICATIONS}")
         if self.seed < 0:
-            raise DomainError("seed must be non-negative")
-        if not self.levels or any(not 0 < lv < 100 for lv in self.levels):
-            raise DomainError(f"band levels must lie strictly in (0, 100): {self.levels}")
+            raise ConfigError("seed must be non-negative")
+        levels = self.levels
+        if not levels or any(not 0 < lv < 100 for lv in levels) or len(set(levels)) != len(levels):
+            raise ConfigError(f"band levels must be non-empty, distinct and in (0, 100): {levels}")
         if self.horizons < 1:
-            raise DomainError("horizons must be >= 1")
+            raise ConfigError("horizons must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -169,8 +178,8 @@ class StackedFit(NamedTuple):
 @np.errstate(all="ignore")
 def stacked_fit(X: np.ndarray, Z: np.ndarray, model: ModelSpec, horizons: int) -> StackedFit:
     """A stack of panels X (C, T, k), columns in ``model.ordering``, through
-    VAR estimation, Cholesky identification, the responses to the model's
-    shock and its multiplier path; Z is (T, m) or (C, T, m), see
+    VAR estimation, Cholesky identification, the responses to a ``SHOCK``
+    shock and the multiplier path; Z is (T, m) or (C, T, m), see
     :func:`~fiscalsvar.var.design_blocks`.
 
     Each row gets exactly the numbers of its own single fit, or fails at
@@ -196,9 +205,9 @@ def stacked_fit(X: np.ndarray, Z: np.ndarray, model: ModelSpec, horizons: int) -
     sigma = residual_cov(residuals, n_reg)
     L, pivots = cholesky_factor(sigma)
     F = companion_matrix(split_coefficients(coef, p, k)[1])
-    shock = model.ordering.index(model.shock)
+    shock = model.ordering.index(SHOCK)
     responses = propagate_impulse(F, L[:, :, shock], H)
-    paths, cum_g = cumulative_ratio(responses, model.ordering.index(model.response), shock, H)
+    paths, cum_g = cumulative_ratio(responses, model.ordering.index(RESPONSE), shock, H)
 
     rows, zero = np.arange(C), np.zeros(C)
     bad_pivot = pivots <= 0.0
@@ -222,12 +231,12 @@ def point_fit(
     panel: TransformedPanel, model: ModelSpec, horizons: int
 ) -> tuple[VarEstimate, IrfSet, MultiplierPath]:
     """One panel through :func:`stacked_fit` as a stack of one: the VAR
-    estimate, the responses to the model's shock and its multiplier path.
+    estimate, the responses to a ``SHOCK`` shock and the multiplier path.
     The panel's columns must already follow ``model.ordering``. A failed
     check raises its typed error, as the single-fit functions would."""
     fit = stacked_fit(panel.X[None], panel.Z, model, horizons)
     if fit.failures:
-        raise fit_error(*fit.failures[0], model.shock)
+        raise fit_error(*fit.failures[0], SHOCK)
     k = panel.X.shape[1]
     intercept, gammas, exog_coef = split_coefficients(fit.coef[0], model.lags, k)
     estimate = VarEstimate(
@@ -240,7 +249,7 @@ def point_fit(
         sigma=fit.sigma[0],
         sample_size=fit.residuals.shape[1],
     )
-    irfs = IrfSet(shock=model.shock, ordering=model.ordering, responses=fit.responses[0])
+    irfs = IrfSet(shock=SHOCK, ordering=model.ordering, responses=fit.responses[0])
     return estimate, irfs, MultiplierPath(values=fit.paths[0])
 
 
@@ -380,7 +389,7 @@ def bootstrap_inference(
             fit = _replication_batch(rs, estimate, panel, model, config)
         keep = np.ones(len(rs), dtype=bool)
         for i, failure in sorted(fit.failures.items()):
-            exc = fit_error(*failure, model.shock)
+            exc = fit_error(*failure, SHOCK)
             failed[int(rs[i])] = f"{type(exc).__name__}: {exc}"
             keep[i] = False
         stable = spectral_radius(fit.companion[keep]) < 1.0

@@ -17,13 +17,14 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dgp as dgp_mod
 from .bootstrap import (
+    MAX_REPLICATIONS,
     BootstrapConfig,
     BootstrapResult,
     ModelSpec,
@@ -40,10 +41,6 @@ from .var import stability
 OUT_ENV_VAR = "FISCALSVAR_OUT"
 
 DEFAULT_WINDOW = (Quarter(1999, 1), Quarter(2019, 4))
-
-# 100 times the paper's 1000; every kept draw stays in memory until the
-# bands are read, so a larger count is refused before the run starts
-MAX_REPLICATIONS = 100_000
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -64,6 +61,11 @@ class CountryEntry:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings. ``__post_init__`` builds ``model``, the
+    :class:`ModelSpec`, and ``bootstrap``, the :class:`BootstrapConfig` at
+    the master seed; each checks its own fields, and this class checks
+    only what needs the whole run."""
+
     countries: tuple[CountryEntry, ...]
     window: tuple[Quarter, Quarter] = DEFAULT_WINDOW
     lags: int = 4
@@ -81,18 +83,14 @@ class RunConfig:
         codes = [c.code for c in self.countries]
         if len(set(codes)) != len(codes):
             raise ConfigError(f"duplicate country codes: {codes}")
-        if self.horizons < 1:
-            raise ConfigError("horizons must be >= 1")
-        if self.lags < 1:
-            raise ConfigError("lags must be >= 1")
-        if not 1 <= self.replications <= MAX_REPLICATIONS:
-            raise ConfigError(f"replications must be between 1 and {MAX_REPLICATIONS}")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
         if sorted(self.ordering) != sorted(X_LABELS):
             raise ConfigError(
                 f"ordering {list(self.ordering)} is not a permutation of {list(X_LABELS)}"
             )
+        model = ModelSpec(self.lags, self.ordering)
+        boot = BootstrapConfig(self.replications, self.seed, self.levels, self.horizons)
+        if self.plots and len(boot.levels) != 2:
+            raise ConfigError(f"plots need exactly two band levels, got {list(boot.levels)}")
         if self.window[0] > self.window[1]:
             raise ConfigError(
                 f"window start {self.window[0]} is after end {self.window[1]}"
@@ -103,30 +101,17 @@ class RunConfig:
                 f"lags ({self.lags}) and horizons ({self.horizons}) must be below "
                 f"the window's {quarters} quarters"
             )
-        if any(not 0 < lv < 100 for lv in self.levels) or len(set(self.levels)) != len(
-            self.levels
-        ):
-            raise ConfigError(f"band levels must be distinct and in (0, 100): {self.levels}")
         object.__setattr__(self, "countries", tuple(self.countries))
-        object.__setattr__(self, "ordering", tuple(self.ordering))
-        object.__setattr__(self, "levels", tuple(sorted(self.levels)))
+        object.__setattr__(self, "ordering", model.ordering)
+        object.__setattr__(self, "levels", boot.levels)
         object.__setattr__(self, "output_dir", Path(self.output_dir))
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "bootstrap", boot)
 
 
 _COUNTRY_KEYS = {"code", "csv", "name", "schema"}
-_CONFIG_KEYS = {
-    "countries",
-    "window",
-    "lags",
-    "horizons",
-    "ordering",
-    "replications",
-    "seed",
-    "levels",
-    "output_dir",
-    "plots",
-    "workers",
-}
+# workers is still parsed so older configs load, then discarded
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)} | {"workers"}
 
 
 def _read_json(path: Path, what: str):
@@ -198,7 +183,6 @@ def load_run_config(path) -> RunConfig:
             kwargs["window"] = (Quarter.parse(win["start"]), Quarter.parse(win["end"]))
         except ValueError as exc:
             raise ConfigError(f"{path}: bad window: {exc}") from None
-    # workers is still parsed so older configs load, then discarded
     for key in ("lags", "horizons", "replications", "seed", "workers"):
         if key in raw:
             if not _is_int(raw[key]):
@@ -266,16 +250,8 @@ def country_seed(master: int, code: str) -> int:
 def _run_country(entry: CountryEntry, config: RunConfig) -> tuple[BootstrapResult, dict]:
     data = load_csv(entry.csv, entry.schema, country=entry.code)
     panel = build_panel(data, config.window)
-    model = ModelSpec(
-        lags=config.lags, ordering=config.ordering, shock="G", response="Y"
-    )
-    boot = BootstrapConfig(
-        replications=config.replications,
-        seed=country_seed(config.seed, entry.code),
-        levels=config.levels,
-        horizons=config.horizons,
-    )
-    result = bootstrap_inference(panel, boot, model)
+    boot = replace(config.bootstrap, seed=country_seed(config.seed, entry.code))
+    result = bootstrap_inference(panel, boot, config.model)
     max_mod, stable = stability(result.estimate)
     info = {
         "rows": panel.rows,
@@ -332,7 +308,10 @@ def run_pipeline(config: RunConfig) -> dict:
             written.extend(_write_plots(out, entry, result, config))
 
     table_txt, table_csv = emit_table(
-        {e.code: results[e.code][0] for e in config.countries},
+        {
+            code: (result.point_multipliers, result.stars)
+            for code, (result, _) in results.items()
+        },
         labels={e.code: e.display for e in config.countries},
     )
     (out / "table1.txt").write_text(table_txt, encoding="utf-8")
@@ -354,13 +333,17 @@ def run_pipeline(config: RunConfig) -> dict:
     return manifest
 
 
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _write_irf_csv(out: Path, code: str, result: BootstrapResult, config: RunConfig) -> str:
     name = f"irf_{code}.csv"
     irfs = result.point_irf
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     band_cols = [f"{side}{lv}" for lv in config.levels for side in ("lo", "hi")]
-    writer.writerow(["h", "variable", "response", "cumulative"] + band_cols)
+    rows = [["h", "variable", "response", "cumulative"] + band_cols]
     for var_idx, variable in enumerate(irfs.ordering):
         cumulative = irfs.cumulative(variable)
         for h in range(config.horizons + 1):
@@ -368,8 +351,8 @@ def _write_irf_csv(out: Path, code: str, result: BootstrapResult, config: RunCon
             for lv in config.levels:
                 band = result.irf_bands[lv]
                 row += [_g17(band[0, h, var_idx]), _g17(band[1, h, var_idx])]
-            writer.writerow(row)
-    (out / name).write_text(buf.getvalue(), encoding="utf-8")
+            rows.append(row)
+    (out / name).write_text(_csv_text(rows), encoding="utf-8")
     return name
 
 
@@ -377,18 +360,16 @@ def _write_multiplier_csv(
     out: Path, code: str, result: BootstrapResult, config: RunConfig
 ) -> str:
     name = f"multipliers_{code}.csv"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     band_cols = [f"{side}{lv}" for lv in config.levels for side in ("lo", "hi")]
-    writer.writerow(["h", "m"] + band_cols + ["stars"])
+    rows = [["h", "m"] + band_cols + ["stars"]]
     for h in range(config.horizons):
         row = [h + 1, _g17(result.point_multipliers.values[h])]
         for lv in config.levels:
             band = result.multiplier_bands[lv]
             row += [_g17(band[0, h]), _g17(band[1, h])]
         row.append(result.stars[h])
-        writer.writerow(row)
-    (out / name).write_text(buf.getvalue(), encoding="utf-8")
+        rows.append(row)
+    (out / name).write_text(_csv_text(rows), encoding="utf-8")
     return name
 
 
@@ -419,31 +400,26 @@ def _write_plots(
 
 
 def emit_table(
-    results: dict[str, BootstrapResult | tuple[MultiplierPath, tuple[str, ...]]],
+    results: dict[str, tuple[MultiplierPath, tuple[str, ...]]],
     labels: dict[str, str] | None = None,
 ) -> tuple[str, str]:
-    """Combined multiplier table, one column per country, rows Q1..QH.
+    """Combined multiplier table, one column per country, rows Q1..QH,
+    from each country's (multiplier path, stars).
 
     Returns (text, csv) renderings. Text cells are 3-decimal values with
     star suffixes; the CSV keeps full precision and splits stars into a
     separate column so it parses back losslessly.
     """
-    prepared = {}
-    for code, res in results.items():
-        if isinstance(res, BootstrapResult):
-            prepared[code] = (res.point_multipliers, res.stars)
-        else:
-            prepared[code] = res
-    horizons = {len(path) for path, _ in prepared.values()}
+    horizons = {len(path) for path, _ in results.values()}
     if len(horizons) != 1:
         raise ShapeError(f"countries disagree on horizon count: {sorted(horizons)}")
     H = horizons.pop()
-    labels = labels or {code: code.upper() for code in prepared}
+    labels = labels or {code: code.upper() for code in results}
 
-    codes = list(prepared)
+    codes = list(results)
     cells = {
         code: [
-            f"{prepared[code][0].values[h]:.3f}{prepared[code][1][h]}" for h in range(H)
+            f"{results[code][0].values[h]:.3f}{results[code][1][h]}" for h in range(H)
         ]
         for code in codes
     }
@@ -460,19 +436,14 @@ def emit_table(
         lines.append(row.rstrip())
     text = "\n".join(lines) + "\n"
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    head = ["quarter"]
-    for code in codes:
-        head += [f"{code}_m", f"{code}_stars"]
-    writer.writerow(head)
+    rows = [["quarter"] + [f"{code}_{col}" for code in codes for col in ("m", "stars")]]
     for h in range(H):
         row = [f"Q{h + 1}"]
         for code in codes:
-            path, stars = prepared[code]
+            path, stars = results[code]
             row += [_g17(path.values[h]), stars[h]]
-        writer.writerow(row)
-    return text, buf.getvalue()
+        rows.append(row)
+    return text, _csv_text(rows)
 
 
 def validate(config_path) -> RunConfig:
@@ -564,15 +535,13 @@ def _cmd_montecarlo(args) -> int:
         )
     if args.out is not None:
         out = _output_dir(Path(args.out))
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["h", "analytic", "median_bias", "median_abs_error", "rmse"])
+        rows = [["h", "analytic", "median_bias", "median_abs_error", "rmse"]]
         for h in range(horizons):
-            writer.writerow(
+            rows.append(
                 [h + 1, _g17(report.analytic[h]), _g17(report.median_bias[h]),
                  _g17(report.median_abs_error[h]), _g17(report.rmse[h])]
             )
-        (out / "recovery.csv").write_text(buf.getvalue(), encoding="utf-8")
+        (out / "recovery.csv").write_text(_csv_text(rows), encoding="utf-8")
         print(f"wrote {out / 'recovery.csv'}")
     return 0
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import bootstrap
 from .bootstrap import (
+    MAX_REPLICATIONS,
     BootstrapConfig,
     ModelSpec,
     bootstrap_inference,
@@ -32,6 +33,7 @@ from .bootstrap import (
     substream,
 )
 from .errors import (
+    ConfigError,
     DomainError,
     EstimationError,
     InferenceError,
@@ -40,7 +42,15 @@ from .errors import (
 )
 from .ingest import TransformedPanel
 from .series import Quarter
-from .svar import IrfSet, MultiplierPath, column_of, multiplier_path, propagate_impulse
+from .svar import (
+    RESPONSE,
+    SHOCK,
+    IrfSet,
+    MultiplierPath,
+    column_of,
+    multiplier_path,
+    propagate_impulse,
+)
 from .var import companion_matrix, spectral_radius, var_recursion
 
 SYNTHETIC_START = Quarter(2000, 1)
@@ -191,7 +201,7 @@ def simulate_var(spec: DgpSpec, rng: np.random.Generator | None = None) -> Trans
     return TransformedPanel(SYNTHETIC_START, X[0], Z[0], spec.labels, z_labels)
 
 
-def analytic_irf(spec: DgpSpec, horizons: int, shock: str) -> IrfSet:
+def analytic_irf(spec: DgpSpec, horizons: int, shock: str = SHOCK) -> IrfSet:
     """Exact responses from the true parameters, no estimation involved."""
     F = companion_matrix(spec.gammas)
     impact = spec.B[:, column_of(spec.labels, shock)]
@@ -200,7 +210,7 @@ def analytic_irf(spec: DgpSpec, horizons: int, shock: str) -> IrfSet:
 
 
 def analytic_multipliers(
-    spec: DgpSpec, horizons: int = 20, shock: str = "G", response: str = "Y"
+    spec: DgpSpec, horizons: int = 20, shock: str = SHOCK, response: str = RESPONSE
 ) -> MultiplierPath:
     """True cumulative multiplier path implied by the spec."""
     irfs = analytic_irf(spec, horizons, shock)
@@ -209,12 +219,12 @@ def analytic_multipliers(
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """How each Monte Carlo trial estimates the model."""
+    """How each Monte Carlo trial is scored: the multiplier horizons, and
+    the bootstrap each trial runs for band coverage, or None for point
+    estimates alone. Trials fit the default :class:`ModelSpec` lags on
+    the spec's own ordering."""
 
-    lags: int = 4
     horizons: int = 20
-    shock: str = "G"
-    response: str = "Y"
     bootstrap: BootstrapConfig | None = None
 
 
@@ -260,15 +270,10 @@ def monte_carlo_recovery(
     the same way, so the whole report is a pure function of the spec and
     config. Estimation failures are counted, not fatal.
     """
-    if n_trials < 1:
-        raise DomainError("n_trials must be >= 1")
-    truth = analytic_multipliers(spec, config.horizons, config.shock, config.response)
-    model = ModelSpec(
-        lags=config.lags,
-        ordering=spec.labels,
-        shock=config.shock,
-        response=config.response,
-    )
+    if not 1 <= n_trials <= MAX_REPLICATIONS:
+        raise ConfigError(f"n_trials must be between 1 and {MAX_REPLICATIONS}")
+    truth = analytic_multipliers(spec, config.horizons)
+    model = ModelSpec(ordering=spec.labels)
 
     rows = []
     covered: dict[int, list[np.ndarray]] = {}

@@ -57,15 +57,14 @@ def render_band_plot(
     bands: dict[int, np.ndarray],
     *,
     title: str = "",
-    x_label: str = "quarter",
-    y_label: str = "",
     path: str | Path | None = None,
 ) -> str:
     """Serialize one statistic with its two band levels to SVG 1.1 text.
 
     Exactly five polylines are emitted: the point estimate plus lower and
-    upper bounds of the narrow and wide bands. Axes, ticks, and the zero
-    reference line use separate line/text elements.
+    upper bounds of the narrow and wide bands. Axes, ticks, the x-axis
+    label "quarter" and the zero reference line use separate line/text
+    elements.
     """
     x = np.asarray(x, dtype=float)
     point = np.asarray(point, dtype=float)
@@ -148,16 +147,10 @@ def render_band_plot(
             f'<text x="{_fmt(x0 - 8)}" y="{_fmt(py + 4)}" {tick} '
             f'text-anchor="end">{_tick_label(tv)}</text>'
         )
-    if x_label:
-        out.append(
-            f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(HEIGHT - 10)}" {tick} '
-            f'text-anchor="middle">{x_label}</text>'
-        )
-    if y_label:
-        out.append(
-            f'<text x="14" y="{_fmt((y0 + y1) / 2)}" {tick} text-anchor="middle" '
-            f'transform="rotate(-90 14 {_fmt((y0 + y1) / 2)})">{y_label}</text>'
-        )
+    out.append(
+        f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(HEIGHT - 10)}" {tick} '
+        f'text-anchor="middle">quarter</text>'
+    )
 
     wide_band = np.asarray(bands[wide], dtype=float)
     narrow_band = np.asarray(bands[narrow], dtype=float)

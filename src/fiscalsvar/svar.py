@@ -14,6 +14,11 @@ import numpy as np
 from .errors import ShapeError, fit_error
 from .var import VarEstimate
 
+# the multiplier's pair: the cumulative response of output to a
+# government-spending shock
+SHOCK = "G"
+RESPONSE = "Y"
+
 # a cumulative shock-variable response this close to zero has no ratio
 DENOMINATOR_TOL = 1e-12
 
@@ -200,8 +205,8 @@ def cumulative_ratio(
 
 def multiplier_path(
     irfs: IrfSet,
-    response: str = "Y",
-    shock_variable: str = "G",
+    response: str = RESPONSE,
+    shock_variable: str = SHOCK,
     horizons: int = 20,
 ) -> MultiplierPath:
     """Cumulative multiplier: summed output response over summed G response.

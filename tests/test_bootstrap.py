@@ -20,9 +20,9 @@ from fiscalsvar.bootstrap import (
 )
 from fiscalsvar.dgp import reference_spec, simulate_var
 from fiscalsvar.errors import (
+    ConfigError,
     DecompositionError,
     DegenerateDenominatorError,
-    DomainError,
     EstimationError,
     InferenceError,
     NonFiniteError,
@@ -57,8 +57,8 @@ def single_fit(panel, model, horizons):
     """One panel through the public single-fit functions: its estimate,
     responses and multiplier path."""
     est = estimate_var(panel, model.lags)
-    irfs = irf(identify_cholesky(est, model.ordering), model.shock, horizons)
-    return est, irfs.responses, multiplier_path(irfs, model.response, model.shock, horizons)
+    irfs = irf(identify_cholesky(est, model.ordering), "G", horizons)
+    return est, irfs.responses, multiplier_path(irfs, "Y", "G", horizons)
 
 
 def reference_draw(r, estimate, panel, config, model=ModelSpec()):
@@ -295,7 +295,7 @@ class TestBootstrapInference:
             bootstrap_inference(
                 panel,
                 BootstrapConfig(replications=10, seed=0, horizons=4),
-                ModelSpec(lags=1, ordering=("G", "Y"), shock="G", response="Y"),
+                ModelSpec(lags=1, ordering=("G", "Y")),
             )
 
     def test_failure_budget_enforced(self, panel, monkeypatch):
@@ -337,14 +337,20 @@ class TestBootstrapInference:
             assert res.unstable == want, chunk
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            BootstrapConfig(replications=0)
-        with pytest.raises(DomainError):
-            BootstrapConfig(levels=(0, 90))
-        with pytest.raises(DomainError):
-            BootstrapConfig(seed=-1)
-        with pytest.raises(DomainError):
-            ModelSpec(shock="X")
+        for build, message in [
+            (lambda: BootstrapConfig(replications=0), "replications must be between 1 and 100000"),
+            (lambda: BootstrapConfig(replications=10**13), "replications must be between"),
+            (lambda: BootstrapConfig(seed=-1), "seed must be non-negative"),
+            (lambda: BootstrapConfig(levels=(0, 90)), "band levels"),
+            (lambda: BootstrapConfig(levels=()), "band levels must be non-empty"),
+            (lambda: BootstrapConfig(levels=(90, 90)), "distinct"),
+            (lambda: BootstrapConfig(horizons=0), "horizons must be >= 1"),
+            (lambda: ModelSpec(lags=0), "lags must be >= 1"),
+            (lambda: ModelSpec(ordering=("T", "Y", "i")), "must hold the shock 'G'"),
+            (lambda: ModelSpec(ordering=("G", "T", "i")), "the response 'Y'"),
+        ]:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                build()
 
 
 KINDS = ("stable", "near_unit", "overflow", "collinear", "predictable_g", "collinear_residuals")
@@ -472,7 +478,7 @@ class TestStackedFit:
     )
     @settings(max_examples=300, deadline=None)
     def test_rows_equal_wrapper_chain(self, rows, T, k, p):
-        model = ModelSpec(lags=p, ordering=ORDERINGS[k], shock="G", response="Y")
+        model = ModelSpec(lags=p, ordering=ORDERINGS[k])
         short = T - p <= 1 + k * p
         # the stack checks the sample size before it looks at a panel; the
         # chain simulates first, so a short overflowing panel is left out
@@ -486,7 +492,7 @@ class TestStackedFit:
                 assert fit.failures[i][0].startswith("non-finite"), (row, fit.failures.get(i))
             elif isinstance(want, EstimationError):
                 assert i in fit.failures, (row, want)
-                got = fit_error(*fit.failures[i], model.shock)
+                got = fit_error(*fit.failures[i], "G")
                 assert type(got) is type(want)
                 assert str(got) == str(want)
                 assert getattr(got, "pivot", None) == getattr(want, "pivot", None)

@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,6 +312,9 @@ class TestMainExitCodes:
             {"countries": [{"code": "cz", "csv": 5}]},
             {"window": {"start": 5, "end": str(END)}},
             {"output_dir": 5},
+            {"levels": []},
+            {"levels": [90]},
+            {"levels": [50, 68, 90]},
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "estimate"])
@@ -319,6 +324,11 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    def test_one_level_without_plots_valid(self, tmp_path, data_dir, capsys):
+        path = write_config(tmp_path / "c.json", data_dir, levels=[90], plots=False)
+        assert main(["validate", "--config", str(path)]) == 0
+        assert "levels=[90]" in capsys.readouterr().out
 
     def test_out_naming_a_file_exit_2(self, tmp_path, data_dir, capsys):
         path = write_config(tmp_path / "c.json", data_dir)
@@ -507,3 +517,34 @@ class TestRunConfigValidation:
                 countries=(CountryEntry("cz", data_dir / "cz.csv"),),
                 levels=(68, 104),
             )
+
+
+class TestCoverageScript:
+    """scripts/coverage_experiment.py refuses oversized counts and a bad
+    reference system as a config error before anything is simulated."""
+
+    @pytest.fixture
+    def script(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a trial was simulated")
+
+        monkeypatch.setattr(cli_mod.dgp_mod, "_simulate_panels", never)
+        monkeypatch.setattr(cli_mod.dgp_mod, "simulate_var", never)
+        path = Path(__file__).resolve().parents[1] / "scripts" / "coverage_experiment.py"
+        spec = importlib.util.spec_from_file_location("coverage_experiment", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["--reps", "100001"], "replications must be between 1 and 100000"),
+         (["--trials", "100001"], "n_trials must be between 1 and 100000"),
+         (["--sample", "0"], "T must be >= 1"),
+         (["--seed", "-1"], "seed must be non-negative")],
+        ids=["reps", "trials", "sample", "seed"],
+    )
+    def test_bad_input_exit_2(self, script, capsys, args, message):
+        assert script.main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"

@@ -16,6 +16,7 @@ from fiscalsvar.dgp import (
     simulate_var,
 )
 from fiscalsvar.errors import (
+    ConfigError,
     DomainError,
     InferenceError,
     ShapeError,
@@ -198,8 +199,9 @@ class TestRecovery:
             assert np.all((0.0 <= cov) & (cov <= 1.0))
 
     def test_trial_count_validated(self):
-        with pytest.raises(DomainError):
-            monte_carlo_recovery(reference_spec(), 0)
+        for n_trials in (0, 100_001):
+            with pytest.raises(ConfigError, match="n_trials must be between 1 and 100000"):
+                monte_carlo_recovery(reference_spec(), n_trials)
 
 
 class TestStackedTrials:
