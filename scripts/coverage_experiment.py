@@ -7,8 +7,8 @@ contains the true cumulative multiplier. The defaults reproduce the
 release-gate numbers (300 trials x 1000 replications, about 90 s on
 two cores); pass smaller --trials/--reps for a quick look. A count
 outside 1..100000, or a --sample or --seed the reference system
-rejects, is a config error: one line on stderr and exit code 2, before
-anything is simulated.
+rejects, or an --out directory that cannot be created, is a config
+error: one line on stderr and exit code 2, before anything is simulated.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import time
 from pathlib import Path
 
 from fiscalsvar.bootstrap import BootstrapConfig
+from fiscalsvar.cli import _output_dir
 from fiscalsvar.dgp import RecoveryConfig, monte_carlo_recovery, reference_spec
 from fiscalsvar.errors import ConfigError, DomainError
 
@@ -36,6 +37,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = reference_spec(T=args.sample, seed=args.seed)
         config = RecoveryConfig(bootstrap=BootstrapConfig(replications=args.reps))
+        out = None if args.out is None else _output_dir(Path(args.out))
         start = time.perf_counter()
         report = monte_carlo_recovery(spec, args.trials, config)
     except (ConfigError, DomainError) as exc:  # DomainError: a bad --sample or --seed
@@ -59,9 +61,7 @@ def main(argv: list[str] | None = None) -> int:
             f"  {report.rmse[h]:>7.4f}{cells}"
         )
 
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(

@@ -60,8 +60,8 @@ MAX_REPLICATIONS = 100_000
 
 MAX_FAILURE_SHARE = 0.05
 
-# replications per stacked step; larger chunks buy little speed and cost
-# memory for the stacked designs
+# replications per stacked step; a chunk holds the designs and Q factors
+# of all its draws at once, so memory grows with chunk size times T
 CHUNK = 25
 
 
@@ -237,18 +237,7 @@ def point_fit(
     fit = stacked_fit(panel.X[None], panel.Z, model, horizons)
     if fit.failures:
         raise fit_error(*fit.failures[0], SHOCK)
-    k = panel.X.shape[1]
-    intercept, gammas, exog_coef = split_coefficients(fit.coef[0], model.lags, k)
-    estimate = VarEstimate(
-        p=model.lags,
-        k=k,
-        intercept=intercept,
-        gammas=gammas,
-        exog_coef=exog_coef,
-        residuals=fit.residuals[0],
-        sigma=fit.sigma[0],
-        sample_size=fit.residuals.shape[1],
-    )
+    estimate = VarEstimate.from_fit(fit.coef[0], fit.residuals[0], fit.sigma[0], model.lags)
     irfs = IrfSet(shock=SHOCK, ordering=model.ordering, responses=fit.responses[0])
     return estimate, irfs, MultiplierPath(values=fit.paths[0])
 
@@ -331,14 +320,15 @@ def significance_flags(
     bands: dict[int, np.ndarray], point: np.ndarray | MultiplierPath
 ) -> tuple[str, ...]:
     """Two-tier stars: '**' when the widest band excludes zero, '*' when
-    only the narrowest does, '' otherwise. Exclusion is strict.
+    only the narrowest does, '' otherwise. Exclusion is strict. A single
+    band is the narrow tier: its exclusions get '*'.
     """
     if not bands:
         raise ShapeError("need at least one band level")
     values = point.values if isinstance(point, MultiplierPath) else np.asarray(point)
-    strong = bands[max(bands)]
     weak = bands[min(bands)]
-    if strong.shape[-1] != values.shape[-1]:
+    strong = bands[max(bands)] if len(bands) > 1 else None
+    if weak.shape[-1] != values.shape[-1]:
         raise ShapeError("bands and point estimate disagree on horizon count")
 
     def excludes_zero(band, h):
@@ -346,7 +336,7 @@ def significance_flags(
 
     flags = []
     for h in range(values.shape[-1]):
-        if excludes_zero(strong, h):
+        if strong is not None and excludes_zero(strong, h):
             flags.append("**")
         elif excludes_zero(weak, h):
             flags.append("*")

@@ -210,30 +210,17 @@ def load_run_config(path) -> RunConfig:
 
 
 def config_hash(config: RunConfig) -> str:
-    """SHA-256 over the canonical JSON of the fields that change results.
-
-    The output directory is deliberately excluded: it does not affect a
-    single number in the bundle.
+    """SHA-256 over the canonical JSON of every :class:`RunConfig` field
+    but the output directory, which is deliberately excluded: it does not
+    affect a single number in the bundle.
     """
-    payload = {
-        "countries": [
-            {
-                "code": c.code,
-                "csv": str(c.csv),
-                "name": c.name,
-                "schema": c.schema or {},
-            }
-            for c in config.countries
-        ],
-        "window": [str(config.window[0]), str(config.window[1])],
-        "lags": config.lags,
-        "horizons": config.horizons,
-        "ordering": list(config.ordering),
-        "replications": config.replications,
-        "seed": config.seed,
-        "levels": list(config.levels),
-        "plots": config.plots,
-    }
+    payload = {f.name: getattr(config, f.name) for f in fields(RunConfig)}
+    del payload["output_dir"]
+    payload["countries"] = [
+        {"code": c.code, "csv": str(c.csv), "name": c.name, "schema": c.schema or {}}
+        for c in config.countries
+    ]
+    payload["window"] = [str(config.window[0]), str(config.window[1])]
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 

@@ -5,11 +5,12 @@ with exact impulse responses and multiplier paths to check the whole
 estimation chain against: least-squares recovery, identification,
 band coverage.
 
-Point-estimate Monte Carlo trials run in chunks of ``bootstrap.CHUNK``:
-one recursion simulates the chunk over a leading trial axis, each trial
-with its own exogenous columns Z, and :func:`bootstrap.stacked_fit`
-fits the chunk with the stages that fit a single panel; a trial fails
-when the stack reports a failing check for it.
+Monte Carlo trials run in chunks of ``bootstrap.CHUNK``: one recursion
+simulates the chunk over a leading trial axis, each trial with its own
+exogenous columns Z, and :func:`bootstrap.stacked_fit` fits the chunk
+with the stages that fit a single panel; a trial fails when the stack
+reports a failing check for it. Coverage trials then bootstrap only the
+trials the stack kept, each from its own row of the chunk.
 
 Determinism contract: trial t draws its shocks, then its exogenous
 columns, from its own stream seeded by ``SeedSequence([seed, t, 0])``,
@@ -197,8 +198,13 @@ def simulate_var(spec: DgpSpec, rng: np.random.Generator | None = None) -> Trans
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     X, Z = _simulate_panels(spec, [rng])
+    return _panel(spec, X[0], Z[0])
+
+
+def _panel(spec: DgpSpec, X: np.ndarray, Z: np.ndarray) -> TransformedPanel:
+    """One simulated panel, labelled as the spec's columns."""
     z_labels = tuple(f"z{j}" for j in range(spec.m))
-    return TransformedPanel(SYNTHETIC_START, X[0], Z[0], spec.labels, z_labels)
+    return TransformedPanel(SYNTHETIC_START, X, Z, spec.labels, z_labels)
 
 
 def analytic_irf(spec: DgpSpec, horizons: int, shock: str = SHOCK) -> IrfSet:
@@ -227,6 +233,10 @@ class RecoveryConfig:
     horizons: int = 20
     bootstrap: BootstrapConfig | None = None
 
+    def __post_init__(self):
+        if self.horizons < 1:
+            raise ConfigError("horizons must be >= 1")
+
 
 @dataclass(frozen=True)
 class RecoveryReport:
@@ -254,10 +264,11 @@ class RecoveryReport:
 
 
 def _trial_batch(ts, spec, model, horizons):
-    """Trials ``ts`` simulated and fitted as one stack: their
+    """Trials ``ts`` simulated and fitted as one stack: their panels X
+    (C, T, k) and Z (C, T, m), and their
     :class:`~fiscalsvar.bootstrap.StackedFit`."""
     X, Z = _simulate_panels(spec, [substream(spec.seed, t, 0) for t in ts])
-    return stacked_fit(X, Z, model, horizons)
+    return X, Z, stacked_fit(X, Z, model, horizons)
 
 
 def monte_carlo_recovery(
@@ -268,35 +279,37 @@ def monte_carlo_recovery(
     Trial t simulates with a substream hashed from (spec.seed, t); when a
     bootstrap config is supplied its master seed is re-derived per trial
     the same way, so the whole report is a pure function of the spec and
-    config. Estimation failures are counted, not fatal.
+    config. Estimation failures are counted, not fatal; a trial the
+    stacked fit fails is never bootstrapped.
     """
     if not 1 <= n_trials <= MAX_REPLICATIONS:
         raise ConfigError(f"n_trials must be between 1 and {MAX_REPLICATIONS}")
+    if config.horizons >= spec.T:
+        raise ConfigError(f"horizons ({config.horizons}) must be below the DGP's T ({spec.T})")
     truth = analytic_multipliers(spec, config.horizons)
     model = ModelSpec(ordering=spec.labels)
 
     rows = []
     covered: dict[int, list[np.ndarray]] = {}
     failures = 0
-    if config.bootstrap is None:
-        for start in range(0, n_trials, bootstrap.CHUNK):
-            ts = range(start, min(start + bootstrap.CHUNK, n_trials))
-            fit = _trial_batch(ts, spec, model, config.horizons)
-            failures += len(fit.failures)
-            rows.extend(np.delete(fit.paths, list(fit.failures), axis=0))
-    else:
-        for t in range(n_trials):
-            panel = simulate_var(spec, substream(spec.seed, t, 0))
-            boot_cfg = replace(config.bootstrap, seed=derive_seed(spec.seed, t, 1))
-            try:
-                result = bootstrap_inference(panel, boot_cfg, model)
-            except EstimationError:
+    for start in range(0, n_trials, bootstrap.CHUNK):
+        ts = range(start, min(start + bootstrap.CHUNK, n_trials))
+        X, Z, fit = _trial_batch(ts, spec, model, config.horizons)
+        for i, t in enumerate(ts):
+            if i in fit.failures:
                 failures += 1
                 continue
-            rows.append(result.point_multipliers.values)
-            for level, band in result.multiplier_bands.items():
-                hit = (band[0] <= truth.values) & (truth.values <= band[1])
-                covered.setdefault(level, []).append(hit)
+            if config.bootstrap is not None:
+                boot_cfg = replace(config.bootstrap, seed=derive_seed(spec.seed, t, 1))
+                try:
+                    result = bootstrap_inference(_panel(spec, X[i], Z[i]), boot_cfg, model)
+                except EstimationError:
+                    failures += 1
+                    continue
+                for level, band in result.multiplier_bands.items():
+                    hit = (band[0] <= truth.values) & (truth.values <= band[1])
+                    covered.setdefault(level, []).append(hit)
+            rows.append(fit.paths[i])
 
     if not rows:
         raise InferenceError(f"all {n_trials} trials failed")

@@ -55,6 +55,17 @@ class VarEstimate:
         if self.intercept.shape != (self.k,):
             raise ShapeError("intercept must have length k")
 
+    @classmethod
+    def from_fit(
+        cls, coef: np.ndarray, residuals: np.ndarray, sigma: np.ndarray, p: int
+    ) -> "VarEstimate":
+        """The estimate of one fit from its coefficients (n_reg, k), ordered
+        as the columns of :func:`design_blocks`, its residuals and its
+        residual covariance."""
+        k = coef.shape[-1]
+        intercept, gammas, exog_coef = split_coefficients(coef, p, k)
+        return cls(p, k, intercept, gammas, exog_coef, residuals, sigma, residuals.shape[0])
+
     @property
     def n_regressors(self) -> int:
         return 1 + self.p * self.k + self.exog_coef.shape[1]
@@ -173,23 +184,12 @@ def estimate_var(panel: TransformedPanel, p: int = 4) -> VarEstimate:
     """
     Y, W = lagged_design(panel, p)
     T_eff, n_reg = W.shape
-    k = Y.shape[1]
     if T_eff <= n_reg:
         raise fit_error("sample size", T_eff, n_reg)
     coef, residuals, rdiag = least_squares(W, Y)
     if rank_deficient(rdiag):
         raise fit_error("rank", value=float(rdiag.min()))
-    intercept, gammas, exog_coef = split_coefficients(coef, p, k)
-    return VarEstimate(
-        p=p,
-        k=k,
-        intercept=intercept,
-        gammas=gammas,
-        exog_coef=exog_coef,
-        residuals=residuals,
-        sigma=residual_cov(residuals, n_reg),
-        sample_size=T_eff,
-    )
+    return VarEstimate.from_fit(coef, residuals, residual_cov(residuals, n_reg), p)
 
 
 def residual_cov(residuals: np.ndarray, n_regressors: int) -> np.ndarray:

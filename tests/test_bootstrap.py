@@ -241,6 +241,10 @@ class TestSignificanceFlags:
         bands = {90: np.array([[0.0], [1.0]]), 68: np.array([[0.0], [0.8]])}
         assert significance_flags(bands, np.array([0.5])) == ("",)
 
+    def test_single_level_is_the_narrow_tier(self):
+        bands = {68: np.array([[0.1, -0.1], [0.5, 0.2]])}
+        assert significance_flags(bands, np.array([0.3, 0.05])) == ("*", "")
+
 
 class TestBootstrapInference:
     def test_chunk_size_invariance(self, panel, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 import fiscalsvar.cli as cli_mod
 from conftest import synthetic_levels, write_country_csv
 from fiscalsvar.cli import (
+    CountryEntry,
     RunConfig,
     config_hash,
     emit_table,
@@ -139,6 +140,20 @@ class TestConfigHash:
         a = load_run_config(write_config(tmp_path / "a.json", data_dir, replications=50))
         b = load_run_config(write_config(tmp_path / "b.json", data_dir, replications=51))
         assert config_hash(a) != config_hash(b)
+
+    def test_digest_pinned(self):
+        # every RunConfig field but output_dir enters the digest; a change
+        # to what is hashed, or how, shows here
+        config = RunConfig(
+            countries=(CountryEntry("cz", Path("/data/cz.csv"), "Czechia", {"G": "gov"}),
+                       CountryEntry("sk", Path("/data/sk.csv"))),
+            window=(Quarter(2000, 1), Quarter(2018, 4)), lags=2, horizons=12,
+            ordering=("T", "G", "Y", "i"), replications=500, seed=7, levels=(90, 68),
+            output_dir=Path("elsewhere"), plots=False,
+        )
+        assert config_hash(config) == (
+            "4a81d61ad695e57120b1ad1cf660208ef86713aa09e9e34bdc064f20724bf096"
+        )
 
 
 class TestEmitTable:
@@ -541,8 +556,10 @@ class TestCoverageScript:
         [(["--reps", "100001"], "replications must be between 1 and 100000"),
          (["--trials", "100001"], "n_trials must be between 1 and 100000"),
          (["--sample", "0"], "T must be >= 1"),
-         (["--seed", "-1"], "seed must be non-negative")],
-        ids=["reps", "trials", "sample", "seed"],
+         (["--seed", "-1"], "seed must be non-negative"),
+         (["--out", "/dev/null/x"],
+          "cannot create output directory: [Errno 20] Not a directory: '/dev/null/x'")],
+        ids=["reps", "trials", "sample", "seed", "out"],
     )
     def test_bad_input_exit_2(self, script, capsys, args, message):
         assert script.main(args) == 2

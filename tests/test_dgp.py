@@ -5,7 +5,7 @@ import pytest
 
 import fiscalsvar.bootstrap as bootstrap_mod
 import fiscalsvar.dgp as dgp_mod
-from fiscalsvar.bootstrap import BootstrapConfig, substream
+from fiscalsvar.bootstrap import BootstrapConfig, bootstrap_inference, derive_seed, substream
 from fiscalsvar.dgp import (
     DgpSpec,
     RecoveryConfig,
@@ -56,16 +56,33 @@ def per_trial_estimates(spec, n_trials, horizons=20):
     return np.stack(paths)
 
 
+def per_trial_coverage(spec, n_trials, config):
+    """The reference for stacked coverage trials: each trial simulated on
+    its own stream and bootstrapped from the public one-panel form.
+    Returns the estimate rows and the per-level coverage."""
+    truth = analytic_multipliers(spec, config.horizons).values
+    rows, hits = [], {}
+    for t in range(n_trials):
+        panel = simulate_var(spec, substream(spec.seed, t, 0))
+        boot = replace(config.bootstrap, seed=derive_seed(spec.seed, t, 1))
+        result = bootstrap_inference(panel, boot)
+        rows.append(result.point_multipliers.values)
+        for level, band in result.multiplier_bands.items():
+            hits.setdefault(level, []).append((band[0] <= truth) & (truth <= band[1]))
+    coverage = {level: np.mean(np.stack(h), axis=0) for level, h in hits.items()}
+    return np.stack(rows), coverage
+
+
 def fail_trials(monkeypatch, failing):
     """Make the stacked classification fail ``failing`` trials at the rank
     check, as if their designs had lost rank."""
     real = dgp_mod._trial_batch
 
     def batch(ts, *args):
-        fit = real(ts, *args)
+        X, Z, fit = real(ts, *args)
         for i in np.flatnonzero(np.isin(ts, sorted(failing))):
             fit.failures[int(i)] = ("rank", 0, 0.0)
-        return fit
+        return X, Z, fit
 
     monkeypatch.setattr(dgp_mod, "_trial_batch", batch)
 
@@ -203,10 +220,19 @@ class TestRecovery:
             with pytest.raises(ConfigError, match="n_trials must be between 1 and 100000"):
                 monte_carlo_recovery(reference_spec(), n_trials)
 
+    def test_horizons_validated(self):
+        with pytest.raises(ConfigError, match="horizons must be >= 1"):
+            RecoveryConfig(horizons=0)
+        spec = reference_spec()
+        for horizons in (spec.T, 10**13):
+            message = rf"horizons \({horizons}\) must be below the DGP's T \(84\)"
+            with pytest.raises(ConfigError, match=message):
+                monte_carlo_recovery(spec, 3, RecoveryConfig(horizons=horizons))
+
 
 class TestStackedTrials:
-    """Point-estimate trials run in stacked chunks yet equal the
-    single-trial path bit for bit; the stack alone decides which fail."""
+    """Trials run in stacked chunks yet equal the single-trial path bit
+    for bit; the stack alone decides which fail."""
 
     @pytest.mark.parametrize("spec", [reference_spec(seed=11), exog_spec(seed=4)],
                              ids=["reference", "exogenous"])
@@ -237,4 +263,35 @@ class TestStackedTrials:
         # 10 rows leave 6 for 17 regressors: the stack fails every trial
         # at its sample-size check
         with pytest.raises(InferenceError, match="all 3 trials failed"):
-            monte_carlo_recovery(reference_spec(T=10), 3)
+            monte_carlo_recovery(reference_spec(T=10), 3, RecoveryConfig(horizons=5))
+
+    def test_coverage_trials_equal_per_trial_path(self, monkeypatch):
+        spec = reference_spec(seed=2)
+        config = RecoveryConfig(bootstrap=BootstrapConfig(replications=30))
+        want, want_coverage = per_trial_coverage(spec, 9, config)
+        for chunk in (1, 7, 25):
+            monkeypatch.setattr(bootstrap_mod, "CHUNK", chunk)
+            rep = monte_carlo_recovery(spec, 9, config)
+            assert rep.failures == 0
+            assert np.array_equal(rep.estimates, want), chunk
+            assert rep.coverage.keys() == want_coverage.keys()
+            for level, cov in want_coverage.items():
+                assert np.array_equal(rep.coverage[level], cov), (chunk, level)
+
+    def test_stack_failed_trials_not_bootstrapped(self, monkeypatch):
+        spec = reference_spec(seed=5)
+        config = RecoveryConfig(bootstrap=BootstrapConfig(replications=20))
+        want, _ = per_trial_coverage(spec, 8, config)
+        seeds = []
+
+        def recording(panel, boot, model):
+            seeds.append(boot.seed)
+            return bootstrap_inference(panel, boot, model)
+
+        monkeypatch.setattr(bootstrap_mod, "CHUNK", 3)
+        monkeypatch.setattr(dgp_mod, "bootstrap_inference", recording)
+        fail_trials(monkeypatch, {1, 6})
+        rep = monte_carlo_recovery(spec, 8, config)
+        assert rep.failures == 2
+        assert seeds == [derive_seed(spec.seed, t, 1) for t in (0, 2, 3, 4, 5, 7)]
+        assert np.array_equal(rep.estimates, np.delete(want, [1, 6], axis=0))
