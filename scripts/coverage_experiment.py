@@ -13,14 +13,12 @@ error: one line on stderr and exit code 2, before anything is simulated.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 import time
 from pathlib import Path
 
 from fiscalsvar.bootstrap import BootstrapConfig
-from fiscalsvar.cli import _output_dir
+from fiscalsvar.cli import _csv_text, _g17, _output_dir
 from fiscalsvar.dgp import RecoveryConfig, monte_carlo_recovery, reference_spec
 from fiscalsvar.errors import ConfigError, DomainError
 
@@ -62,19 +60,15 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     if out is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["h", "analytic", "median_abs_error", "rmse"]
-            + [f"coverage{lv}" for lv in levels]
-        )
+        rows = [["h", "analytic", "median_abs_error", "rmse"]
+                + [f"coverage{lv}" for lv in levels]]
         for h in range(len(report.analytic)):
-            writer.writerow(
-                [h + 1, f"{report.analytic[h]:.17g}",
-                 f"{report.median_abs_error[h]:.17g}", f"{report.rmse[h]:.17g}"]
-                + [f"{report.coverage[lv][h]:.17g}" for lv in levels]
+            rows.append(
+                [h + 1, _g17(report.analytic[h]),
+                 _g17(report.median_abs_error[h]), _g17(report.rmse[h])]
+                + [_g17(report.coverage[lv][h]) for lv in levels]
             )
-        (out / "coverage.csv").write_text(buf.getvalue(), encoding="utf-8")
+        (out / "coverage.csv").write_text(_csv_text(rows), encoding="utf-8")
         print(f"wrote {out / 'coverage.csv'}")
     return 0
 

@@ -6,14 +6,15 @@ and exogenous values held at their actual values), re-estimates and
 re-identifies, and records the replication's IRF and multiplier path.
 Percentile bands are read off the pooled replication draws.
 
-Replications run in chunks of ``CHUNK`` draws through
-:func:`stacked_fit`, which chains the stack-native stages of
-:mod:`fiscalsvar.var` and :mod:`fiscalsvar.svar`; the point estimate is
-the same function on a stack of one, and Monte Carlo trials use it as
-well. The stack reports, per draw, the first check that fails (sample
-size, a non-finite panel, rank, pivot, multiplier denominator, a
-non-finite result) in the order the single-fit functions run them, and
-that report alone decides which draws fail and with which error.
+Replications and Monte Carlo trials alike run through :func:`fit_draws`,
+the one loop that knows the chunk size: it simulates ``CHUNK`` draws at
+a time and fits them with :func:`stacked_fit`, which chains the
+stack-native stages of :mod:`fiscalsvar.var` and :mod:`fiscalsvar.svar`;
+the point estimate is the same function on a stack of one. The stack
+reports, per draw, the first check that fails (sample size, a non-finite
+panel, rank, pivot, multiplier denominator, a non-finite result) in the
+order the single-fit functions run them, and that report alone decides
+which draws fail and with which error.
 
 Determinism contract: replication r draws its residual rows from its own
 stream seeded by ``SeedSequence([seed, r])``, and every stacked stage
@@ -60,7 +61,7 @@ MAX_REPLICATIONS = 100_000
 
 MAX_FAILURE_SHARE = 0.05
 
-# replications per stacked step; a chunk holds the designs and Q factors
+# draws per step of fit_draws; a chunk holds the designs and Q factors
 # of all its draws at once, so memory grows with chunk size times T
 CHUNK = 25
 
@@ -345,14 +346,21 @@ def significance_flags(
     return tuple(flags)
 
 
-def _replication_batch(rs, estimate, panel, model, config):
-    """Replications ``rs`` simulated and fitted as one stack: their
-    :class:`StackedFit`."""
-    U = estimate.residuals
-    n = U.shape[0]
-    idx = np.stack([substream(config.seed, r).integers(0, n, size=n) for r in rs])
-    X = _simulate(estimate, U[idx], panel.X[: estimate.p], panel.Z)
-    return stacked_fit(X, panel.Z, model, config.horizons)
+def fit_draws(n: int, simulate, model: ModelSpec, horizons: int):
+    """Draws 0..n-1 in chunks of ``CHUNK``: for each chunk, its indices,
+    the panels X (C, T, k) and Z that ``simulate(indices)`` returns, their
+    :class:`StackedFit` and the failed draws as {index: "Type: message"},
+    in index order. Each chunk is simulated only when the caller asks."""
+    for start in range(0, n, CHUNK):
+        indices = np.arange(start, min(start + CHUNK, n))
+        with np.errstate(all="ignore"):  # an overflowing draw fails as non-finite
+            X, Z = simulate(indices)
+            fit = stacked_fit(X, Z, model, horizons)
+        failed = {}
+        for i, failure in sorted(fit.failures.items()):
+            exc = fit_error(*failure, SHOCK)
+            failed[int(indices[i])] = f"{type(exc).__name__}: {exc}"
+        yield indices, X, Z, fit, failed
 
 
 def bootstrap_inference(
@@ -371,17 +379,17 @@ def bootstrap_inference(
         panel = panel.reordered(model.ordering)
     estimate, point_irf, point_m = point_fit(panel, model, config.horizons)
 
-    chunks = []
-    failed: dict[int, str] = {}
-    for start in range(0, config.replications, CHUNK):
-        rs = np.arange(start, min(start + CHUNK, config.replications))
-        with np.errstate(all="ignore"):  # an overflowing draw fails as non-finite
-            fit = _replication_batch(rs, estimate, panel, model, config)
-        keep = np.ones(len(rs), dtype=bool)
-        for i, failure in sorted(fit.failures.items()):
-            exc = fit_error(*failure, SHOCK)
-            failed[int(rs[i])] = f"{type(exc).__name__}: {exc}"
-            keep[i] = False
+    U = estimate.residuals
+
+    def resample(rs):
+        idx = np.stack([substream(config.seed, r).integers(0, len(U), size=len(U)) for r in rs])
+        return _simulate(estimate, U[idx], panel.X[: estimate.p], panel.Z), panel.Z
+
+    chunks, failed = [], {}
+    draws = fit_draws(config.replications, resample, model, config.horizons)
+    for rs, _, _, fit, chunk_failed in draws:
+        failed.update(chunk_failed)
+        keep = ~np.isin(rs, list(chunk_failed))
         stable = spectral_radius(fit.companion[keep]) < 1.0
         chunks.append((rs[keep], fit.responses[keep], fit.paths[keep], stable))
 
@@ -390,11 +398,7 @@ def bootstrap_inference(
             f"{len(failed)} of {config.replications} replications failed "
             f"(limit {MAX_FAILURE_SHARE:.0%}); first: {next(iter(failed.values()))}"
         )
-    order, irf_draws, multipliers, stable = (
-        np.concatenate(parts) for parts in zip(*chunks)
-    )
-    if not order.size:
-        raise InferenceError("no successful replications")
+    order, irf_draws, multipliers, stable = map(np.concatenate, zip(*chunks))
     unstable = int(np.count_nonzero(~stable))
 
     m_bands = quantile_bands(multipliers, config.levels)

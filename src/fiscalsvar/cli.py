@@ -47,12 +47,24 @@ EXIT_DATA = 3
 EXIT_ESTIMATION = 4
 
 
+# a country code names the country's output files, so it is held to
+# characters that are a plain file-name fragment on every platform
+_CODE_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-.")
+
+
 @dataclass(frozen=True)
 class CountryEntry:
     code: str
     csv: Path
     name: str = ""
     schema: dict | None = None
+
+    def __post_init__(self):
+        if not (isinstance(self.code, str) and self.code and set(self.code) <= _CODE_CHARS):
+            raise ConfigError(
+                f"country code {self.code!r} must be a non-empty string of ASCII "
+                "letters, digits, '_', '-' or '.'"
+            )
 
     @property
     def display(self) -> str:
@@ -167,7 +179,7 @@ def load_run_config(path) -> RunConfig:
             raise ConfigError(f"{path}: countries[{i}]: csv must be a path string") from None
         entries.append(
             CountryEntry(
-                code=str(item["code"]),
+                code=item["code"],
                 csv=csv_path,
                 name=str(item.get("name", "")),
                 schema=schema,

@@ -5,12 +5,12 @@ with exact impulse responses and multiplier paths to check the whole
 estimation chain against: least-squares recovery, identification,
 band coverage.
 
-Monte Carlo trials run in chunks of ``bootstrap.CHUNK``: one recursion
-simulates the chunk over a leading trial axis, each trial with its own
-exogenous columns Z, and :func:`bootstrap.stacked_fit` fits the chunk
-with the stages that fit a single panel; a trial fails when the stack
-reports a failing check for it. Coverage trials then bootstrap only the
-trials the stack kept, each from its own row of the chunk.
+Monte Carlo trials run through the bootstrap's draw loop,
+:func:`~fiscalsvar.bootstrap.fit_draws` (its module docstring describes
+the chunks): one recursion simulates a chunk of trials, each with its
+own exogenous columns Z, and a trial fails when the stack reports a
+failing check for it. Coverage trials then bootstrap only the trials
+the stack kept, each from its own row of the chunk.
 
 Determinism contract: trial t draws its shocks, then its exogenous
 columns, from its own stream seeded by ``SeedSequence([seed, t, 0])``,
@@ -23,14 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bootstrap
 from .bootstrap import (
     MAX_REPLICATIONS,
     BootstrapConfig,
     ModelSpec,
     bootstrap_inference,
     derive_seed,
-    stacked_fit,
+    fit_draws,
     substream,
 )
 from .errors import (
@@ -263,14 +262,6 @@ class RecoveryReport:
             object.__setattr__(self, name, arr)
 
 
-def _trial_batch(ts, spec, model, horizons):
-    """Trials ``ts`` simulated and fitted as one stack: their panels X
-    (C, T, k) and Z (C, T, m), and their
-    :class:`~fiscalsvar.bootstrap.StackedFit`."""
-    X, Z = _simulate_panels(spec, [substream(spec.seed, t, 0) for t in ts])
-    return X, Z, stacked_fit(X, Z, model, horizons)
-
-
 def monte_carlo_recovery(
     spec: DgpSpec, n_trials: int, config: RecoveryConfig = RecoveryConfig()
 ) -> RecoveryReport:
@@ -289,30 +280,29 @@ def monte_carlo_recovery(
     truth = analytic_multipliers(spec, config.horizons)
     model = ModelSpec(ordering=spec.labels)
 
-    rows = []
-    covered: dict[int, list[np.ndarray]] = {}
-    failures = 0
-    for start in range(0, n_trials, bootstrap.CHUNK):
-        ts = range(start, min(start + bootstrap.CHUNK, n_trials))
-        X, Z, fit = _trial_batch(ts, spec, model, config.horizons)
-        for i, t in enumerate(ts):
-            if i in fit.failures:
-                failures += 1
+    def draw(ts):
+        return _simulate_panels(spec, [substream(spec.seed, t, 0) for t in ts])
+
+    rows, covered, failed = [], {}, {}
+    for ts, X, Z, fit, chunk_failed in fit_draws(n_trials, draw, model, config.horizons):
+        failed.update(chunk_failed)
+        for i, t in enumerate(ts.tolist()):
+            if t in chunk_failed:
                 continue
             if config.bootstrap is not None:
                 boot_cfg = replace(config.bootstrap, seed=derive_seed(spec.seed, t, 1))
                 try:
                     result = bootstrap_inference(_panel(spec, X[i], Z[i]), boot_cfg, model)
-                except EstimationError:
-                    failures += 1
+                except EstimationError as exc:
+                    failed[t] = f"{type(exc).__name__}: {exc}"
                     continue
                 for level, band in result.multiplier_bands.items():
                     hit = (band[0] <= truth.values) & (truth.values <= band[1])
                     covered.setdefault(level, []).append(hit)
             rows.append(fit.paths[i])
 
-    if not rows:
-        raise InferenceError(f"all {n_trials} trials failed")
+    if not rows:  # every trial failed, trial 0 among them
+        raise InferenceError(f"all {n_trials} trials failed; first: {failed[0]}")
     estimates = np.stack(rows)
     errors = estimates - truth.values
     coverage = None
@@ -324,7 +314,7 @@ def monte_carlo_recovery(
         analytic=truth.values,
         estimates=estimates,
         n_trials=n_trials,
-        failures=failures,
+        failures=len(failed),
         median_bias=np.median(errors, axis=0),
         median_abs_error=np.median(np.abs(errors), axis=0),
         rmse=np.sqrt(np.mean(errors**2, axis=0)),

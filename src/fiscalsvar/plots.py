@@ -109,6 +109,7 @@ def render_band_plot(
         f'<rect width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" fill="#ffffff"/>',
     ]
     if title:
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(
             f'<text x="{_fmt(WIDTH / 2)}" y="20" font-family="sans-serif" '
             f'font-size="14" text-anchor="middle">{title}</text>'

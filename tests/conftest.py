@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 
+from fiscalsvar.errors import fit_error
 from fiscalsvar.ingest import SERIES_UNITS
 from fiscalsvar.series import Quarter
 
@@ -48,3 +49,20 @@ def write_country_csv(path, columns: dict[str, list], header: list[str] | None =
             writer.writerow(
                 [columns[name][i] if name in columns else "" for name in names]
             )
+
+
+def fail_draws(monkeypatch, module, failing):
+    """Make the shared draw loop, as ``module`` looks it up, fail the draws
+    ``failing`` at the rank check, as if their designs had lost rank; the
+    loop other modules call is left as it is."""
+    real = module.fit_draws
+    exc = fit_error("rank", 0, 0.0)
+
+    def draws(*args):
+        for indices, X, Z, fit, failed in real(*args):
+            for t in indices.tolist():
+                if t in failing:
+                    failed[t] = f"{type(exc).__name__}: {exc}"
+            yield indices, X, Z, fit, dict(sorted(failed.items()))
+
+    monkeypatch.setattr(module, "fit_draws", draws)

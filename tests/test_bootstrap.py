@@ -5,11 +5,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fiscalsvar.bootstrap as bootstrap_mod
+from conftest import fail_draws
 from fiscalsvar.bootstrap import (
     BootstrapConfig,
     ModelSpec,
     bootstrap_inference,
     derive_seed,
+    fit_draws,
     point_fit,
     quantile_bands,
     resample_residuals,
@@ -70,20 +72,6 @@ def reference_draw(r, estimate, panel, config, model=ModelSpec()):
     )
     est, responses, path = single_fit(panel_star, model, config.horizons)
     return responses, path.values, stability(est)[1]
-
-
-def fail_draws(monkeypatch, replications):
-    """Make the stacked classification fail ``replications`` at the rank
-    check, as if their designs had lost rank."""
-    real = bootstrap_mod._replication_batch
-
-    def batch(rs, *args):
-        fit = real(rs, *args)
-        for i in np.flatnonzero(np.isin(rs, sorted(replications))):
-            fit.failures[int(i)] = ("rank", 0, 0.0)
-        return fit
-
-    monkeypatch.setattr(bootstrap_mod, "_replication_batch", batch)
 
 
 def explosive_panel():
@@ -246,6 +234,44 @@ class TestSignificanceFlags:
         assert significance_flags(bands, np.array([0.3, 0.05])) == ("*", "")
 
 
+class TestFitDraws:
+    """The one chunked simulate-and-fit loop behind replications and
+    trials."""
+
+    @pytest.mark.parametrize(
+        "n, chunk",
+        [(1, bootstrap_mod.CHUNK), (bootstrap_mod.CHUNK, bootstrap_mod.CHUNK),
+         (bootstrap_mod.CHUNK + 1, bootstrap_mod.CHUNK), (53, 7)],
+    )
+    def test_each_draw_once_in_order(self, panel, monkeypatch, n, chunk):
+        monkeypatch.setattr(bootstrap_mod, "CHUNK", chunk)
+        # draws on both sides of the first two chunk edges, and the last
+        bad = {0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, n - 1} & set(range(n))
+        seen = []
+
+        def simulate(indices):
+            seen.append(indices.tolist())
+            X = np.repeat(panel.X[None], len(indices), axis=0)
+            X[np.isin(indices, sorted(bad)), 0, 0] = np.nan
+            return X, panel.Z
+
+        _, _, point = point_fit(panel, ModelSpec(), 20)
+        failed = {}
+        for indices, X, Z, fit, chunk_failed in fit_draws(n, simulate, ModelSpec(), 20):
+            assert X.shape[0] == fit.paths.shape[0] == len(indices) <= chunk
+            assert list(chunk_failed) == sorted(bad & set(indices.tolist()))
+            for i, t in enumerate(indices.tolist()):
+                if t not in chunk_failed:
+                    assert np.array_equal(fit.paths[i], point.values), t
+            failed.update(chunk_failed)
+        assert [t for indices in seen for t in indices] == list(range(n))
+        assert all(len(indices) == chunk for indices in seen[:-1])
+        assert list(failed) == sorted(bad)
+        assert set(failed.values()) == {
+            "NonFiniteError: simulated panel holds non-finite values"
+        }
+
+
 class TestBootstrapInference:
     def test_chunk_size_invariance(self, panel, monkeypatch):
         cfg = BootstrapConfig(replications=64, seed=5)
@@ -303,12 +329,12 @@ class TestBootstrapInference:
             )
 
     def test_failure_budget_enforced(self, panel, monkeypatch):
-        fail_draws(monkeypatch, set(range(0, 100, 10)))
+        fail_draws(monkeypatch, bootstrap_mod, set(range(0, 100, 10)))
         with pytest.raises(InferenceError, match="failed"):
             bootstrap_inference(panel, BootstrapConfig(replications=100, seed=3))
 
     def test_few_failures_tolerated(self, panel, monkeypatch):
-        fail_draws(monkeypatch, {3, 15})
+        fail_draws(monkeypatch, bootstrap_mod, {3, 15})
         res = bootstrap_inference(panel, BootstrapConfig(replications=100, seed=3))
         assert res.n_failed == 2
         assert sorted(res.failed) == [3, 15]

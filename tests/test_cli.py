@@ -12,6 +12,7 @@ from fiscalsvar.cli import (
     CountryEntry,
     RunConfig,
     config_hash,
+    country_seed,
     emit_table,
     load_run_config,
     main,
@@ -400,6 +401,28 @@ class TestMainExitCodes:
         assert main(["estimate", "--config", str(path), *flags]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "replications must be between 1 and 100000" in err
+
+    @pytest.mark.parametrize("code", ["a/b", "x\u0000y", "", 5],
+                             ids=["slash", "nul", "empty", "int"])
+    @pytest.mark.parametrize("command", ["validate", "estimate"])
+    def test_unsafe_country_code_exit_2(self, tmp_path, data_dir, capsys, monkeypatch,
+                                        code, command):
+        def never(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli_mod, "run_pipeline", never)
+        countries = [{"code": code, "csv": str(data_dir / "cz.csv")}]
+        path = write_config(tmp_path / "c.json", data_dir, countries=countries)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: country code {code!r} must be")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_country_seed_pinned(self):
+        # checking the code leaves every valid code's seed as it was
+        assert country_seed(0, "cz") == 124092031310803917971222771590101180118
+        assert country_seed(7, "Bos-nia_2.x") == 1228698874261105946313452040757140868
 
     def test_estimate_with_filter_and_overrides(self, tmp_path, data_dir, capsys):
         path = write_config(tmp_path / "c.json", data_dir)

@@ -5,6 +5,7 @@ import pytest
 
 import fiscalsvar.bootstrap as bootstrap_mod
 import fiscalsvar.dgp as dgp_mod
+from conftest import fail_draws
 from fiscalsvar.bootstrap import BootstrapConfig, bootstrap_inference, derive_seed, substream
 from fiscalsvar.dgp import (
     DgpSpec,
@@ -71,20 +72,6 @@ def per_trial_coverage(spec, n_trials, config):
             hits.setdefault(level, []).append((band[0] <= truth) & (truth <= band[1]))
     coverage = {level: np.mean(np.stack(h), axis=0) for level, h in hits.items()}
     return np.stack(rows), coverage
-
-
-def fail_trials(monkeypatch, failing):
-    """Make the stacked classification fail ``failing`` trials at the rank
-    check, as if their designs had lost rank."""
-    real = dgp_mod._trial_batch
-
-    def batch(ts, *args):
-        X, Z, fit = real(ts, *args)
-        for i in np.flatnonzero(np.isin(ts, sorted(failing))):
-            fit.failures[int(i)] = ("rank", 0, 0.0)
-        return X, Z, fit
-
-    monkeypatch.setattr(dgp_mod, "_trial_batch", batch)
 
 
 class TestDgpSpec:
@@ -248,21 +235,35 @@ class TestStackedTrials:
         spec = reference_spec(seed=5)
         want = per_trial_estimates(spec, 30)
         monkeypatch.setattr(bootstrap_mod, "CHUNK", 7)
-        fail_trials(monkeypatch, {3, 29})
+        fail_draws(monkeypatch, dgp_mod, {3, 29})
         rep = monte_carlo_recovery(spec, 30)
         assert rep.failures == 2
         assert np.array_equal(rep.estimates, np.delete(want, [3, 29], axis=0))
 
     def test_every_trial_failing_raises(self, monkeypatch):
         monkeypatch.setattr(bootstrap_mod, "CHUNK", 2)
-        fail_trials(monkeypatch, range(5))
+        fail_draws(monkeypatch, dgp_mod, range(5))
         with pytest.raises(InferenceError, match="all 5 trials failed"):
             monte_carlo_recovery(reference_spec(seed=1), 5)
+
+    def test_all_failed_error_names_first_failure(self, monkeypatch):
+        # the stack fails trials 1 and 2 before trial 0 fails in its
+        # bootstrap; the message quotes trial 0, the first by index
+        def failing(panel, boot, model):
+            raise InferenceError("2 of 20 replications failed")
+
+        monkeypatch.setattr(dgp_mod, "bootstrap_inference", failing)
+        fail_draws(monkeypatch, dgp_mod, {1, 2})
+        config = RecoveryConfig(bootstrap=BootstrapConfig(replications=20))
+        message = "all 3 trials failed; first: InferenceError: 2 of 20 replications failed$"
+        with pytest.raises(InferenceError, match=message):
+            monte_carlo_recovery(reference_spec(seed=3), 3, config)
 
     def test_sample_too_short_for_lags(self):
         # 10 rows leave 6 for 17 regressors: the stack fails every trial
         # at its sample-size check
-        with pytest.raises(InferenceError, match="all 3 trials failed"):
+        message = "all 3 trials failed; first: SampleSizeError: 6 usable rows for 17 regressors"
+        with pytest.raises(InferenceError, match=message):
             monte_carlo_recovery(reference_spec(T=10), 3, RecoveryConfig(horizons=5))
 
     def test_coverage_trials_equal_per_trial_path(self, monkeypatch):
@@ -290,7 +291,7 @@ class TestStackedTrials:
 
         monkeypatch.setattr(bootstrap_mod, "CHUNK", 3)
         monkeypatch.setattr(dgp_mod, "bootstrap_inference", recording)
-        fail_trials(monkeypatch, {1, 6})
+        fail_draws(monkeypatch, dgp_mod, {1, 6})
         rep = monte_carlo_recovery(spec, 8, config)
         assert rep.failures == 2
         assert seeds == [derive_seed(spec.seed, t, 1) for t in (0, 2, 3, 4, 5, 7)]

@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,13 @@ class TestRenderBandPlot:
         b = render_band_plot(x, point, bands, title="t", path=tmp_path / "b.svg")
         assert a == b
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+
+    def test_title_escaped(self):
+        x, point, bands = sample_args()
+        title = "Bosnia & Herzegovina: <m> > 1"
+        root = ET.fromstring(render_band_plot(x, point, bands, title=title))
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0] == title
 
     def test_svg_11_header(self):
         x, point, bands = sample_args()
