@@ -34,7 +34,7 @@ from scipy.optimize import least_squares
 from fiscalsvar.bootstrap import BootstrapConfig, ModelSpec, bootstrap_inference
 from fiscalsvar.cli import country_seed
 from fiscalsvar.dgp import DgpSpec, analytic_multipliers
-from fiscalsvar.ingest import SERIES_UNITS, build_panel, load_csv
+from fiscalsvar.ingest import SERIES, build_panel, load_csv
 from fiscalsvar.series import Quarter
 
 N_QUARTERS = 84
@@ -261,7 +261,7 @@ def invert_levels(code: str, X: np.ndarray, us_levels: dict[str, np.ndarray]) ->
 
 
 def write_csv(path: Path, columns: dict) -> None:
-    names = ["date"] + list(SERIES_UNITS)
+    names = ["date"] + list(SERIES)
     lines = [",".join(names)]
     for i in range(N_QUARTERS):
         cells = [columns["date"][i]]

@@ -65,6 +65,16 @@ class CountryEntry:
                 f"country code {self.code!r} must be a non-empty string of ASCII "
                 "letters, digits, '_', '-' or '.'"
             )
+        # the name titles the SVG plots and heads the table: XML allows no
+        # C0 control character, U+FFFE or U+FFFF, and UTF-8 no lone surrogate
+        name = self.name
+        if not isinstance(name, str) or any(
+            c < " " or "\ud7ff" < c < "\ue000" or c in "\ufffe\uffff" for c in name
+        ):
+            raise ConfigError(
+                f"country {self.code}: name {name!r} must be a string without control "
+                "characters, U+FFFE, U+FFFF or lone surrogates"
+            )
 
     @property
     def display(self) -> str:
@@ -181,7 +191,7 @@ def load_run_config(path) -> RunConfig:
             CountryEntry(
                 code=item["code"],
                 csv=csv_path,
-                name=str(item.get("name", "")),
+                name=item.get("name", ""),
                 schema=schema,
             )
         )

@@ -235,6 +235,11 @@ class RecoveryConfig:
     def __post_init__(self):
         if self.horizons < 1:
             raise ConfigError("horizons must be >= 1")
+        if self.bootstrap is not None and self.bootstrap.horizons != self.horizons:
+            raise ConfigError(
+                f"bootstrap horizons ({self.bootstrap.horizons}) must equal the "
+                f"recovery horizons ({self.horizons})"
+            )
 
 
 @dataclass(frozen=True)

@@ -32,14 +32,6 @@ class UnstableDgpError(ConfigError):
     """Synthetic-data generator parameters imply an explosive process."""
 
 
-class UnitError(DataError):
-    """Series has the wrong unit tag for an operation."""
-
-
-class AlignmentError(DataError):
-    """Two series do not share the same start quarter and length."""
-
-
 class DomainError(DataError):
     """A value is outside the mathematically admissible domain (e.g. CPI <= 0)."""
 

@@ -17,35 +17,30 @@ import numpy as np
 from .errors import (
     CsvParseError,
     DataError,
+    DomainError,
+    InsufficientDataError,
     QuarterGapError,
     SchemaError,
     ShapeError,
     WindowCoverageError,
 )
-from .series import (
-    Quarter,
-    QuarterlySeries,
-    Unit,
-    deflate,
-    first_difference,
-    hall_transform,
-    net_expenditure,
-)
+from .series import Quarter
 
 DATE_COLUMN = "date"
 
-# canonical series name -> unit of the raw column
-SERIES_UNITS = {
-    "total_expenditure": Unit.LEVEL,
-    "subsidies": Unit.LEVEL,
-    "vat": Unit.LEVEL,
-    "gdp": Unit.LEVEL,
-    "cpi": Unit.INDEX,
-    "short_rate": Unit.RATE,
-    "us_gdp": Unit.LEVEL,
-    "us_inflation": Unit.RATE,
-    "us_short_rate": Unit.RATE,
-}
+# canonical raw series names, in a canonical file's column order: cpi is
+# an index, short_rate and the two US rates are rates, the rest currency
+SERIES = (
+    "total_expenditure",
+    "subsidies",
+    "vat",
+    "gdp",
+    "cpi",
+    "short_rate",
+    "us_gdp",
+    "us_inflation",
+    "us_short_rate",
+)
 
 X_LABELS = ("G", "T", "Y", "i")
 Z_LABELS = ("us_gdp_growth", "us_inflation", "us_short_rate_diff")
@@ -56,18 +51,13 @@ GROWTH_SANITY_BOUND = 0.25
 
 @dataclass(frozen=True)
 class MacroDataset:
-    """All raw series for one country, on a common quarterly index."""
+    """All raw series for one country on one contiguous quarterly index:
+    ``values[name][i]`` is series ``name`` at quarter ``start + i``, for
+    every name in :data:`SERIES`, as a read-only float array."""
 
     country: str
-    total_expenditure: QuarterlySeries
-    subsidies: QuarterlySeries
-    vat: QuarterlySeries
-    gdp: QuarterlySeries
-    cpi: QuarterlySeries
-    short_rate: QuarterlySeries
-    us_gdp: QuarterlySeries
-    us_inflation: QuarterlySeries
-    us_short_rate: QuarterlySeries
+    start: Quarter
+    values: dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -121,7 +111,7 @@ class TransformedPanel:
 def default_schema() -> dict[str, str]:
     """Identity column map: canonical names are used as CSV headers."""
     schema = {DATE_COLUMN: DATE_COLUMN}
-    schema.update({name: name for name in SERIES_UNITS})
+    schema.update({name: name for name in SERIES})
     return schema
 
 
@@ -171,7 +161,7 @@ def load_csv(path, schema: dict[str, str] | None = None, country: str = "") -> M
         except ValueError as exc:
             raise CsvParseError(f"{path}:{lineno}: bad date cell: {exc}") from None
         values = {}
-        for name in SERIES_UNITS:
+        for name in SERIES:
             cell = row[positions[name]]
             try:
                 values[name] = float(cell)
@@ -198,14 +188,17 @@ def load_csv(path, schema: dict[str, str] | None = None, country: str = "") -> M
         if cur != prev + 1:
             raise QuarterGapError(f"{path}: gap in quarters, missing {prev + 1}")
 
-    start = quarters[0]
-    series = {
-        name: QuarterlySeries(
-            start, np.array([vals[name] for _, vals in rows]), SERIES_UNITS[name]
-        )
-        for name in SERIES_UNITS
-    }
-    return MacroDataset(country=country, **series)
+    columns = {}
+    for name in SERIES:
+        columns[name] = np.array([vals[name] for _, vals in rows])
+        columns[name].setflags(write=False)
+    return MacroDataset(country, quarters[0], columns)
+
+
+def _require_positive(values: np.ndarray, start: Quarter, what: str):
+    if np.any(values <= 0.0):
+        bad = int(np.argmax(values <= 0.0))
+        raise DomainError(f"{what} must be strictly positive, got {values[bad]} at {start + bad}")
 
 
 def build_panel(data: MacroDataset, window: tuple[Quarter, Quarter]) -> TransformedPanel:
@@ -213,7 +206,7 @@ def build_panel(data: MacroDataset, window: tuple[Quarter, Quarter]) -> Transfor
 
     The endogenous columns are, in identification order:
 
-    * G: real net expenditure (total minus subsidies, CPI-deflated),
+    * G: real net expenditure (total minus subsidies, divided by the CPI),
       first-differenced and scaled by lagged real GDP
     * T: real VAT revenue, same transform
     * Y: real GDP quarterly growth rate
@@ -224,34 +217,46 @@ def build_panel(data: MacroDataset, window: tuple[Quarter, Quarter]) -> Transfor
     (post-differencing) index. The panel has one row fewer than the window.
     """
     start, end = window
-    try:
-        win = {
-            name: getattr(data, name).window(start, end)
-            for name in SERIES_UNITS
-        }
-    except WindowCoverageError as exc:
-        raise WindowCoverageError(f"country {data.country or '?'}: {exc}") from None
+    country = data.country or "?"
+    first, stop = start - data.start, end - data.start + 1
+    rows = len(data.values["cpi"])
+    if first < 0 or stop > rows:
+        raise WindowCoverageError(
+            f"country {country}: window {start}..{end} not covered by series "
+            f"{data.start}..{data.start + (rows - 1)}"
+        )
+    win = {name: data.values[name][first:stop] for name in SERIES}
 
-    real_gdp = deflate(win["gdp"], win["cpi"])
-    real_net = deflate(net_expenditure(win["total_expenditure"], win["subsidies"]), win["cpi"])
-    real_vat = deflate(win["vat"], win["cpi"])
+    cpi = win["cpi"]
+    _require_positive(cpi, start, "CPI")
+    if cpi.size < 2:
+        raise InsufficientDataError("need at least 2 observations to difference")
+    # an overflow here is reported below as a non-finite value
+    with np.errstate(over="ignore", invalid="ignore"):
+        real_gdp = win["gdp"] / cpi
+        real_net = (win["total_expenditure"] - win["subsidies"]) / cpi
+        real_vat = win["vat"] / cpi
+        _require_positive(real_gdp, start, "scaling series")
+        _require_positive(win["us_gdp"], start, "scaling series")
+        scale = real_gdp[:-1]
+        X = np.column_stack([
+            np.diff(real_net) / scale,
+            np.diff(real_vat) / scale,
+            np.diff(real_gdp) / scale,
+            np.diff(win["short_rate"]),
+        ])
+        Z = np.column_stack([
+            np.diff(win["us_gdp"]) / win["us_gdp"][:-1],
+            win["us_inflation"][1:],
+            np.diff(win["us_short_rate"]),
+        ])
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Z))):
+        raise DomainError("values must be finite")
 
-    g = hall_transform(real_net, real_gdp)
-    t = hall_transform(real_vat, real_gdp)
-    y = hall_transform(real_gdp, real_gdp)
-    i = first_difference(win["short_rate"])
-
-    us_growth = hall_transform(win["us_gdp"], win["us_gdp"])
-    us_inflation = win["us_inflation"].values[1:]
-    us_rate_diff = first_difference(win["us_short_rate"])
-
-    if np.max(np.abs(y.values)) >= GROWTH_SANITY_BOUND:
+    growth = np.max(np.abs(X[:, 2]))
+    if growth >= GROWTH_SANITY_BOUND:
         warnings.warn(
-            f"country {data.country or '?'}: |quarterly GDP growth| reaches "
-            f"{np.max(np.abs(y.values)):.3f}; check units",
+            f"country {country}: |quarterly GDP growth| reaches {growth:.3f}; check units",
             stacklevel=2,
         )
-
-    X = np.column_stack([g.values, t.values, y.values, i.values])
-    Z = np.column_stack([us_growth.values, us_inflation, us_rate_diff.values])
     return TransformedPanel(start + 1, X, Z, X_LABELS, Z_LABELS)

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 
 from fiscalsvar.errors import fit_error
-from fiscalsvar.ingest import SERIES_UNITS
+from fiscalsvar.ingest import SERIES
 from fiscalsvar.series import Quarter
 
 
@@ -40,7 +40,7 @@ def synthetic_levels(start: Quarter, n: int, seed: int) -> dict[str, list]:
 
 def write_country_csv(path, columns: dict[str, list], header: list[str] | None = None):
     """Write a raw country file; column order follows the canonical schema."""
-    names = header or ["date"] + list(SERIES_UNITS)
+    names = header or ["date"] + list(SERIES)
     n = len(columns["date"])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -1,10 +1,12 @@
 import csv
 import importlib.util
 import json
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import fiscalsvar.cli as cli_mod
 from conftest import synthetic_levels, write_country_csv
@@ -20,6 +22,7 @@ from fiscalsvar.cli import (
 )
 from fiscalsvar.dgp import reference_spec
 from fiscalsvar.errors import ConfigError, DecompositionError, ShapeError
+from fiscalsvar.plots import render_band_plot
 from fiscalsvar.series import Quarter
 from fiscalsvar.svar import MultiplierPath
 
@@ -288,7 +291,8 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "cz" in err and "absent.csv" in err
 
-    @pytest.mark.parametrize("broken", ["short_row", "nan_cell", "directory", "not_utf8"])
+    @pytest.mark.parametrize("broken",
+                             ["short_row", "nan_cell", "directory", "not_utf8", "tiny_cpi"])
     def test_malformed_csv_exit_3(self, tmp_path, data_dir, capsys, broken):
         csv_path = tmp_path / "cz.csv"
         write_country_csv(csv_path, synthetic_levels(START, N_QUARTERS, seed=0))
@@ -296,6 +300,8 @@ class TestMainExitCodes:
         cells = lines[5].split(",")
         if broken == "short_row":
             cells = cells[:4]
+        elif broken == "tiny_cpi":
+            cells[5] = "1e-310"  # positive, but deflating by it overflows
         else:
             cells[4] = "nan"  # the gdp column
         lines[5] = ",".join(cells)
@@ -308,6 +314,8 @@ class TestMainExitCodes:
         elif broken == "not_utf8":
             csv_path.write_bytes(csv_path.read_bytes().replace(b"date", b"d\xe4te"))
             where = "cz.csv"
+        elif broken == "tiny_cpi":
+            where = "country cz: values must be finite"
         path = tmp_path / "c.json"
         payload = {
             "countries": [{"code": "cz", "csv": str(csv_path)}],
@@ -418,6 +426,41 @@ class TestMainExitCodes:
         assert err.startswith(f"config error: country code {code!r} must be")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["a\u0001b", "x\u0000y", "\ud800", "\uffff", 5],
+                             ids=["soh", "nul", "surrogate", "noncharacter", "int"])
+    @pytest.mark.parametrize("command", ["validate", "estimate"])
+    def test_unsafe_country_name_exit_2(self, tmp_path, data_dir, capsys, monkeypatch,
+                                        name, command):
+        def never(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli_mod, "run_pipeline", never)
+        countries = [{"code": "cz", "csv": str(data_dir / "cz.csv"), "name": name}]
+        path = write_config(tmp_path / "c.json", data_dir, countries=countries)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: country cz: name {name!r} must be")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_country_name_keeps_printable_unicode(self):
+        name = "\u010cesko \u2013 \u0395\u03bb\u03bb\u03ac\u03b4\u03b1\u00a0\U0001f600\u007f"
+        assert CountryEntry("cz", Path("cz.csv"), name).display == name
+
+    # XML's forbidden characters are rare among all code points; draw them often
+    @given(st.text(st.characters(exclude_categories=())
+                   | st.sampled_from("\ud800\udfff\ufffe\uffff")))
+    def test_every_accepted_name_titles_a_parseable_svg(self, name):
+        try:
+            entry = CountryEntry("cz", Path("cz.csv"), name)
+        except ConfigError:
+            return
+        bands = {68: np.zeros((2, 2)), 90: np.ones((2, 2))}
+        svg = render_band_plot(np.arange(2), np.zeros(2), bands, title=entry.display)
+        titles = [el.text for el in ET.fromstring(svg.encode("utf-8")).iter()
+                  if el.get("font-size") == "14"]
+        assert titles == [entry.display]
 
     def test_country_seed_pinned(self):
         # checking the code leaves every valid code's seed as it was
@@ -588,3 +631,22 @@ class TestCoverageScript:
         assert script.main(args) == 2
         err = capsys.readouterr().err
         assert err == f"config error: {message}\n"
+
+
+class TestSnapshotScript:
+    """scripts/make_snapshot.py still imports against the package, and its
+    CSV writer reproduces a committed snapshot file from what load_csv
+    reads back."""
+
+    def test_rewrites_snapshot_csv_byte_for_byte(self, tmp_path):
+        pytest.importorskip("scipy")
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "make_snapshot", root / "scripts" / "make_snapshot.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        data = module.load_csv(root / "data" / "cz.csv", country="cz")
+        dates = [str(data.start + i) for i in range(module.N_QUARTERS)]
+        module.write_csv(tmp_path / "cz.csv", {"date": dates, **data.values})
+        assert (tmp_path / "cz.csv").read_bytes() == (root / "data" / "cz.csv").read_bytes()

@@ -216,6 +216,13 @@ class TestRecovery:
             with pytest.raises(ConfigError, match=message):
                 monte_carlo_recovery(spec, 3, RecoveryConfig(horizons=horizons))
 
+    def test_bootstrap_horizons_must_match(self):
+        message = r"bootstrap horizons \(20\) must equal the recovery horizons \(8\)"
+        with pytest.raises(ConfigError, match=message):
+            RecoveryConfig(horizons=8, bootstrap=BootstrapConfig(replications=50))
+        matched = RecoveryConfig(horizons=8, bootstrap=BootstrapConfig(horizons=8))
+        assert matched.bootstrap.horizons == 8
+
 
 class TestStackedTrials:
     """Trials run in stacked chunks yet equal the single-trial path bit

@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import synthetic_levels, write_country_csv
 from fiscalsvar.errors import (
     CsvParseError,
     DomainError,
+    InsufficientDataError,
     QuarterGapError,
     SchemaError,
     ShapeError,
     WindowCoverageError,
 )
 from fiscalsvar.ingest import (
+    SERIES,
+    MacroDataset,
     TransformedPanel,
     build_panel,
     load_csv,
 )
-from fiscalsvar.series import Quarter, Unit
+from fiscalsvar.series import Quarter
 
 START = Quarter(1999, 1)
 
@@ -41,10 +45,17 @@ class TestLoadCsv:
         write_country_csv(path, tiny_columns())
         data = load_csv(path, country="cz")
         assert data.country == "cz"
-        assert data.gdp.start == START
-        assert list(data.gdp.values) == [10000.0, 10100.0, 10000.0, 10200.0]
-        assert data.cpi.unit is Unit.INDEX
-        assert data.short_rate.unit is Unit.RATE
+        assert data.start == START
+        assert tuple(data.values) == SERIES
+        assert list(data.values["gdp"]) == [10000.0, 10100.0, 10000.0, 10200.0]
+        assert list(data.values["short_rate"]) == [4.0, 4.25, 4.1, 4.3]
+
+    def test_values_read_only(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_country_csv(path, tiny_columns())
+        data = load_csv(path)
+        with pytest.raises(ValueError):
+            data.values["cpi"][0] = 9.0
 
     def test_rows_sorted_before_validation(self, tmp_path):
         cols = tiny_columns()
@@ -53,7 +64,7 @@ class TestLoadCsv:
         path = tmp_path / "x.csv"
         write_country_csv(path, shuffled)
         data = load_csv(path)
-        assert list(data.gdp.values) == [10000.0, 10100.0, 10000.0, 10200.0]
+        assert list(data.values["gdp"]) == [10000.0, 10100.0, 10000.0, 10200.0]
 
     def test_gap_detected(self, tmp_path):
         cols = tiny_columns()
@@ -120,7 +131,7 @@ class TestLoadCsv:
         path = tmp_path / "x.csv"
         write_country_csv(path, cols, header=header)
         data = load_csv(path, schema={"gdp": "gdp_lcu"})
-        assert list(data.gdp.values) == [10000.0, 10100.0, 10000.0, 10200.0]
+        assert list(data.values["gdp"]) == [10000.0, 10100.0, 10000.0, 10200.0]
 
     def test_unknown_schema_key(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -186,6 +197,77 @@ class TestBuildPanel:
         data = load_csv(path)
         with pytest.raises(DomainError, match="1999-Q4"):
             build_panel(data, (START, Quarter(1999, 4)))
+
+    def test_inner_window_slices_inclusive(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_country_csv(path, tiny_columns())
+        data = load_csv(path)
+        full = build_panel(data, (START, Quarter(1999, 4)))
+        inner = build_panel(data, (Quarter(1999, 2), Quarter(1999, 4)))
+        assert inner.start == Quarter(1999, 3)
+        assert np.array_equal(inner.X, full.X[1:])
+        assert np.array_equal(inner.Z, full.Z[1:])
+
+    def test_constant_levels_give_zero_rows(self, tmp_path):
+        cols = {name: [vals[0]] * 4 for name, vals in tiny_columns().items() if name != "date"}
+        cols["date"] = tiny_columns()["date"]
+        path = tmp_path / "x.csv"
+        write_country_csv(path, cols)
+        panel = build_panel(load_csv(path), (START, Quarter(1999, 4)))
+        assert not panel.X.any()
+        assert not panel.Z[:, [0, 2]].any()
+
+    def test_nonpositive_gdp_names_quarter(self, tmp_path):
+        cols = tiny_columns()
+        cols["gdp"][2] = 0.0
+        path = tmp_path / "x.csv"
+        write_country_csv(path, cols)
+        with pytest.raises(DomainError, match="1999-Q3"):
+            build_panel(load_csv(path), (START, Quarter(1999, 4)))
+
+    def test_nonpositive_us_gdp_names_quarter(self, tmp_path):
+        cols = tiny_columns()
+        cols["us_gdp"][1] = -5.0
+        path = tmp_path / "x.csv"
+        write_country_csv(path, cols)
+        with pytest.raises(DomainError, match="1999-Q2"):
+            build_panel(load_csv(path), (START, Quarter(1999, 4)))
+
+    def test_one_quarter_window_is_insufficient(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_country_csv(path, tiny_columns())
+        with pytest.raises(InsufficientDataError):
+            build_panel(load_csv(path), (START, START))
+
+    def test_tiny_cpi_is_domain_error(self, tmp_path):
+        # positive, so it passes the CPI check, but deflating by it overflows
+        cols = tiny_columns()
+        cols["cpi"][1] = 1e-310
+        path = tmp_path / "x.csv"
+        write_country_csv(path, cols)
+        with pytest.raises(DomainError, match="finite"):
+            build_panel(load_csv(path), (START, Quarter(1999, 4)))
+
+    @given(st.integers(0, 2**16), st.integers(2, 30))
+    @settings(deadline=None)
+    def test_currency_scale_property(self, seed, n):
+        # doubling every currency column leaves every transformed column as it was
+        cols = synthetic_levels(START, n, seed)
+        currency = {"total_expenditure", "subsidies", "vat", "gdp", "us_gdp"}
+        window = (START, START + (n - 1))
+        panels = [
+            build_panel(
+                MacroDataset("x", START, {
+                    name: np.array(cols[name]) * (factor if name in currency else 1.0)
+                    for name in SERIES
+                }),
+                window,
+            )
+            for factor in (1.0, 2.0)
+        ]
+        assert panels[0].rows == n - 1
+        assert np.allclose(panels[1].X, panels[0].X, rtol=1e-12, atol=1e-15)
+        assert np.allclose(panels[1].Z, panels[0].Z, rtol=1e-12, atol=1e-15)
 
     def test_absurd_growth_warns(self, tmp_path):
         cols = tiny_columns()

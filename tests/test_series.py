@@ -1,23 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fiscalsvar.errors import (
-    AlignmentError,
-    DomainError,
-    InsufficientDataError,
-    UnitError,
-    WindowCoverageError,
-)
-from fiscalsvar.series import (
-    Quarter,
-    QuarterlySeries,
-    Unit,
-    deflate,
-    first_difference,
-    hall_transform,
-    net_expenditure,
-)
+from fiscalsvar.series import Quarter
 
 
 class TestQuarter:
@@ -48,130 +32,3 @@ class TestQuarter:
         q = Quarter(year, quarter)
         assert (q + shift) - q == shift
 
-
-def series(values, start=Quarter(2000, 1), unit=Unit.LEVEL):
-    return QuarterlySeries(start, np.array(values, dtype=float), unit)
-
-
-class TestQuarterlySeries:
-    def test_end_and_quarters(self):
-        s = series([1.0, 2.0, 3.0], Quarter(1999, 3))
-        assert s.end == Quarter(2000, 1)
-        assert s.quarters() == [Quarter(1999, 3), Quarter(1999, 4), Quarter(2000, 1)]
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            series([1.0, np.nan])
-
-    def test_rejects_empty(self):
-        with pytest.raises(DomainError):
-            series([])
-
-    def test_values_read_only(self):
-        s = series([1.0, 2.0])
-        with pytest.raises(ValueError):
-            s.values[0] = 9.0
-
-    def test_window_slices_inclusive(self):
-        s = series(np.arange(8.0), Quarter(1999, 1))
-        w = s.window(Quarter(1999, 3), Quarter(2000, 2))
-        assert w.start == Quarter(1999, 3)
-        assert list(w.values) == [2.0, 3.0, 4.0, 5.0]
-
-    def test_window_outside_coverage(self):
-        s = series([1.0, 2.0], Quarter(2000, 1))
-        with pytest.raises(WindowCoverageError):
-            s.window(Quarter(1999, 4), Quarter(2000, 2))
-
-
-class TestNetExpenditure:
-    def test_subtracts(self):
-        total = series([100.0, 110.0])
-        sub = series([10.0, 15.0])
-        out = net_expenditure(total, sub)
-        assert list(out.values) == [90.0, 95.0]
-        assert out.unit is Unit.LEVEL
-
-    def test_requires_levels(self):
-        with pytest.raises(UnitError):
-            net_expenditure(series([1.0], unit=Unit.RATE), series([1.0]))
-
-    def test_requires_alignment(self):
-        with pytest.raises(AlignmentError):
-            net_expenditure(series([1.0, 2.0]), series([1.0, 2.0], Quarter(2000, 2)))
-
-
-class TestDeflate:
-    def test_divides_by_cpi(self):
-        nominal = series([220.0, 242.0])
-        cpi = series([110.0, 121.0], unit=Unit.INDEX)
-        out = deflate(nominal, cpi)
-        assert list(out.values) == [2.0, 2.0]
-
-    def test_rejects_nonpositive_cpi_naming_quarter(self):
-        nominal = series([1.0, 1.0])
-        cpi = series([100.0, 0.0], unit=Unit.INDEX)
-        with pytest.raises(DomainError, match="2000-Q2"):
-            deflate(nominal, cpi)
-
-
-class TestHallTransform:
-    def test_exact_values(self):
-        # (3-2)/100 and (5-3)/140
-        x = series([2.0, 3.0, 5.0])
-        y = series([100.0, 140.0, 400.0])
-        out = hall_transform(x, y)
-        assert out.start == Quarter(2000, 2)
-        assert out.unit is Unit.RATE
-        assert out.values[0] == 0.01
-        assert out.values[1] == 2.0 / 140.0
-
-    def test_constant_input_gives_zero(self):
-        x = series([7.0, 7.0, 7.0])
-        y = series([1.0, 1.0, 1.0])
-        assert list(hall_transform(x, y).values) == [0.0, 0.0]
-
-    def test_self_transform_is_growth_rate(self):
-        y = series([100.0, 110.0, 99.0])
-        g = hall_transform(y, y)
-        assert g.values == pytest.approx([0.1, -0.1])
-
-    def test_needs_two_observations(self):
-        with pytest.raises(InsufficientDataError):
-            hall_transform(series([1.0]), series([1.0]))
-
-    def test_rejects_zero_denominator(self):
-        with pytest.raises(DomainError):
-            hall_transform(series([1.0, 2.0]), series([0.0, 1.0]))
-
-    def test_misaligned_inputs(self):
-        with pytest.raises(AlignmentError):
-            hall_transform(series([1.0, 2.0]), series([1.0, 2.0], Quarter(2001, 1)))
-
-    @given(
-        st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=30),
-        st.floats(1.0, 1e6),
-    )
-    def test_length_and_scale_property(self, xs, y_scale):
-        # output is one shorter; scaling both inputs leaves it unchanged
-        x = series(xs)
-        y = series([y_scale] * len(xs))
-        out = hall_transform(x, y)
-        assert len(out) == len(x) - 1
-        x2 = series([2.0 * v for v in xs])
-        y2 = series([2.0 * y_scale] * len(xs))
-        out2 = hall_transform(x2, y2)
-        assert np.allclose(out.values, out2.values, rtol=1e-12, atol=1e-15)
-
-
-class TestFirstDifference:
-    def test_exact_values(self):
-        s = series([1.0, 1.5, 1.25], unit=Unit.RATE)
-        out = first_difference(s)
-        assert list(out.values) == [0.5, -0.25]
-        assert out.start == Quarter(2000, 2)
-        assert out.unit is Unit.RATE
-
-    def test_needs_two_observations(self):
-        with pytest.raises(InsufficientDataError):
-            first_difference(series([3.0]))
