@@ -39,6 +39,13 @@ def tiny_columns():
     }
 
 
+def three_quarters(**cols):
+    """A dataset of three quarters from START: every series is 1.0 unless given."""
+    values = {name: [1.0, 1.0, 1.0] for name in SERIES}
+    values.update(cols)
+    return MacroDataset("x", START, {name: np.array(v, dtype=float) for name, v in values.items()})
+
+
 class TestLoadCsv:
     def test_happy_path(self, tmp_path):
         path = tmp_path / "cz.csv"
@@ -238,6 +245,75 @@ class TestBuildPanel:
         write_country_csv(path, tiny_columns())
         with pytest.raises(InsufficientDataError):
             build_panel(load_csv(path), (START, START))
+
+    def test_g_is_scaled_difference_exact(self):
+        # (3-2)/100 and (5-3)/140
+        data = three_quarters(
+            total_expenditure=[2.0, 3.0, 5.0],
+            subsidies=[0.0, 0.0, 0.0],
+            gdp=[100.0, 140.0, 400.0],
+        )
+        panel = build_panel(data, (START, Quarter(1999, 3)))
+        assert panel.start == Quarter(1999, 2)
+        assert panel.X[0, 0] == 0.01
+        assert panel.X[1, 0] == 2.0 / 140.0
+
+    def test_g_subtracts_subsidies(self):
+        data = three_quarters(
+            total_expenditure=[100.0, 110.0, 120.0],
+            subsidies=[10.0, 15.0, 20.0],
+            gdp=[100.0, 100.0, 100.0],
+        )
+        panel = build_panel(data, (START, Quarter(1999, 3)))
+        assert list(panel.X[:, 0]) == [0.05, 0.05]
+
+    def test_deflates_by_cpi(self):
+        # nominal VAT and GDP grow with the CPI, so their real values stay flat
+        data = three_quarters(
+            vat=[220.0, 242.0, 242.0],
+            gdp=[11000.0, 12100.0, 12100.0],
+            cpi=[110.0, 121.0, 121.0],
+        )
+        panel = build_panel(data, (START, Quarter(1999, 3)))
+        assert list(panel.X[:, 1]) == [0.0, 0.0]
+        assert list(panel.X[:, 2]) == [0.0, 0.0]
+
+    def test_y_is_gdp_growth_rate(self):
+        data = three_quarters(gdp=[100.0, 110.0, 99.0])
+        panel = build_panel(data, (START, Quarter(1999, 3)))
+        assert panel.X[:, 2] == pytest.approx([0.1, -0.1])
+
+    def test_i_is_first_difference_of_short_rate(self):
+        data = three_quarters(short_rate=[1.0, 1.5, 1.25])
+        panel = build_panel(data, (START, Quarter(1999, 3)))
+        assert list(panel.X[:, 3]) == [0.5, -0.25]
+        assert panel.start == Quarter(1999, 2)
+
+    def test_zero_cpi_names_quarter(self, tmp_path):
+        cols = tiny_columns()
+        cols["cpi"][1] = 0.0
+        path = tmp_path / "x.csv"
+        write_country_csv(path, cols)
+        with pytest.raises(DomainError, match="1999-Q2"):
+            build_panel(load_csv(path), (START, Quarter(1999, 4)))
+
+    def test_window_starting_before_data_not_covered(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_country_csv(path, tiny_columns())
+        with pytest.raises(WindowCoverageError):
+            build_panel(load_csv(path), (Quarter(1998, 4), Quarter(1999, 4)))
+
+    def test_one_quarter_of_data_is_insufficient(self):
+        data = MacroDataset("x", START, {name: np.array([1.0]) for name in SERIES})
+        with pytest.raises(InsufficientDataError):
+            build_panel(data, (START, START))
+
+    def test_last_quarter_window_is_insufficient(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_country_csv(path, tiny_columns())
+        last = Quarter(1999, 4)
+        with pytest.raises(InsufficientDataError):
+            build_panel(load_csv(path), (last, last))
 
     def test_tiny_cpi_is_domain_error(self, tmp_path):
         # positive, so it passes the CPI check, but deflating by it overflows
