@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from fiscalsvar.bootstrap import BootstrapConfig
-from fiscalsvar.cli import _csv_text, _g17, _output_dir
+from fiscalsvar.cli import output_dir, write_csv
 from fiscalsvar.dgp import RecoveryConfig, monte_carlo_recovery, reference_spec
 from fiscalsvar.errors import ConfigError, DomainError
 
@@ -35,7 +35,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = reference_spec(T=args.sample, seed=args.seed)
         config = RecoveryConfig(bootstrap=BootstrapConfig(replications=args.reps))
-        out = None if args.out is None else _output_dir(Path(args.out))
+        out = None if args.out is None else output_dir(Path(args.out))
         start = time.perf_counter()
         report = monte_carlo_recovery(spec, args.trials, config)
     except (ConfigError, DomainError) as exc:  # DomainError: a bad --sample or --seed
@@ -60,15 +60,13 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     if out is not None:
-        rows = [["h", "analytic", "median_abs_error", "rmse"]
-                + [f"coverage{lv}" for lv in levels]]
-        for h in range(len(report.analytic)):
-            rows.append(
-                [h + 1, _g17(report.analytic[h]),
-                 _g17(report.median_abs_error[h]), _g17(report.rmse[h])]
-                + [_g17(report.coverage[lv][h]) for lv in levels]
-            )
-        (out / "coverage.csv").write_text(_csv_text(rows), encoding="utf-8")
+        write_csv(out, "coverage.csv", {
+            "h": range(1, len(report.analytic) + 1),
+            "analytic": report.analytic,
+            "median_abs_error": report.median_abs_error,
+            "rmse": report.rmse,
+            **{f"coverage{lv}": report.coverage[lv] for lv in levels},
+        })
         print(f"wrote {out / 'coverage.csv'}")
     return 0
 

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from fiscalsvar.bootstrap import BootstrapConfig, ModelSpec, bootstrap_inference
-from fiscalsvar.cli import country_seed
+from fiscalsvar.cli import country_seed, csv_text
 from fiscalsvar.dgp import DgpSpec, analytic_multipliers
 from fiscalsvar.ingest import SERIES, build_panel, load_csv
 from fiscalsvar.series import Quarter
@@ -261,13 +261,9 @@ def invert_levels(code: str, X: np.ndarray, us_levels: dict[str, np.ndarray]) ->
 
 
 def write_csv(path: Path, columns: dict) -> None:
-    names = ["date"] + list(SERIES)
-    lines = [",".join(names)]
-    for i in range(N_QUARTERS):
-        cells = [columns["date"][i]]
-        cells += [f"{float(columns[name][i]):.17g}" for name in names[1:]]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One country's snapshot file: the date, then SERIES in canonical order."""
+    names = ("date", *SERIES)
+    path.write_text(csv_text({name: columns[name] for name in names}), encoding="utf-8")
 
 
 def evaluate(csv_path: Path, code: str, replications: int):

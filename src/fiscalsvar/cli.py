@@ -1,11 +1,17 @@
 """Batch front end: config parsing, per-country runs, report emission.
 
-Everything the command line produces lands in one output directory:
+``validate`` and ``estimate`` share one run path: :func:`_run_config`
+applies the command-line overrides to the config file, and
+:func:`load_panels` reads every input. ``validate`` stops there, so it
+rejects what ``estimate`` would reject before its first bootstrap.
+
+Everything ``estimate`` produces lands in one output directory:
 per-country IRF and multiplier CSVs, a combined multiplier table in text
 and CSV form, SVG band plots, and a manifest recording the seed, a hash
 of the semantically meaningful config fields, and per-country failure
-counts. Outputs carry no timestamps, so a rerun with the same config and
-seed reproduces the bundle byte for byte.
+counts. :func:`write_csv` writes every CSV. Outputs carry no timestamps,
+so a rerun with the same config and seed reproduces the bundle byte for
+byte.
 """
 from __future__ import annotations
 
@@ -32,7 +38,7 @@ from .bootstrap import (
     derive_seed,
 )
 from .errors import ConfigError, DataError, EstimationError, FiscalSvarError, ShapeError
-from .ingest import X_LABELS, build_panel, load_csv
+from .ingest import X_LABELS, TransformedPanel, build_panel, load_csv
 from .plots import render_band_plot
 from .series import Quarter
 from .svar import MultiplierPath
@@ -247,18 +253,14 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _g17(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def country_seed(master: int, code: str) -> int:
     """Per-country substream: master seed mixed with the code's bytes."""
     return derive_seed(master, *code.encode("utf-8"))
 
 
-def _run_country(entry: CountryEntry, config: RunConfig) -> tuple[BootstrapResult, dict]:
-    data = load_csv(entry.csv, entry.schema, country=entry.code)
-    panel = build_panel(data, config.window)
+def _run_country(
+    entry: CountryEntry, panel: TransformedPanel, config: RunConfig
+) -> tuple[BootstrapResult, dict]:
     boot = replace(config.bootstrap, seed=country_seed(config.seed, entry.code))
     result = bootstrap_inference(panel, boot, config.model)
     max_mod, stable = stability(result.estimate)
@@ -285,7 +287,17 @@ def _for_country(code: str):
         raise
 
 
-def _output_dir(out: Path) -> Path:
+def load_panels(config: RunConfig) -> dict[str, TransformedPanel]:
+    """Read every country's CSV and build its panel over the window."""
+    panels = {}
+    for entry in config.countries:
+        with _for_country(entry.code):
+            data = load_csv(entry.csv, entry.schema, country=entry.code)
+            panels[entry.code] = build_panel(data, config.window)
+    return panels
+
+
+def output_dir(out: Path) -> Path:
     """Create the output directory; a path that cannot be one is a
     config error."""
     try:
@@ -296,23 +308,37 @@ def _output_dir(out: Path) -> Path:
 
 
 def run_pipeline(config: RunConfig) -> dict:
-    """Run every country, one after another, and write the full report
-    bundle.
+    """Read every input, then run every country, one after another, and
+    write the full report bundle.
 
     Returns the manifest dict (also written to manifest.json).
     """
-    out = _output_dir(config.output_dir)
+    panels = load_panels(config)
+    out = output_dir(config.output_dir)
 
     results = {}
     for entry in config.countries:
         with _for_country(entry.code):
-            results[entry.code] = _run_country(entry, config)
+            results[entry.code] = _run_country(entry, panels[entry.code], config)
 
     written = []
     for entry in config.countries:
         result, _ = results[entry.code]
-        written.append(_write_irf_csv(out, entry.code, result, config))
-        written.append(_write_multiplier_csv(out, entry.code, result, config))
+        irfs = result.point_irf
+        steps = range(config.horizons + 1)
+        written.append(write_csv(out, f"irf_{entry.code}.csv", {
+            "h": [h for _ in irfs.ordering for h in steps],
+            "variable": [v for v in irfs.ordering for _ in steps],
+            "response": irfs.responses.T.ravel(),
+            "cumulative": np.cumsum(irfs.responses, axis=0).T.ravel(),
+            **_band_columns(result.irf_bands, config.levels),
+        }))
+        written.append(write_csv(out, f"multipliers_{entry.code}.csv", {
+            "h": range(1, config.horizons + 1),
+            "m": result.point_multipliers.values,
+            **_band_columns(result.multiplier_bands, config.levels),
+            "stars": result.stars,
+        }))
         if config.plots:
             written.extend(_write_plots(out, entry, result, config))
 
@@ -342,44 +368,32 @@ def run_pipeline(config: RunConfig) -> dict:
     return manifest
 
 
-def _csv_text(rows) -> str:
+def csv_text(columns: dict) -> str:
+    """CSV of equal-length named columns: a header of the names, then one
+    row per index. Float cells get 17 significant digits, so they parse
+    back exactly; other cells are written as they are."""
+    cells = [[f"{v:.17g}" if isinstance(v, float) else v for v in col]
+             for col in columns.values()]
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows([list(columns), *zip(*cells, strict=True)])
     return buf.getvalue()
 
 
-def _write_irf_csv(out: Path, code: str, result: BootstrapResult, config: RunConfig) -> str:
-    name = f"irf_{code}.csv"
-    irfs = result.point_irf
-    band_cols = [f"{side}{lv}" for lv in config.levels for side in ("lo", "hi")]
-    rows = [["h", "variable", "response", "cumulative"] + band_cols]
-    for var_idx, variable in enumerate(irfs.ordering):
-        cumulative = irfs.cumulative(variable)
-        for h in range(config.horizons + 1):
-            row = [h, variable, _g17(irfs.responses[h, var_idx]), _g17(cumulative[h])]
-            for lv in config.levels:
-                band = result.irf_bands[lv]
-                row += [_g17(band[0, h, var_idx]), _g17(band[1, h, var_idx])]
-            rows.append(row)
-    (out / name).write_text(_csv_text(rows), encoding="utf-8")
+def write_csv(out: Path, name: str, columns: dict) -> str:
+    """Write :func:`csv_text` of ``columns`` to ``out / name``; returns
+    ``name``."""
+    (out / name).write_text(csv_text(columns), encoding="utf-8")
     return name
 
 
-def _write_multiplier_csv(
-    out: Path, code: str, result: BootstrapResult, config: RunConfig
-) -> str:
-    name = f"multipliers_{code}.csv"
-    band_cols = [f"{side}{lv}" for lv in config.levels for side in ("lo", "hi")]
-    rows = [["h", "m"] + band_cols + ["stars"]]
-    for h in range(config.horizons):
-        row = [h + 1, _g17(result.point_multipliers.values[h])]
-        for lv in config.levels:
-            band = result.multiplier_bands[lv]
-            row += [_g17(band[0, h]), _g17(band[1, h])]
-        row.append(result.stars[h])
-        rows.append(row)
-    (out / name).write_text(_csv_text(rows), encoding="utf-8")
-    return name
+def _band_columns(bands: dict[int, np.ndarray], levels) -> dict:
+    """lo/hi columns per level of bands shaped (2, H) or (2, H + 1, k); an
+    IRF band is read variable by variable, as the IRF file's rows are."""
+    columns = {}
+    for lv in levels:
+        lo, hi = bands[lv]
+        columns[f"lo{lv}"], columns[f"hi{lv}"] = lo.T.ravel(), hi.T.ravel()
+    return columns
 
 
 def _write_plots(
@@ -425,50 +439,25 @@ def emit_table(
     H = horizons.pop()
     labels = labels or {code: code.upper() for code in results}
 
-    codes = list(results)
-    cells = {
-        code: [
-            f"{results[code][0].values[h]:.3f}{results[code][1][h]}" for h in range(H)
-        ]
-        for code in codes
-    }
-    widths = {
-        code: max(len(labels[code]), max(len(c) for c in cells[code])) for code in codes
-    }
-    lines = []
-    header = "    " + "  ".join(labels[code].rjust(widths[code]) for code in codes)
-    lines.append(header.rstrip())
+    cells = {code: [f"{m:.3f}{s}" for m, s in zip(path.values, stars)]
+             for code, (path, stars) in results.items()}
+    widths = {code: max(map(len, [labels[code], *col])) for code, col in cells.items()}
+    lines = ["    " + "  ".join(labels[code].rjust(w) for code, w in widths.items())]
     for h in range(H):
-        row = f"Q{h + 1}".ljust(4) + "  ".join(
-            cells[code][h].rjust(widths[code]) for code in codes
-        )
-        lines.append(row.rstrip())
-    text = "\n".join(lines) + "\n"
+        lines.append(f"Q{h + 1}".ljust(4)
+                     + "  ".join(cells[code][h].rjust(w) for code, w in widths.items()))
+    text = "".join(line.rstrip() + "\n" for line in lines)
 
-    rows = [["quarter"] + [f"{code}_{col}" for code in codes for col in ("m", "stars")]]
-    for h in range(H):
-        row = [f"Q{h + 1}"]
-        for code in codes:
-            path, stars = results[code]
-            row += [_g17(path.values[h]), stars[h]]
-        rows.append(row)
-    return text, _csv_text(rows)
+    columns = {"quarter": [f"Q{h + 1}" for h in range(H)]}
+    for code, (path, stars) in results.items():
+        columns[f"{code}_m"], columns[f"{code}_stars"] = path.values, stars
+    return text, csv_text(columns)
 
 
-def validate(config_path) -> RunConfig:
-    """Parse the config and check every input loads and covers the window.
-
-    No estimation runs; raises the same errors run_pipeline would.
-    """
-    config = load_run_config(config_path)
-    for entry in config.countries:
-        with _for_country(entry.code):
-            data = load_csv(entry.csv, entry.schema, country=entry.code)
-            build_panel(data, config.window)
-    return config
-
-
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
+def _run_config(args) -> RunConfig:
+    """The run the flags ask for: the config file with ``--out``,
+    ``--seed``, ``--reps``, ``--horizon`` and ``--countries`` applied."""
+    config = load_run_config(args.config)
     updates = {}
     if args.out is not None:
         updates["output_dir"] = Path(args.out)
@@ -489,7 +478,8 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
 
 
 def _cmd_validate(args) -> int:
-    config = validate(args.config)
+    config = _run_config(args)
+    load_panels(config)
     w0, w1 = config.window
     print(f"config ok: {len(config.countries)} countries "
           f"({', '.join(c.code for c in config.countries)})")
@@ -501,7 +491,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    config = _apply_overrides(load_run_config(args.config), args)
+    config = _run_config(args)
     manifest = run_pipeline(config)
     print(f"wrote {len(manifest['outputs'])} files to {config.output_dir}")
     for code, info in manifest["countries"].items():
@@ -543,14 +533,14 @@ def _cmd_montecarlo(args) -> int:
             f"  {report.median_abs_error[h]:>9.4f}  {report.rmse[h]:>7.4f}"
         )
     if args.out is not None:
-        out = _output_dir(Path(args.out))
-        rows = [["h", "analytic", "median_bias", "median_abs_error", "rmse"]]
-        for h in range(horizons):
-            rows.append(
-                [h + 1, _g17(report.analytic[h]), _g17(report.median_bias[h]),
-                 _g17(report.median_abs_error[h]), _g17(report.rmse[h])]
-            )
-        (out / "recovery.csv").write_text(_csv_text(rows), encoding="utf-8")
+        out = output_dir(Path(args.out))
+        write_csv(out, "recovery.csv", {
+            "h": range(1, horizons + 1),
+            "analytic": report.analytic,
+            "median_bias": report.median_bias,
+            "median_abs_error": report.median_abs_error,
+            "rmse": report.rmse,
+        })
         print(f"wrote {out / 'recovery.csv'}")
     return 0
 
@@ -562,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-        ("validate", "parse a run config and check the input files"),
+        ("validate", "check the run estimate would make and read its input files"),
         ("estimate", "run the full per-country pipeline and write reports"),
         ("montecarlo", "simulate a known system and report estimator recovery"),
     ):
@@ -572,12 +562,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument(
             "--reps", type=int, default=None,
-            help="bootstrap replications (estimate) or trials (montecarlo)",
+            help="bootstrap replications (validate, estimate) or trials (montecarlo)",
         )
         p.add_argument("--horizon", type=int, default=None, help="multiplier horizon H")
+        if name == "montecarlo":
+            continue
         p.add_argument(
-            "--countries", default=None,
-            help="comma-separated country codes to keep (estimate only)",
+            "--countries", default=None, help="comma-separated country codes to keep"
         )
         p.add_argument(
             "--workers", type=int, default=None,

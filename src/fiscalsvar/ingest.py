@@ -236,8 +236,8 @@ def build_panel(data: MacroDataset, window: tuple[Quarter, Quarter]) -> Transfor
         real_gdp = win["gdp"] / cpi
         real_net = (win["total_expenditure"] - win["subsidies"]) / cpi
         real_vat = win["vat"] / cpi
-        _require_positive(real_gdp, start, "scaling series")
-        _require_positive(win["us_gdp"], start, "scaling series")
+        _require_positive(real_gdp, start, "real GDP")
+        _require_positive(win["us_gdp"], start, "US GDP")
         scale = real_gdp[:-1]
         X = np.column_stack([
             np.diff(real_net) / scale,
@@ -250,8 +250,10 @@ def build_panel(data: MacroDataset, window: tuple[Quarter, Quarter]) -> Transfor
             win["us_inflation"][1:],
             np.diff(win["us_short_rate"]),
         ])
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Z))):
-        raise DomainError("values must be finite")
+    bad = ~np.isfinite(np.column_stack([X, Z]))
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), bad.shape[1])
+        raise DomainError(f"{(X_LABELS + Z_LABELS)[col]} is not finite at {start + 1 + row}")
 
     growth = np.max(np.abs(X[:, 2]))
     if growth >= GROWTH_SANITY_BOUND:

@@ -19,6 +19,7 @@ MARGIN_LEFT = 62.0
 MARGIN_RIGHT = 18.0
 MARGIN_TOP = 34.0
 MARGIN_BOTTOM = 46.0
+TICKS = 5  # tick marks per axis, at most
 
 NARROW_STYLE = 'stroke="#1f4fd0" stroke-dasharray="5,3"'
 WIDE_STYLE = 'stroke="#d03030" stroke-dasharray="5,3"'
@@ -29,14 +30,14 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi] at a 1/2/5 step."""
     span = hi - lo
-    raw = span / max(n - 1, 1)
+    raw = span / (TICKS - 1)
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
-        if span / step <= n:
+        if span / step <= TICKS:
             break
     first = np.ceil(lo / step) * step
     ticks = []

@@ -71,12 +71,6 @@ class IrfSet:
     def horizons(self) -> int:
         return self.responses.shape[0] - 1
 
-    def series(self, variable: str) -> np.ndarray:
-        return self.responses[:, column_of(self.ordering, variable)]
-
-    def cumulative(self, variable: str) -> np.ndarray:
-        return np.cumsum(self.series(variable))
-
 
 @dataclass(frozen=True)
 class MultiplierPath:

@@ -142,10 +142,10 @@ def lagged_design(panel: TransformedPanel, p: int) -> tuple[np.ndarray, np.ndarr
     return design_blocks(panel.X, panel.Z, p)
 
 
-def rank_deficient(rdiag: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Whether the smallest |R_ii| of each fit falls below ``rtol`` times
-    its largest."""
-    return rdiag.min(axis=-1) < rtol * rdiag.max(axis=-1)
+def rank_deficient(rdiag: np.ndarray) -> np.ndarray:
+    """Whether the smallest |R_ii| of each fit falls below
+    :data:`RANK_RTOL` times its largest."""
+    return rdiag.min(axis=-1) < RANK_RTOL * rdiag.max(axis=-1)
 
 
 def least_squares(W: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib.util
 import json
@@ -15,6 +16,7 @@ from fiscalsvar.cli import (
     RunConfig,
     config_hash,
     country_seed,
+    csv_text,
     emit_table,
     load_run_config,
     main,
@@ -158,6 +160,15 @@ class TestConfigHash:
         assert config_hash(config) == (
             "4a81d61ad695e57120b1ad1cf660208ef86713aa09e9e34bdc064f20724bf096"
         )
+
+
+class TestCsvText:
+    def test_floats_17g_other_cells_as_they_are(self):
+        assert csv_text({"h": [1], "m": [0.1], "s": ["*"]}) == "h,m,s\n1,0.10000000000000001,*\n"
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError):
+            csv_text({"h": [1, 2], "m": [0.1]})
 
 
 class TestEmitTable:
@@ -315,7 +326,7 @@ class TestMainExitCodes:
             csv_path.write_bytes(csv_path.read_bytes().replace(b"date", b"d\xe4te"))
             where = "cz.csv"
         elif broken == "tiny_cpi":
-            where = "country cz: values must be finite"
+            where = "data error: country cz: G is not finite at 2000-Q1\n"
         path = tmp_path / "c.json"
         payload = {
             "countries": [{"code": "cz", "csv": str(csv_path)}],
@@ -478,6 +489,50 @@ class TestMainExitCodes:
         assert (tmp_path / "o" / "multipliers_hu.csv").exists()
         assert not (tmp_path / "o" / "multipliers_cz.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--reps", "0"], ["--horizon", str(10**13)], ["--seed", "-1"], ["--countries", "zz"]],
+        ids=["reps", "horizon", "seed", "countries"],
+    )
+    def test_validate_rejects_what_estimate_rejects(self, tmp_path, data_dir, capsys,
+                                                    monkeypatch, flags):
+        def never(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli_mod, "run_pipeline", never)
+        path = write_config(tmp_path / "c.json", data_dir)
+        errs = []
+        for command in ("estimate", "validate"):
+            argv = [command, "--config", str(path), "--out", str(tmp_path / "o"), *flags]
+            assert main(argv) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and errs[0].startswith("config error: ")
+        assert len(errs[0].splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_validate_reports_the_overridden_run(self, tmp_path, data_dir, capsys):
+        path = write_config(tmp_path / "c.json", data_dir)
+        out = tmp_path / "x"
+        assert main(["validate", "--config", str(path), "--out", str(out), "--reps", "5"]) == 0
+        printed = capsys.readouterr().out
+        assert "replications=5," in printed and f"output_dir={out}\n" in printed
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_missing_last_csv_fails_before_any_bootstrap(self, tmp_path, data_dir, capsys,
+                                                         monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a bootstrap ran")
+
+        monkeypatch.setattr(cli_mod, "bootstrap_inference", never)
+        countries = [{"code": "cz", "csv": str(data_dir / "cz.csv")},
+                     {"code": "hu", "csv": str(tmp_path / "absent.csv")}]
+        path = write_config(tmp_path / "c.json", data_dir, countries=countries)
+        out = tmp_path / "o"
+        assert main(["estimate", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: country hu: cannot read") and "absent.csv" in err
+        assert not out.exists()
+
     def test_unknown_country_filter_exit_2(self, tmp_path, data_dir, capsys):
         path = write_config(tmp_path / "c.json", data_dir)
         assert main([
@@ -497,6 +552,14 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "3 trials" in out
         assert (tmp_path / "mc" / "recovery.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--countries", "cz"], ["--workers", "2"]],
+                             ids=["countries", "workers"])
+    def test_montecarlo_takes_no_country_or_worker_flag(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as exited:
+            main(["montecarlo", "--config", str(tmp_path / "dgp.json"), *flags])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_montecarlo_bad_spec_exit_2(self, tmp_path, capsys):
         spec_path = tmp_path / "dgp.json"
@@ -565,7 +628,7 @@ class TestCountryErrors:
         assert err.startswith("data error: country cz: window") and err.count("country") == 1
 
     def test_error_keeps_type_and_attributes(self, tmp_path, data_dir, monkeypatch):
-        def fail(entry, config):
+        def fail(entry, panel, config):
             raise DecompositionError("pivot 2 is non-positive", pivot=2)
 
         monkeypatch.setattr(cli_mod, "_run_country", fail)
@@ -631,6 +694,19 @@ class TestCoverageScript:
         assert script.main(args) == 2
         err = capsys.readouterr().err
         assert err == f"config error: {message}\n"
+
+
+def test_scripts_import_no_private_package_name():
+    # a script that reaches into a module's private helpers breaks when they
+    # change; scripts use the package's public names only
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    leaks = []
+    for script in sorted(scripts.glob("*.py")):
+        for node in ast.walk(ast.parse(script.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fiscalsvar":
+                leaks += [f"{script.name}: {node.module}.{alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert leaks == []
 
 
 class TestSnapshotScript:

@@ -164,8 +164,8 @@ class TestAnalyticIrf:
         spec = reference_spec()
         irfs = analytic_irf(spec, 20, "G")
         m = analytic_multipliers(spec, 20)
-        cum_y = np.cumsum(irfs.series("Y"))
-        cum_g = np.cumsum(irfs.series("G"))
+        cum_y = np.cumsum(irfs.responses[:, spec.labels.index("Y")])
+        cum_g = np.cumsum(irfs.responses[:, spec.labels.index("G")])
         assert m.values == pytest.approx(cum_y[:20] / cum_g[:20], rel=1e-15)
 
 

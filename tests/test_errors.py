@@ -1,7 +1,11 @@
 import contextlib
+import csv
 import inspect
 import io
 import json
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +15,7 @@ import fiscalsvar.errors as errors
 from conftest import synthetic_levels, write_country_csv
 from fiscalsvar.cli import load_run_config, main
 from fiscalsvar.errors import ConfigError, DataError, EstimationError, FiscalSvarError
-from fiscalsvar.ingest import SERIES, build_panel, load_csv
+from fiscalsvar.ingest import SERIES, X_LABELS, build_panel, load_csv
 from fiscalsvar.series import Quarter
 
 BASES = {ConfigError: 2, DataError: 3, EstimationError: 4}
@@ -75,6 +79,7 @@ JUNK_CELLS = st.one_of(
 def work(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     write_country_csv(root / "good.csv", COLUMNS)
+    write_country_csv(root / "run.csv", synthetic_levels(START, RUN_N, seed=3))
     return root
 
 
@@ -100,9 +105,31 @@ def edited_csv(draw):
     return text.encode(draw(st.sampled_from(["utf-8", "cp1252"])), errors="replace")
 
 
-def _validate_exit_code(config_path) -> int:
+def _exit_code(*argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(["validate", "--config", str(config_path)])
+        return main([str(arg) for arg in argv])
+
+
+def _validate_exit_code(config_path) -> int:
+    return _exit_code("validate", "--config", config_path)
+
+
+def _check_bundle(out: Path, config) -> None:
+    """Every SVG parses, and every CSV reads back under the header it was
+    written with."""
+    bands = [f"{side}{lv}" for lv in config.levels for side in ("lo", "hi")]
+    headers = {"table1.csv": ["quarter"] + [f"{c.code}_{col}" for c in config.countries
+                                            for col in ("m", "stars")]}
+    for c in config.countries:
+        headers[f"irf_{c.code}.csv"] = ["h", "variable", "response", "cumulative", *bands]
+        headers[f"multipliers_{c.code}.csv"] = ["h", "m", *bands, "stars"]
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(headers)
+    for name, header in headers.items():
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == header and all(len(row) == len(header) for row in rows[1:]), name
+    for svg in out.glob("*.svg"):
+        ET.parse(svg)
 
 
 @pytest.mark.filterwarnings("ignore:.*check units")
@@ -132,6 +159,9 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=8,
 )
+# a config fuzzed into validity is estimated: its window holds enough
+# quarters for four lags
+RUN_N = 40
 
 
 # where a generated value goes: the whole file, a top-level key, a field of
@@ -145,17 +175,33 @@ TARGETS = [
 ]
 
 
+# per target, values of the right kind, so that many fuzzed configs pass
+# validate and go on to an estimate
+PLAUSIBLE = {
+    ("lags",): st.integers(1, 8),
+    ("horizons",): st.integers(1, RUN_N),
+    ("seed",): st.integers(0, 2**64),
+    ("levels",): st.lists(st.integers(1, 99), min_size=2, max_size=2),
+    ("ordering",): st.permutations(X_LABELS),
+    ("plots",): st.booleans(),
+    # XML's markup characters are rare among all code points; draw them often
+    ("countries", 0, "name"): st.text(st.characters() | st.sampled_from("&<>"), max_size=8),
+    ("window", "start"): st.integers(0, RUN_N - 1).map(lambda i: str(START + i)),
+}
+
+
 @st.composite
 def configs(draw):
-    """A valid config with one value replaced by arbitrary JSON."""
+    """A valid config with one value replaced by arbitrary JSON, or by a
+    value of the right kind."""
     payload = {
-        "countries": [{"code": "cz", "csv": "good.csv", "name": "Czechia"}],
-        "window": dict(WINDOW),
-        "horizons": N - 1,
+        "countries": [{"code": "cz", "csv": "run.csv", "name": "Czechia"}],
+        "window": {"start": str(START), "end": str(START + (RUN_N - 1))},
+        "horizons": 8,
         "replications": 10,
     }
     target = draw(st.sampled_from(TARGETS))
-    value = draw(JSON_VALUES)
+    value = draw(PLAUSIBLE[target] | JSON_VALUES if target in PLAUSIBLE else JSON_VALUES)
     if not target:
         return value
     *parents, last = target
@@ -176,4 +222,17 @@ def test_config_input_fails_only_with_config_errors(work, payload):
         load_run_config(path)
     except ConfigError:
         pass
-    assert _validate_exit_code(path) in (0, 2, 3)
+    # --out always, so a fuzzed output_dir never writes into the checkout
+    with tempfile.TemporaryDirectory(dir=work) as tmp:
+        out = Path(tmp) / "out"
+        code = _exit_code("validate", "--config", path, "--out", out)
+        assert code in (0, 2, 3)
+        assert not out.exists()
+        if code != 0:
+            return
+        # validate checks the run estimate makes, so estimate can only fail
+        # in the estimation itself
+        code = _exit_code("estimate", "--config", path, "--out", out, "--reps", 10)
+        assert code in (0, 4)
+        if code == 0:
+            _check_bundle(out, load_run_config(path))

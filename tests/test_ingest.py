@@ -229,7 +229,8 @@ class TestBuildPanel:
         cols["gdp"][2] = 0.0
         path = tmp_path / "x.csv"
         write_country_csv(path, cols)
-        with pytest.raises(DomainError, match="1999-Q3"):
+        with pytest.raises(DomainError,
+                           match=r"^real GDP must be strictly positive, got 0\.0 at 1999-Q3$"):
             build_panel(load_csv(path), (START, Quarter(1999, 4)))
 
     def test_nonpositive_us_gdp_names_quarter(self, tmp_path):
@@ -237,7 +238,8 @@ class TestBuildPanel:
         cols["us_gdp"][1] = -5.0
         path = tmp_path / "x.csv"
         write_country_csv(path, cols)
-        with pytest.raises(DomainError, match="1999-Q2"):
+        with pytest.raises(DomainError,
+                           match=r"^US GDP must be strictly positive, got -5\.0 at 1999-Q2$"):
             build_panel(load_csv(path), (START, Quarter(1999, 4)))
 
     def test_one_quarter_window_is_insufficient(self, tmp_path):
@@ -321,7 +323,7 @@ class TestBuildPanel:
         cols["cpi"][1] = 1e-310
         path = tmp_path / "x.csv"
         write_country_csv(path, cols)
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(DomainError, match=r"^G is not finite at 1999-Q2$"):
             build_panel(load_csv(path), (START, Quarter(1999, 4)))
 
     @given(st.integers(0, 2**16), st.integers(2, 30))
