@@ -9,6 +9,8 @@ two cores); pass smaller --trials/--reps for a quick look. A count
 outside 1..100000, or a --sample or --seed the reference system
 rejects, or an --out directory that cannot be created, is a config
 error: one line on stderr and exit code 2, before anything is simulated.
+A coverage.csv that cannot be written is the same config error, after
+the study has run and printed its table.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from pathlib import Path
 from fiscalsvar.bootstrap import BootstrapConfig
 from fiscalsvar.cli import output_dir, write_csv
 from fiscalsvar.dgp import RecoveryConfig, monte_carlo_recovery, reference_spec
-from fiscalsvar.errors import ConfigError, DomainError
+from fiscalsvar.errors import ConfigError
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -31,16 +33,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="optional directory for coverage.csv")
     args = parser.parse_args(argv)
-
     try:
-        spec = reference_spec(T=args.sample, seed=args.seed)
-        config = RecoveryConfig(bootstrap=BootstrapConfig(replications=args.reps))
-        out = None if args.out is None else output_dir(Path(args.out))
-        start = time.perf_counter()
-        report = monte_carlo_recovery(spec, args.trials, config)
-    except (ConfigError, DomainError) as exc:  # DomainError: a bad --sample or --seed
+        return run(args)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+
+
+def run(args) -> int:
+    """The study the parsed flags ask for: print its table, write
+    coverage.csv when asked, return 0."""
+    spec = reference_spec(T=args.sample, seed=args.seed)
+    config = RecoveryConfig(bootstrap=BootstrapConfig(replications=args.reps))
+    out = None if args.out is None else output_dir(Path(args.out))
+    start = time.perf_counter()
+    report = monte_carlo_recovery(spec, args.trials, config)
     elapsed = time.perf_counter() - start
 
     levels = sorted(report.coverage)

@@ -84,17 +84,22 @@ def substream(*parts: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """What to estimate: lag order and identification ordering. The
-    multiplier is always the response of ``svar.RESPONSE`` to a shock in
-    ``svar.SHOCK``, so the ordering must hold both."""
+    """What to estimate: lag order, identification ordering and
+    ``horizons``, the quarters of the multiplier path; the responses run
+    from impact to horizon ``horizons``. The multiplier is always the
+    response of ``svar.RESPONSE`` to a shock in ``svar.SHOCK``, so the
+    ordering must hold both."""
 
     lags: int = 4
     ordering: tuple[str, ...] = ("G", "T", "Y", "i")
+    horizons: int = 20
 
     def __post_init__(self):
         object.__setattr__(self, "ordering", tuple(self.ordering))
         if self.lags < 1:
             raise ConfigError("lags must be >= 1")
+        if self.horizons < 1:
+            raise ConfigError("horizons must be >= 1")
         if SHOCK not in self.ordering or RESPONSE not in self.ordering:
             raise ConfigError(
                 f"ordering {list(self.ordering)} must hold the shock '{SHOCK}' "
@@ -107,7 +112,6 @@ class BootstrapConfig:
     replications: int = 1000
     seed: int = 0
     levels: tuple[int, ...] = (68, 90)
-    horizons: int = 20
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(sorted(self.levels)))
@@ -118,8 +122,6 @@ class BootstrapConfig:
         levels = self.levels
         if not levels or any(not 0 < lv < 100 for lv in levels) or len(set(levels)) != len(levels):
             raise ConfigError(f"band levels must be non-empty, distinct and in (0, 100): {levels}")
-        if self.horizons < 1:
-            raise ConfigError("horizons must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,7 @@ class StackedFit(NamedTuple):
 
 
 @np.errstate(all="ignore")
-def stacked_fit(X: np.ndarray, Z: np.ndarray, model: ModelSpec, horizons: int) -> StackedFit:
+def stacked_fit(X: np.ndarray, Z: np.ndarray, model: ModelSpec) -> StackedFit:
     """A stack of panels X (C, T, k), columns in ``model.ordering``, through
     VAR estimation, Cholesky identification, the responses to a ``SHOCK``
     shock and the multiplier path; Z is (T, m) or (C, T, m), see
@@ -190,7 +192,7 @@ def stacked_fit(X: np.ndarray, Z: np.ndarray, model: ModelSpec, horizons: int) -
     non-finite panel is fitted as zeros in a copy, so no stage meets a nan.
     """
     C, T, k = X.shape
-    p, H = model.lags, horizons
+    p, H = model.lags, model.horizons
     n_reg = 1 + k * p + Z.shape[-1]
     if T - p <= n_reg:
         failure = ("lags", T, p) if T <= p else ("sample size", T - p, n_reg)
@@ -229,13 +231,13 @@ def stacked_fit(X: np.ndarray, Z: np.ndarray, model: ModelSpec, horizons: int) -
 
 
 def point_fit(
-    panel: TransformedPanel, model: ModelSpec, horizons: int
+    panel: TransformedPanel, model: ModelSpec
 ) -> tuple[VarEstimate, IrfSet, MultiplierPath]:
     """One panel through :func:`stacked_fit` as a stack of one: the VAR
     estimate, the responses to a ``SHOCK`` shock and the multiplier path.
     The panel's columns must already follow ``model.ordering``. A failed
     check raises its typed error, as the single-fit functions would."""
-    fit = stacked_fit(panel.X[None], panel.Z, model, horizons)
+    fit = stacked_fit(panel.X[None], panel.Z, model)
     if fit.failures:
         raise fit_error(*fit.failures[0], SHOCK)
     estimate = VarEstimate.from_fit(fit.coef[0], fit.residuals[0], fit.sigma[0], model.lags)
@@ -317,36 +319,21 @@ def quantile_bands(samples: np.ndarray, levels: tuple[int, ...]) -> dict[int, np
     return bands
 
 
-def significance_flags(
-    bands: dict[int, np.ndarray], point: np.ndarray | MultiplierPath
-) -> tuple[str, ...]:
-    """Two-tier stars: '**' when the widest band excludes zero, '*' when
-    only the narrowest does, '' otherwise. Exclusion is strict. A single
-    band is the narrow tier: its exclusions get '*'.
+def significance_flags(bands: dict[int, np.ndarray]) -> tuple[str, ...]:
+    """Two-tier stars per quarter of bands shaped (2, H): '**' when the
+    widest band excludes zero, '*' when only the narrowest does, ''
+    otherwise. Exclusion is strict. A single band is the narrow tier: its
+    exclusions get '*'.
     """
     if not bands:
         raise ShapeError("need at least one band level")
-    values = point.values if isinstance(point, MultiplierPath) else np.asarray(point)
-    weak = bands[min(bands)]
-    strong = bands[max(bands)] if len(bands) > 1 else None
-    if weak.shape[-1] != values.shape[-1]:
-        raise ShapeError("bands and point estimate disagree on horizon count")
-
-    def excludes_zero(band, h):
-        return band[0, h] > 0.0 or band[1, h] < 0.0
-
-    flags = []
-    for h in range(values.shape[-1]):
-        if strong is not None and excludes_zero(strong, h):
-            flags.append("**")
-        elif excludes_zero(weak, h):
-            flags.append("*")
-        else:
-            flags.append("")
-    return tuple(flags)
+    excludes = {level: (band[0] > 0.0) | (band[1] < 0.0) for level, band in bands.items()}
+    weak = excludes[min(bands)]
+    strong = excludes[max(bands)] if len(bands) > 1 else np.zeros_like(weak)
+    return tuple(np.where(strong, "**", np.where(weak, "*", "")).tolist())
 
 
-def fit_draws(n: int, simulate, model: ModelSpec, horizons: int):
+def fit_draws(n: int, simulate, model: ModelSpec):
     """Draws 0..n-1 in chunks of ``CHUNK``: for each chunk, its indices,
     the panels X (C, T, k) and Z that ``simulate(indices)`` returns, their
     :class:`StackedFit` and the failed draws as {index: "Type: message"},
@@ -355,7 +342,7 @@ def fit_draws(n: int, simulate, model: ModelSpec, horizons: int):
         indices = np.arange(start, min(start + CHUNK, n))
         with np.errstate(all="ignore"):  # an overflowing draw fails as non-finite
             X, Z = simulate(indices)
-            fit = stacked_fit(X, Z, model, horizons)
+            fit = stacked_fit(X, Z, model)
         failed = {}
         for i, failure in sorted(fit.failures.items()):
             exc = fit_error(*failure, SHOCK)
@@ -377,7 +364,7 @@ def bootstrap_inference(
     """
     if panel.x_labels != model.ordering:
         panel = panel.reordered(model.ordering)
-    estimate, point_irf, point_m = point_fit(panel, model, config.horizons)
+    estimate, point_irf, point_m = point_fit(panel, model)
 
     U = estimate.residuals
 
@@ -386,7 +373,7 @@ def bootstrap_inference(
         return _simulate(estimate, U[idx], panel.X[: estimate.p], panel.Z), panel.Z
 
     chunks, failed = [], {}
-    draws = fit_draws(config.replications, resample, model, config.horizons)
+    draws = fit_draws(config.replications, resample, model)
     for rs, _, _, fit, chunk_failed in draws:
         failed.update(chunk_failed)
         keep = ~np.isin(rs, list(chunk_failed))
@@ -403,7 +390,7 @@ def bootstrap_inference(
 
     m_bands = quantile_bands(multipliers, config.levels)
     i_bands = quantile_bands(irf_draws, config.levels)
-    stars = significance_flags(m_bands, point_m)
+    stars = significance_flags(m_bands)
 
     return BootstrapResult(
         estimate=estimate,

@@ -2,16 +2,17 @@
 
 ``validate`` and ``estimate`` share one run path: :func:`_run_config`
 applies the command-line overrides to the config file, and
-:func:`load_panels` reads every input. ``validate`` stops there, so it
-rejects what ``estimate`` would reject before its first bootstrap.
+:func:`load_panels` reads every input. ``validate`` stops there and
+checks, creating nothing, that the output directory could be created, so
+it rejects what ``estimate`` would reject before its first bootstrap.
 
 Everything ``estimate`` produces lands in one output directory:
 per-country IRF and multiplier CSVs, a combined multiplier table in text
 and CSV form, SVG band plots, and a manifest recording the seed, a hash
 of the semantically meaningful config fields, and per-country failure
-counts. :func:`write_csv` writes every CSV. Outputs carry no timestamps,
-so a rerun with the same config and seed reproduces the bundle byte for
-byte.
+counts. :func:`write_text` writes every file, :func:`write_csv` every CSV
+through it. Outputs carry no timestamps, so a rerun with the same config
+and seed reproduces the bundle byte for byte.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ import numpy as np
 
 from . import dgp as dgp_mod
 from .bootstrap import (
-    MAX_REPLICATIONS,
     BootstrapConfig,
     BootstrapResult,
     ModelSpec,
@@ -41,7 +41,7 @@ from .errors import ConfigError, DataError, EstimationError, FiscalSvarError, Sh
 from .ingest import X_LABELS, TransformedPanel, build_panel, load_csv
 from .plots import render_band_plot
 from .series import Quarter
-from .svar import MultiplierPath
+from .svar import RESPONSE, MultiplierPath
 from .var import stability
 
 OUT_ENV_VAR = "FISCALSVAR_OUT"
@@ -115,8 +115,8 @@ class RunConfig:
             raise ConfigError(
                 f"ordering {list(self.ordering)} is not a permutation of {list(X_LABELS)}"
             )
-        model = ModelSpec(self.lags, self.ordering)
-        boot = BootstrapConfig(self.replications, self.seed, self.levels, self.horizons)
+        model = ModelSpec(self.lags, self.ordering, self.horizons)
+        boot = BootstrapConfig(self.replications, self.seed, self.levels)
         if self.plots and len(boot.levels) != 2:
             raise ConfigError(f"plots need exactly two band levels, got {list(boot.levels)}")
         if self.window[0] > self.window[1]:
@@ -307,6 +307,24 @@ def output_dir(out: Path) -> Path:
     return out
 
 
+def _check_output_dir(out: Path) -> None:
+    """Refuse, creating nothing, an output directory that
+    :func:`output_dir` could not create: the nearest existing ancestor of
+    ``out`` must be a writable directory."""
+    for path in (out, *out.parents):
+        try:
+            path.stat()
+        except FileNotFoundError:
+            continue
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from None
+        if not (path.is_dir() and os.access(path, os.W_OK | os.X_OK)):
+            raise ConfigError(
+                f"cannot create output directory {out}: {path} is not a writable directory"
+            )
+        return
+
+
 def run_pipeline(config: RunConfig) -> dict:
     """Read every input, then run every country, one after another, and
     write the full report bundle.
@@ -340,7 +358,7 @@ def run_pipeline(config: RunConfig) -> dict:
             "stars": result.stars,
         }))
         if config.plots:
-            written.extend(_write_plots(out, entry, result, config))
+            written.extend(_write_plots(out, entry, result))
 
     table_txt, table_csv = emit_table(
         {
@@ -349,9 +367,7 @@ def run_pipeline(config: RunConfig) -> dict:
         },
         labels={e.code: e.display for e in config.countries},
     )
-    (out / "table1.txt").write_text(table_txt, encoding="utf-8")
-    (out / "table1.csv").write_text(table_csv, encoding="utf-8")
-    written += ["table1.txt", "table1.csv"]
+    written += [write_text(out, "table1.txt", table_txt), write_text(out, "table1.csv", table_csv)]
 
     manifest = {
         "seed": config.seed,
@@ -362,9 +378,7 @@ def run_pipeline(config: RunConfig) -> dict:
         "countries": {code: info for code, (_, info) in results.items()},
         "outputs": sorted(written + ["manifest.json"]),
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_text(out, "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
 
 
@@ -379,11 +393,21 @@ def csv_text(columns: dict) -> str:
     return buf.getvalue()
 
 
+def write_text(out: Path, name: str, text: str) -> str:
+    """Write ``text`` to ``out / name`` as UTF-8; returns ``name``. Every
+    output file goes through here, and one that cannot be written is a
+    config error naming it."""
+    try:
+        (out / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out / name}: {exc.strerror or exc}") from None
+    return name
+
+
 def write_csv(out: Path, name: str, columns: dict) -> str:
     """Write :func:`csv_text` of ``columns`` to ``out / name``; returns
     ``name``."""
-    (out / name).write_text(csv_text(columns), encoding="utf-8")
-    return name
+    return write_text(out, name, csv_text(columns))
 
 
 def _band_columns(bands: dict[int, np.ndarray], levels) -> dict:
@@ -396,30 +420,24 @@ def _band_columns(bands: dict[int, np.ndarray], levels) -> dict:
     return columns
 
 
-def _write_plots(
-    out: Path, entry: CountryEntry, result: BootstrapResult, config: RunConfig
-) -> list[str]:
-    m_name = f"multipliers_{entry.code}.svg"
+def _write_plots(out: Path, entry: CountryEntry, result: BootstrapResult) -> list[str]:
     m = result.point_multipliers.values
-    render_band_plot(
+    m_svg = render_band_plot(
         np.arange(1, len(m) + 1),
         m,
         result.multiplier_bands,
         title=f"{entry.display}: cumulative spending multiplier",
-        path=out / m_name,
     )
-
-    y_idx = result.point_irf.ordering.index("Y")
-    irf_name = f"irf_{entry.code}.svg"
+    y_idx = result.point_irf.ordering.index(RESPONSE)
     y = result.point_irf.responses[:, y_idx]
-    render_band_plot(
+    irf_svg = render_band_plot(
         np.arange(y.shape[0]),
         y,
         {lv: band[:, :, y_idx] for lv, band in result.irf_bands.items()},
         title=f"{entry.display}: output response to a spending shock",
-        path=out / irf_name,
     )
-    return [m_name, irf_name]
+    return [write_text(out, f"multipliers_{entry.code}.svg", m_svg),
+            write_text(out, f"irf_{entry.code}.svg", irf_svg)]
 
 
 def emit_table(
@@ -480,6 +498,7 @@ def _run_config(args) -> RunConfig:
 def _cmd_validate(args) -> int:
     config = _run_config(args)
     load_panels(config)
+    _check_output_dir(config.output_dir)
     w0, w1 = config.window
     print(f"config ok: {len(config.countries)} countries "
           f"({', '.join(c.code for c in config.countries)})")
@@ -510,21 +529,11 @@ def _cmd_montecarlo(args) -> int:
         payload = {**payload, "seed": args.seed}
     trials = args.reps if args.reps is not None else 100
     horizons = args.horizon if args.horizon is not None else 20
-    if trials < 1 or horizons < 1:
-        raise ConfigError("--reps and --horizon must be >= 1")
-    if trials > MAX_REPLICATIONS:
-        raise ConfigError(f"--reps must not exceed {MAX_REPLICATIONS}")
     try:
         spec = dgp_mod.DgpSpec.from_dict(payload)
-        if horizons >= spec.T:
-            raise ConfigError(f"--horizon {horizons} must be below the DGP's T ({spec.T})")
-        # the true path needs the spec to have G and Y columns
-        dgp_mod.analytic_multipliers(spec, horizons)
-    except FiscalSvarError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    report = dgp_mod.monte_carlo_recovery(
-        spec, trials, dgp_mod.RecoveryConfig(horizons=horizons)
-    )
+    report = dgp_mod.monte_carlo_recovery(spec, trials, dgp_mod.RecoveryConfig(horizons))
     print(f"{trials} trials at T={spec.T}, failures {report.failures}")
     print("  h   true m   med bias   med |err|     rmse")
     for h in range(horizons):
@@ -578,6 +587,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every character str.splitlines breaks at, as its escape
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    """Report a failed run on one stderr line, even when the message
+    quotes a line break from an input (a JSON key, say)."""
+    print(f"{kind} error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -588,14 +608,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handler(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail("config", exc, EXIT_CONFIG)
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail("data", exc, EXIT_DATA)
     except EstimationError as exc:
-        print(f"estimation error: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
+        return _fail("estimation", exc, EXIT_ESTIMATION)
 
 
 if __name__ == "__main__":

@@ -34,10 +34,9 @@ from .bootstrap import (
 )
 from .errors import (
     ConfigError,
-    DomainError,
+    DegenerateDenominatorError,
     EstimationError,
     InferenceError,
-    ShapeError,
     UnstableDgpError,
 )
 from .ingest import TransformedPanel
@@ -58,7 +57,9 @@ SYNTHETIC_START = Quarter(2000, 1)
 
 @dataclass(frozen=True)
 class DgpSpec:
-    """True parameters of a simulated system plus sampling directives."""
+    """True parameters of a simulated system plus sampling directives: the
+    ``montecarlo`` run's config, so a bad field is a :class:`ConfigError`
+    and an explosive system an :class:`UnstableDgpError`."""
 
     intercept: np.ndarray  # (k,)
     gammas: np.ndarray  # (p, k, k)
@@ -74,37 +75,37 @@ class DgpSpec:
         B = np.array(self.B, dtype=float)
         intercept = np.array(self.intercept, dtype=float)
         if gammas.ndim != 3 or gammas.shape[1] != gammas.shape[2]:
-            raise ShapeError(f"gammas must be (p, k, k), got {gammas.shape}")
+            raise ConfigError(f"gammas must be (p, k, k), got {gammas.shape}")
         k = gammas.shape[1]
         if B.shape != (k, k):
-            raise ShapeError(f"B must be {k} x {k}")
+            raise ConfigError(f"B must be {k} x {k}")
         if intercept.shape != (k,):
-            raise ShapeError(f"intercept must have length {k}")
+            raise ConfigError(f"intercept must have length {k}")
         if len(self.labels) != k:
-            raise ShapeError("labels must name every column")
+            raise ConfigError("labels must name every column")
         if np.any(np.triu(B, 1) != 0.0):
-            raise ShapeError("B must be lower triangular")
+            raise ConfigError("B must be lower triangular")
         if np.any(np.diag(B) <= 0.0):
-            raise DomainError("B must have a strictly positive diagonal")
+            raise ConfigError("B must have a strictly positive diagonal")
         exog = self.exog_coef
         if exog is not None:
             exog = np.array(exog, dtype=float)
             if exog.ndim != 2 or exog.shape[0] != k:
-                raise ShapeError(f"exog_coef must be ({k}, m)")
+                raise ConfigError(f"exog_coef must be ({k}, m)")
             exog.setflags(write=False)
         if not all(np.isfinite(a).all() for a in (gammas, B, intercept, exog) if a is not None):
-            raise DomainError("DGP parameters must be finite")
+            raise ConfigError("DGP parameters must be finite")
         if self.T < 1:
-            raise DomainError("T must be >= 1")
+            raise ConfigError("T must be >= 1")
         if self.burn_in < 0:
-            raise DomainError("burn-in must be >= 0")
+            raise ConfigError("burn-in must be >= 0")
         # the 40000 quarters a YYYY-Qn label spans dwarf any macro sample;
         # the cap rejects a size that would exhaust memory before anything
         # is allocated
         if self.T + self.burn_in > 40_000:
-            raise DomainError("T + burn_in must not exceed 40000 quarters")
+            raise ConfigError("T + burn_in must not exceed 40000 quarters")
         if self.seed < 0:
-            raise DomainError("seed must be non-negative")
+            raise ConfigError("seed must be non-negative")
 
         top = float(spectral_radius(companion_matrix(gammas)))
         if top >= 1.0:
@@ -145,22 +146,22 @@ class DgpSpec:
     def from_dict(cls, payload: dict) -> "DgpSpec":
         """Spec from its :meth:`to_dict` form, as read from a JSON file.
 
-        Every malformed payload raises a :class:`FiscalSvarError`.
+        Every malformed payload raises a :class:`ConfigError`.
         """
         if not isinstance(payload, dict):
-            raise DomainError("a DGP spec must be a JSON object")
+            raise ConfigError("a DGP spec must be a JSON object")
         unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
         if unknown:
-            raise DomainError(f"unknown DGP fields: {', '.join(unknown)}")
+            raise ConfigError(f"unknown DGP fields: {', '.join(unknown)}")
         if not all(isinstance(payload.get(name, 0), int) for name in ("T", "burn_in", "seed")):
-            raise DomainError("T, burn_in and seed must be integers")
+            raise ConfigError("T, burn_in and seed must be integers")
         kwargs = dict(payload)
         try:
             if "labels" in kwargs:
                 kwargs["labels"] = tuple(kwargs["labels"])
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
-            raise DomainError(f"malformed DGP spec: {exc}") from None
+            raise ConfigError(f"malformed DGP spec: {exc}") from None
 
 
 def _simulate_panels(
@@ -214,32 +215,21 @@ def analytic_irf(spec: DgpSpec, horizons: int, shock: str = SHOCK) -> IrfSet:
     return IrfSet(shock=shock, ordering=spec.labels, responses=responses)
 
 
-def analytic_multipliers(
-    spec: DgpSpec, horizons: int = 20, shock: str = SHOCK, response: str = RESPONSE
-) -> MultiplierPath:
+def analytic_multipliers(spec: DgpSpec, horizons: int = 20) -> MultiplierPath:
     """True cumulative multiplier path implied by the spec."""
-    irfs = analytic_irf(spec, horizons, shock)
-    return multiplier_path(irfs, response, shock, horizons)
+    return multiplier_path(analytic_irf(spec, horizons), RESPONSE, SHOCK, horizons)
 
 
 @dataclass(frozen=True)
 class RecoveryConfig:
     """How each Monte Carlo trial is scored: the multiplier horizons, and
     the bootstrap each trial runs for band coverage, or None for point
-    estimates alone. Trials fit the default :class:`ModelSpec` lags on
-    the spec's own ordering."""
+    estimates alone. Every trial, and its bootstrap, fits one
+    :class:`ModelSpec`: the default lags on the spec's own ordering, at
+    these horizons. :func:`monte_carlo_recovery` checks the values."""
 
     horizons: int = 20
     bootstrap: BootstrapConfig | None = None
-
-    def __post_init__(self):
-        if self.horizons < 1:
-            raise ConfigError("horizons must be >= 1")
-        if self.bootstrap is not None and self.bootstrap.horizons != self.horizons:
-            raise ConfigError(
-                f"bootstrap horizons ({self.bootstrap.horizons}) must equal the "
-                f"recovery horizons ({self.horizons})"
-            )
 
 
 @dataclass(frozen=True)
@@ -272,6 +262,11 @@ def monte_carlo_recovery(
 ) -> RecoveryReport:
     """Repeatedly simulate at the spec's T, estimate, and compare to truth.
 
+    The run is checked before anything is allocated, each check a
+    :class:`ConfigError`: the trial count, the horizons against the
+    spec's T, the trials' :class:`ModelSpec` on the spec's labels, and
+    the true path, whose cumulative G response must stay off zero.
+
     Trial t simulates with a substream hashed from (spec.seed, t); when a
     bootstrap config is supplied its master seed is re-derived per trial
     the same way, so the whole report is a pure function of the spec and
@@ -282,14 +277,17 @@ def monte_carlo_recovery(
         raise ConfigError(f"n_trials must be between 1 and {MAX_REPLICATIONS}")
     if config.horizons >= spec.T:
         raise ConfigError(f"horizons ({config.horizons}) must be below the DGP's T ({spec.T})")
-    truth = analytic_multipliers(spec, config.horizons)
-    model = ModelSpec(ordering=spec.labels)
+    model = ModelSpec(ordering=spec.labels, horizons=config.horizons)
+    try:
+        truth = analytic_multipliers(spec, config.horizons)
+    except DegenerateDenominatorError as exc:
+        raise ConfigError(f"the DGP has no true multiplier path: {exc}") from None
 
     def draw(ts):
         return _simulate_panels(spec, [substream(spec.seed, t, 0) for t in ts])
 
     rows, covered, failed = [], {}, {}
-    for ts, X, Z, fit, chunk_failed in fit_draws(n_trials, draw, model, config.horizons):
+    for ts, X, Z, fit, chunk_failed in fit_draws(n_trials, draw, model):
         failed.update(chunk_failed)
         for i, t in enumerate(ts.tolist()):
             if t in chunk_failed:

@@ -7,8 +7,6 @@ blue dashed narrow band, red dashed wide band, grey axes and a zero line.
 """
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .errors import ShapeError
@@ -58,7 +56,6 @@ def render_band_plot(
     bands: dict[int, np.ndarray],
     *,
     title: str = "",
-    path: str | Path | None = None,
 ) -> str:
     """Serialize one statistic with its two band levels to SVG 1.1 text.
 
@@ -162,8 +159,4 @@ def render_band_plot(
     out.append(polyline(x, narrow_band[1], NARROW_STYLE))
     out.append(polyline(x, point, POINT_STYLE))
     out.append("</svg>")
-    text = "\n".join(out) + "\n"
-
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+    return "\n".join(out) + "\n"

@@ -55,12 +55,12 @@ def estimate(panel):
     return estimate_var(panel, p=4)
 
 
-def single_fit(panel, model, horizons):
+def single_fit(panel, model):
     """One panel through the public single-fit functions: its estimate,
     responses and multiplier path."""
     est = estimate_var(panel, model.lags)
-    irfs = irf(identify_cholesky(est, model.ordering), "G", horizons)
-    return est, irfs.responses, multiplier_path(irfs, "Y", "G", horizons)
+    irfs = irf(identify_cholesky(est, model.ordering), "G", model.horizons)
+    return est, irfs.responses, multiplier_path(irfs, "Y", "G", model.horizons)
 
 
 def reference_draw(r, estimate, panel, config, model=ModelSpec()):
@@ -70,7 +70,7 @@ def reference_draw(r, estimate, panel, config, model=ModelSpec()):
     panel_star = simulate_bootstrap_series(
         estimate, u_star, panel.X[: estimate.p], panel.Z, x_labels=panel.x_labels
     )
-    est, responses, path = single_fit(panel_star, model, config.horizons)
+    est, responses, path = single_fit(panel_star, model)
     return responses, path.values, stability(est)[1]
 
 
@@ -211,27 +211,43 @@ class TestQuantileBands:
 class TestSignificanceFlags:
     def test_strong_band_excludes_zero(self):
         bands = {90: np.array([[0.2], [1.5]]), 68: np.array([[0.4], [1.2]])}
-        assert significance_flags(bands, np.array([0.8])) == ("**",)
+        assert significance_flags(bands) == ("**",)
 
     def test_weak_only(self):
         bands = {90: np.array([[-0.1], [1.2]]), 68: np.array([[0.1], [0.9]])}
-        assert significance_flags(bands, np.array([0.5])) == ("*",)
+        assert significance_flags(bands) == ("*",)
 
     def test_straddling_unstarred(self):
         bands = {90: np.array([[-0.5], [0.6]]), 68: np.array([[-0.2], [0.3]])}
-        assert significance_flags(bands, np.array([0.034])) == ("",)
+        assert significance_flags(bands) == ("",)
 
     def test_negative_side(self):
         bands = {90: np.array([[-1.5], [-0.2]]), 68: np.array([[-1.2], [-0.4]])}
-        assert significance_flags(bands, np.array([-0.8])) == ("**",)
+        assert significance_flags(bands) == ("**",)
 
     def test_boundary_touching_zero_not_excluded(self):
         bands = {90: np.array([[0.0], [1.0]]), 68: np.array([[0.0], [0.8]])}
-        assert significance_flags(bands, np.array([0.5])) == ("",)
+        assert significance_flags(bands) == ("",)
 
     def test_single_level_is_the_narrow_tier(self):
         bands = {68: np.array([[0.1, -0.1], [0.5, 0.2]])}
-        assert significance_flags(bands, np.array([0.3, 0.05])) == ("*", "")
+        assert significance_flags(bands) == ("*", "")
+
+    @given(st.integers(0, 10_000), st.integers(1, 3))
+    @settings(max_examples=50)
+    def test_matches_quarter_by_quarter_rule(self, seed, n_levels):
+        # bounds on a grid that holds zero, so touching bands occur
+        rng = np.random.default_rng(seed)
+        bands = {lv: np.sort(rng.integers(-2, 3, size=(2, 12)) / 2.0, axis=0)
+                 for lv in (50, 68, 90)[:n_levels]}
+        weak, strong = bands[min(bands)], bands[max(bands)] if n_levels > 1 else None
+
+        def excludes_zero(band, h):
+            return band[0, h] > 0.0 or band[1, h] < 0.0
+
+        want = tuple("**" if strong is not None and excludes_zero(strong, h)
+                     else "*" if excludes_zero(weak, h) else "" for h in range(12))
+        assert significance_flags(bands) == want
 
 
 class TestFitDraws:
@@ -255,9 +271,9 @@ class TestFitDraws:
             X[np.isin(indices, sorted(bad)), 0, 0] = np.nan
             return X, panel.Z
 
-        _, _, point = point_fit(panel, ModelSpec(), 20)
+        _, _, point = point_fit(panel, ModelSpec())
         failed = {}
-        for indices, X, Z, fit, chunk_failed in fit_draws(n, simulate, ModelSpec(), 20):
+        for indices, X, Z, fit, chunk_failed in fit_draws(n, simulate, ModelSpec()):
             assert X.shape[0] == fit.paths.shape[0] == len(indices) <= chunk
             assert list(chunk_failed) == sorted(bad & set(indices.tolist()))
             for i, t in enumerate(indices.tolist()):
@@ -324,8 +340,8 @@ class TestBootstrapInference:
         ):
             bootstrap_inference(
                 panel,
-                BootstrapConfig(replications=10, seed=0, horizons=4),
-                ModelSpec(lags=1, ordering=("G", "Y")),
+                BootstrapConfig(replications=10, seed=0),
+                ModelSpec(lags=1, ordering=("G", "Y"), horizons=4),
             )
 
     def test_failure_budget_enforced(self, panel, monkeypatch):
@@ -374,7 +390,7 @@ class TestBootstrapInference:
             (lambda: BootstrapConfig(levels=(0, 90)), "band levels"),
             (lambda: BootstrapConfig(levels=()), "band levels must be non-empty"),
             (lambda: BootstrapConfig(levels=(90, 90)), "distinct"),
-            (lambda: BootstrapConfig(horizons=0), "horizons must be >= 1"),
+            (lambda: ModelSpec(horizons=0), "horizons must be >= 1"),
             (lambda: ModelSpec(lags=0), "lags must be >= 1"),
             (lambda: ModelSpec(ordering=("T", "Y", "i")), "must hold the shock 'G'"),
             (lambda: ModelSpec(ordering=("G", "T", "i")), "the response 'Y'"),
@@ -430,7 +446,7 @@ rows_strategy = st.lists(
 )
 
 
-def wrapper_chain(row, T, k, model, horizons):
+def wrapper_chain(row, T, k, model):
     """One panel built and fitted by the single-fit functions under
     errstate(over="raise", invalid="raise"): its estimate, responses and
     path, or the error that stops it, a FloatingPointError standing for
@@ -439,7 +455,7 @@ def wrapper_chain(row, T, k, model, horizons):
         with np.errstate(over="raise", invalid="raise"):
             X = make_panel(*row, T, k, model.lags)
             panel = TransformedPanel(Quarter(2000, 1), X, np.zeros((T, 0)), model.ordering, ())
-            return single_fit(panel, model, horizons)
+            return single_fit(panel, model)
     except FloatingPointError:
         return NonFiniteError
     except EstimationError as exc:
@@ -454,9 +470,9 @@ class TestStackedFit:
     def test_read_only_stack_of_one_left_unchanged(self, panel):
         X = panel.X[None]
         assert not X.flags.writeable
-        fit = stacked_fit(X, panel.Z, ModelSpec(), 20)
+        fit = stacked_fit(X, panel.Z, ModelSpec())
         assert fit.failures == {}
-        est, responses, path = single_fit(panel, ModelSpec(), 20)
+        est, responses, path = single_fit(panel, ModelSpec())
         assert np.array_equal(fit.responses[0], responses)
         assert np.array_equal(fit.paths[0], path.values)
         assert np.array_equal(fit.sigma[0], est.sigma)
@@ -465,15 +481,15 @@ class TestStackedFit:
         X = np.stack([panel.X, panel.X, panel.X])
         X[1, 40, 2] = np.inf
         before = X.copy()
-        fit = stacked_fit(X, panel.Z, ModelSpec(), 20)
+        fit = stacked_fit(X, panel.Z, ModelSpec())
         assert np.array_equal(X, before)
         assert fit.failures == {1: ("non-finite panel", 0, 0.0)}
         assert np.array_equal(fit.paths[0], fit.paths[2])
         assert np.isfinite(spectral_radius(fit.companion)).all()
 
     def test_point_fit_equals_single_fit(self, panel):
-        est, irfs, path = point_fit(panel, ModelSpec(), 20)
-        want, responses, want_path = single_fit(panel, ModelSpec(), 20)
+        est, irfs, path = point_fit(panel, ModelSpec())
+        want, responses, want_path = single_fit(panel, ModelSpec())
         for name in ("intercept", "gammas", "exog_coef", "residuals", "sigma"):
             assert np.array_equal(getattr(est, name), getattr(want, name)), name
         assert est.sample_size == want.sample_size
@@ -491,14 +507,14 @@ class TestStackedFit:
             panel.Z,
         )
         with pytest.raises(EstimationError) as single:
-            single_fit(rebuilt, ModelSpec(), 20)
-        fit = stacked_fit(np.stack([panel.X, rebuilt.X]), panel.Z, ModelSpec(), 20)
+            single_fit(rebuilt, ModelSpec())
+        fit = stacked_fit(np.stack([panel.X, rebuilt.X]), panel.Z, ModelSpec())
         assert list(fit.failures) == [1]
         exc = fit_error(*fit.failures[1])
         assert type(exc) is type(single.value)
         assert str(exc) == str(single.value)
         with pytest.raises(type(single.value), match="^" + re.escape(str(exc)) + "$"):
-            point_fit(rebuilt, ModelSpec(), 20)
+            point_fit(rebuilt, ModelSpec())
 
     @given(
         rows=rows_strategy,
@@ -508,16 +524,16 @@ class TestStackedFit:
     )
     @settings(max_examples=300, deadline=None)
     def test_rows_equal_wrapper_chain(self, rows, T, k, p):
-        model = ModelSpec(lags=p, ordering=ORDERINGS[k])
+        model = ModelSpec(lags=p, ordering=ORDERINGS[k], horizons=8)
         short = T - p <= 1 + k * p
         # the stack checks the sample size before it looks at a panel; the
         # chain simulates first, so a short overflowing panel is left out
         assume(not (short and any(kind == "overflow" for kind, *_ in rows)))
         with np.errstate(all="ignore"):
             X = np.stack([make_panel(*row, T, k, p) for row in rows])
-        fit = stacked_fit(X, np.zeros((T, 0)), model, 8)
+        fit = stacked_fit(X, np.zeros((T, 0)), model)
         for i, row in enumerate(rows):
-            want = wrapper_chain(row, T, k, model, 8)
+            want = wrapper_chain(row, T, k, model)
             if want is NonFiniteError:
                 assert fit.failures[i][0].startswith("non-finite"), (row, fit.failures.get(i))
             elif isinstance(want, EstimationError):

@@ -373,6 +373,38 @@ class TestMainExitCodes:
         assert "config error" in err and "output directory" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("under", [True, False], ids=["under_a_file", "a_file"])
+    def test_validate_rejects_an_out_it_cannot_create(self, tmp_path, data_dir, capsys, under):
+        # only the not-a-directory half is tested: root may write anywhere
+        path = write_config(tmp_path / "c.json", data_dir)
+        (tmp_path / "f").write_text("not a directory")
+        out = tmp_path / "f" / "x" if under else tmp_path / "f"
+        errs = []
+        for command in ("validate", "estimate"):
+            assert main([command, "--config", str(path), "--out", str(out), "--reps", "5"]) == 2
+            errs.append(capsys.readouterr().err)
+            assert len(errs[-1].splitlines()) == 1
+        if under:
+            assert errs[0] == errs[1] == (
+                f"config error: cannot create output directory: [Errno 20] Not a directory: "
+                f"'{out}'\n"
+            )
+        else:
+            assert errs[0] == (
+                f"config error: cannot create output directory {out}: "
+                f"{out} is not a writable directory\n"
+            )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "f"]
+
+    def test_unwritable_output_file_exit_2(self, tmp_path, data_dir, capsys):
+        path = write_config(tmp_path / "c.json", data_dir)
+        (tmp_path / "o" / "table1.txt").mkdir(parents=True)
+        argv = ["estimate", "--config", str(path), "--out", str(tmp_path / "o"), "--reps", "5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {tmp_path / 'o' / 'table1.txt'}: Is a directory\n"
+        )
+
     def test_short_window_exit_4(self, tmp_path, data_dir, capsys):
         # 12 quarters leave too few rows for 4 lags; horizons stay below
         # the window's quarter count so that the estimate, not the config,
@@ -569,36 +601,38 @@ class TestMainExitCodes:
         assert main(["montecarlo", "--config", str(spec_path)]) == 2
         assert "wrong" in capsys.readouterr().err
 
+    # {path} stands for the DGP file: the CLI names it on the spec's own
+    # errors; the run's errors are monte_carlo_recovery's, unprefixed
     @pytest.mark.parametrize(
         "change, flags, message",
         [
             ({"gammas": [[[1.05, 0, 0, 0], [0, 0.3, 0, 0], [0, 0, 0.3, 0], [0, 0, 0, 0.4]]]},
-             [], "explosive"),
-            ({"gammas": [[["a", 0, 0, 0]] * 4]}, [], "malformed DGP spec"),
-            ({"seed": -1}, [], "seed must be non-negative"),
-            ({}, ["--seed", "-1"], "seed must be non-negative"),
-            ({}, ["--reps", "0"], "--reps"),
-            ({}, ["--horizon", "0"], "--horizon"),
+             [], "{path}: companion eigenvalue modulus 1.0500 >= 1; spec is explosive"),
+            ({"gammas": [[["a", 0, 0, 0]] * 4]}, [],
+             "{path}: malformed DGP spec: could not convert string to float: 'a'"),
+            ({"seed": -1}, [], "{path}: seed must be non-negative"),
+            ({}, ["--seed", "-1"], "{path}: seed must be non-negative"),
+            ({}, ["--reps", "0"], "n_trials must be between 1 and 100000"),
+            ({}, ["--horizon", "0"], "horizons must be >= 1"),
+            ({"labels": ["G", "T", "X", "i"]}, [],
+             "ordering ['G', 'T', 'X', 'i'] must hold the shock 'G' and the response 'Y'"),
         ],
         ids=["explosive", "non_numeric_gammas", "negative_seed", "seed_flag", "zero_reps",
-             "zero_horizon"],
+             "zero_horizon", "no_y_label"],
     )
     def test_montecarlo_bad_input_exit_2(self, tmp_path, capsys, change, flags, message):
         spec_path = tmp_path / "dgp.json"
         spec_path.write_text(json.dumps({**reference_spec().to_dict(), **change}))
         assert main(["montecarlo", "--config", str(spec_path), *flags]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and message in err
-        assert len(err.splitlines()) == 1
-
+        assert capsys.readouterr().err == f"config error: {message.format(path=spec_path)}\n"
 
     @pytest.mark.parametrize(
         "change, flags, message",
-        [({}, ["--horizon", "84"], "--horizon 84 must be below the DGP's T (84)"),
-         ({}, ["--horizon", str(10**13)], "must be below the DGP's T"),
-         ({"T": 10**13}, [], "T + burn_in must not exceed"),
-         ({"burn_in": 10**13}, [], "T + burn_in must not exceed"),
-         ({}, ["--reps", "100001"], "--reps must not exceed 100000")],
+        [({}, ["--horizon", "84"], "horizons (84) must be below the DGP's T (84)"),
+         ({}, ["--horizon", str(10**13)], f"horizons ({10**13}) must be below the DGP's T (84)"),
+         ({"T": 10**13}, [], "{path}: T + burn_in must not exceed 40000 quarters"),
+         ({"burn_in": 10**13}, [], "{path}: T + burn_in must not exceed 40000 quarters"),
+         ({}, ["--reps", "100001"], "n_trials must be between 1 and 100000")],
         ids=["horizon_at_t", "huge_horizon", "huge_t", "huge_burn_in", "huge_reps"],
     )
     def test_montecarlo_oversized_input_exit_2(self, tmp_path, capsys, monkeypatch,
@@ -609,13 +643,37 @@ class TestMainExitCodes:
             raise AssertionError("allocation reached")
 
         monkeypatch.setattr(cli_mod.dgp_mod, "analytic_multipliers", never)
-        monkeypatch.setattr(cli_mod.dgp_mod, "monte_carlo_recovery", never)
+        monkeypatch.setattr(cli_mod.dgp_mod, "fit_draws", never)
         spec_path = tmp_path / "dgp.json"
         spec_path.write_text(json.dumps({**reference_spec().to_dict(), **change}))
         assert main(["montecarlo", "--config", str(spec_path), *flags]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and message in err
-        assert len(err.splitlines()) == 1
+        assert capsys.readouterr().err == f"config error: {message.format(path=spec_path)}\n"
+
+    def test_montecarlo_degenerate_true_path_exit_2(self, tmp_path, capsys):
+        # G_t = -G_{t-1} - 0.5 G_{t-2} is stable, but its cumulative G
+        # response is exactly zero at quarter 2
+        payload = {"intercept": [0, 0], "gammas": [[[-1, 0], [0, 0]], [[-0.5, 0], [0, 0]]],
+                   "B": [[1, 0], [0, 1]], "exog_coef": None, "T": 84, "labels": ["G", "Y"]}
+        spec_path = tmp_path / "dgp.json"
+        spec_path.write_text(json.dumps(payload))
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--config", str(spec_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the DGP has no true multiplier path: "
+            "cumulative G response is 0.000e+00 at quarter 2\n"
+        )
+        assert not out.exists()
+
+    def test_montecarlo_unwritable_csv_exit_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "dgp.json"
+        spec_path.write_text(json.dumps(reference_spec().to_dict()))
+        (tmp_path / "mc" / "recovery.csv").mkdir(parents=True)
+        argv = ["montecarlo", "--config", str(spec_path), "--reps", "3", "--out",
+                str(tmp_path / "mc")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {tmp_path / 'mc' / 'recovery.csv'}: Is a directory\n"
+        )
 
 
 class TestCountryErrors:
@@ -663,6 +721,14 @@ class TestRunConfigValidation:
             )
 
 
+def load_coverage_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "coverage_experiment.py"
+    spec = importlib.util.spec_from_file_location("coverage_experiment", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestCoverageScript:
     """scripts/coverage_experiment.py refuses oversized counts and a bad
     reference system as a config error before anything is simulated."""
@@ -674,11 +740,7 @@ class TestCoverageScript:
 
         monkeypatch.setattr(cli_mod.dgp_mod, "_simulate_panels", never)
         monkeypatch.setattr(cli_mod.dgp_mod, "simulate_var", never)
-        path = Path(__file__).resolve().parents[1] / "scripts" / "coverage_experiment.py"
-        spec = importlib.util.spec_from_file_location("coverage_experiment", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
+        return load_coverage_script()
 
     @pytest.mark.parametrize(
         "args, message",
@@ -694,6 +756,14 @@ class TestCoverageScript:
         assert script.main(args) == 2
         err = capsys.readouterr().err
         assert err == f"config error: {message}\n"
+
+    def test_unwritable_csv_exit_2(self, tmp_path, capsys):
+        (tmp_path / "coverage.csv").mkdir()
+        argv = ["--trials", "1", "--reps", "20", "--out", str(tmp_path)]
+        assert load_coverage_script().main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {tmp_path / 'coverage.csv'}: Is a directory\n"
+        )
 
 
 def test_scripts_import_no_private_package_name():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,13 +17,7 @@ from fiscalsvar.dgp import (
     reference_spec,
     simulate_var,
 )
-from fiscalsvar.errors import (
-    ConfigError,
-    DomainError,
-    InferenceError,
-    ShapeError,
-    UnstableDgpError,
-)
+from fiscalsvar.errors import ConfigError, InferenceError, UnstableDgpError
 from fiscalsvar.svar import identify_cholesky, irf, multiplier_path
 from fiscalsvar.var import estimate_var
 
@@ -39,6 +34,16 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return DgpSpec(**base)
+
+
+def degenerate_spec():
+    """G_t = -G_{t-1} - 0.5 G_{t-2} plus its shock, Y its own shock: the
+    roots have modulus 0.707, so the system is stable, yet the cumulative
+    G response is exactly zero at quarter 2, where no multiplier exists."""
+    gammas = np.zeros((2, 2, 2))
+    gammas[0, 0, 0], gammas[1, 0, 0] = -1.0, -0.5
+    return DgpSpec(intercept=np.zeros(2), gammas=gammas, B=np.eye(2), exog_coef=None, T=84,
+                   labels=("G", "Y"))
 
 
 def exog_spec(seed=0):
@@ -80,12 +85,12 @@ class TestDgpSpec:
             small_spec(gammas=np.array([[[1.05, 0.0], [0.0, 0.2]]]))
 
     def test_rejects_upper_triangle(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="^B must be lower triangular$"):
             small_spec(B=np.array([[1.0, 0.3], [0.0, 1.0]]))
 
     def test_rejects_nonpositive_diagonal(self):
         # a singular impact matrix would make identification meaningless
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match="^B must have a strictly positive diagonal$"):
             small_spec(B=np.array([[0.0, 0.0], [0.5, 1.0]]))
 
     def test_dict_roundtrip(self):
@@ -97,13 +102,13 @@ class TestDgpSpec:
 
     @pytest.mark.parametrize("sizes", [{"T": 10**13}, {"burn_in": 10**13}, {"T": 39_801}])
     def test_oversized_chain_rejected(self, sizes):
-        with pytest.raises(DomainError, match="T \\+ burn_in"):
+        with pytest.raises(ConfigError, match="^T \\+ burn_in must not exceed 40000 quarters$"):
             replace(reference_spec(), **sizes)
 
     def test_unknown_field_rejected(self):
         payload = reference_spec().to_dict()
         payload["rho"] = 0.5
-        with pytest.raises(DomainError, match="rho"):
+        with pytest.raises(ConfigError, match="^unknown DGP fields: rho$"):
             DgpSpec.from_dict(payload)
 
 
@@ -208,20 +213,38 @@ class TestRecovery:
                 monte_carlo_recovery(reference_spec(), n_trials)
 
     def test_horizons_validated(self):
-        with pytest.raises(ConfigError, match="horizons must be >= 1"):
-            RecoveryConfig(horizons=0)
         spec = reference_spec()
+        with pytest.raises(ConfigError, match="^horizons must be >= 1$"):
+            monte_carlo_recovery(spec, 3, RecoveryConfig(horizons=0))
         for horizons in (spec.T, 10**13):
             message = rf"horizons \({horizons}\) must be below the DGP's T \(84\)"
             with pytest.raises(ConfigError, match=message):
                 monte_carlo_recovery(spec, 3, RecoveryConfig(horizons=horizons))
 
-    def test_bootstrap_horizons_must_match(self):
-        message = r"bootstrap horizons \(20\) must equal the recovery horizons \(8\)"
-        with pytest.raises(ConfigError, match=message):
-            RecoveryConfig(horizons=8, bootstrap=BootstrapConfig(replications=50))
-        matched = RecoveryConfig(horizons=8, bootstrap=BootstrapConfig(horizons=8))
-        assert matched.bootstrap.horizons == 8
+    def test_bootstrap_runs_at_the_recovery_horizons(self):
+        # each trial bootstraps on its own model, so the bands cover the
+        # recovery horizons and nothing else sets them
+        config = RecoveryConfig(horizons=8, bootstrap=BootstrapConfig(replications=50))
+        rep = monte_carlo_recovery(reference_spec(seed=3), 2, config)
+        assert rep.analytic.shape == rep.median_bias.shape == (8,)
+        assert set(rep.coverage) == {68, 90}
+        assert all(cov.shape == (8,) for cov in rep.coverage.values())
+
+    def test_degenerate_true_path_is_config_error(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a trial was simulated")
+
+        monkeypatch.setattr(dgp_mod, "fit_draws", never)
+        message = ("the DGP has no true multiplier path: "
+                   "cumulative G response is 0.000e+00 at quarter 2")
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            monte_carlo_recovery(degenerate_spec(), 3, RecoveryConfig(horizons=4))
+
+    def test_labels_without_g_or_y_are_config_error(self):
+        spec = small_spec(labels=("G", "X"))
+        message = "ordering ['G', 'X'] must hold the shock 'G' and the response 'Y'"
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            monte_carlo_recovery(spec, 3, RecoveryConfig(horizons=4))
 
 
 class TestStackedTrials:

@@ -7,6 +7,7 @@ import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ import fiscalsvar.cli as cli
 import fiscalsvar.errors as errors
 from conftest import synthetic_levels, write_country_csv
 from fiscalsvar.cli import load_run_config, main
+from fiscalsvar.dgp import DgpSpec, reference_spec
 from fiscalsvar.errors import ConfigError, DataError, EstimationError, FiscalSvarError
 from fiscalsvar.ingest import SERIES, X_LABELS, build_panel, load_csv
 from fiscalsvar.series import Quarter
@@ -236,3 +238,81 @@ def test_config_input_fails_only_with_config_errors(work, payload):
         assert code in (0, 4)
         if code == 0:
             _check_bundle(out, load_run_config(path))
+
+
+# -- fuzzing the DGP file, the montecarlo run's config -------------------
+
+DGP_PAYLOAD = reference_spec().to_dict()
+
+
+def _scaled(value):
+    return st.floats(-3.0, 3.0).map(lambda c: (c * np.array(value)).tolist())
+
+
+# per field, values of the right kind, so that many fuzzed specs load and
+# run: short and long samples, explosive and singular systems, labels
+# without G or Y, exogenous columns
+PLAUSIBLE_DGP = {
+    "T": st.integers(-2, 400),
+    "burn_in": st.integers(-2, 400),
+    "seed": st.integers(-2, 2**64),
+    "labels": st.lists(st.sampled_from(["G", "T", "Y", "i", "X"]), min_size=3, max_size=5),
+    "gammas": _scaled(DGP_PAYLOAD["gammas"]),
+    "B": _scaled(DGP_PAYLOAD["B"]),
+    "intercept": st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    "exog_coef": st.none() | st.integers(0, 3).flatmap(
+        lambda m: st.lists(st.lists(st.floats(-0.01, 0.01), min_size=m, max_size=m),
+                           min_size=4, max_size=4)),
+}
+
+
+@st.composite
+def dgp_payloads(draw):
+    """The reference system's JSON under one to three key edits: a field
+    dropped, renamed, set to arbitrary JSON or to a value of the right
+    kind, or joined by a new key; or arbitrary JSON in place of the whole
+    object."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    payload = dict(DGP_PAYLOAD)
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["drop", "rename", "set", "set", "add"]))
+        key = draw(st.sampled_from(sorted(payload))) if payload else None
+        if edit == "add" or key is None:
+            payload[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+        elif edit == "set":
+            payload[key] = draw(PLAUSIBLE_DGP[key] | JSON_VALUES if key in PLAUSIBLE_DGP
+                                else JSON_VALUES)
+        else:
+            value = payload.pop(key)
+            if edit == "rename":
+                payload[draw(st.text(max_size=6))] = value
+    return payload
+
+
+@given(payload=dgp_payloads())
+@settings(max_examples=100, deadline=None)
+def test_dgp_input_fails_only_with_config_errors(work, payload):
+    try:
+        DgpSpec.from_dict(payload)
+    except ConfigError:
+        pass
+    path = work / "dgp_fuzz.json"
+    path.write_text(json.dumps(payload))
+    with tempfile.TemporaryDirectory(dir=work) as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["montecarlo", "--config", str(path), "--reps", "2", "--horizon", "4",
+                         "--out", tmp])
+        err = err.getvalue()
+        if code == 0:
+            assert err == ""
+            with open(Path(tmp) / "recovery.csv", newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["h", "analytic", "median_bias", "median_abs_error", "rmse"]
+            assert [row[0] for row in rows[1:]] == ["1", "2", "3", "4"]
+            return
+    assert len(err.splitlines()) == 1, err
+    # a valid spec whose sample is too short for four lags, or whose draws
+    # overflow, fails every trial: the harness's own exit 4
+    assert code == 2 or err.startswith("estimation error: all 2 trials failed; first: "), err
