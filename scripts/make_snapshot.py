@@ -7,7 +7,9 @@ For each country this script
    whose closed-form cumulative multiplier path tracks the country's
    reference column,
 2. simulates the transformed variables at the working sample length
-   with shared synthetic US controls,
+   with shared synthetic US controls, through the library's
+   ``fiscalsvar.var.simulate``, the simulator of every bootstrap
+   replication and Monte Carlo trial,
 3. inverts the variable construction back to raw levels (nominal
    expenditure, subsidies, VAT, GDP, CPI, interest rates) so the files
    look like ordinary statistical-office exports, and
@@ -17,8 +19,10 @@ For each country this script
    negative Slovak path that loses significance after the fourth quarter.
 
 Determinism: everything is derived from the constants below, so
-rerunning the script reproduces data/ byte for byte. Requires scipy (for
-the least-squares fit) on top of the package's own dependencies.
+rerunning the script reproduces data/ byte for byte;
+tests/test_cli.py::TestSnapshotScript rebuilds every country's file from
+its seed in data/manifest.json to check that. Requires scipy (for the
+least-squares fit) on top of the package's own dependencies.
 """
 from __future__ import annotations
 
@@ -36,6 +40,7 @@ from fiscalsvar.cli import country_seed, csv_text
 from fiscalsvar.dgp import DgpSpec, analytic_multipliers
 from fiscalsvar.ingest import SERIES, build_panel, load_csv
 from fiscalsvar.series import Quarter
+from fiscalsvar.var import simulate
 
 N_QUARTERS = 84
 T = N_QUARTERS - 1  # transformed rows
@@ -191,20 +196,10 @@ def us_block(total: int) -> tuple[dict[str, np.ndarray], np.ndarray]:
 
 
 def simulate_country(spec: DgpSpec, z_full: np.ndarray, data_seed: int) -> np.ndarray:
-    """Simulate the transformed columns, keeping the last T rows."""
-    rng = np.random.default_rng(data_seed)
-    p, k = spec.p, spec.k
-    total = z_full.shape[0]
-    eps = rng.standard_normal((total, k))
-    base = eps @ spec.B.T + spec.intercept + z_full @ spec.exog_coef.T
-    g_stack = np.concatenate(list(spec.gammas), axis=1)  # (k, k*p)
-    X = np.empty((total, k))
-    state = np.zeros(k * p)
-    for t in range(total):
-        x = base[t] + g_stack @ state
-        X[t] = x
-        state = np.concatenate([x, state[:-k]])
-    return X[-T:]
+    """Simulate the transformed columns with the library's simulator from a
+    zero presample, keeping the last T rows."""
+    eps = np.random.default_rng(data_seed).standard_normal((z_full.shape[0], spec.k))
+    return simulate(spec, eps @ spec.B.T, z_full, np.zeros((spec.p, spec.k)))[-T:]
 
 
 def invert_levels(code: str, X: np.ndarray, us_levels: dict[str, np.ndarray]) -> dict:

@@ -1,10 +1,11 @@
 """Residual-resampling inference for IRFs and cumulative multipliers.
 
 Each replication resamples whole residual rows with replacement, rebuilds
-an artificial panel from the estimated coefficients (initial observations
-and exogenous values held at their actual values), re-estimates and
-re-identifies, and records the replication's IRF and multiplier path.
-Percentile bands are read off the pooled replication draws.
+an artificial panel from the estimated coefficients with
+:func:`~fiscalsvar.var.simulate` (initial observations and exogenous
+values held at their actual values), re-estimates and re-identifies, and
+records the replication's IRF and multiplier path. Percentile bands are
+read off the pooled replication draws.
 
 Replications and Monte Carlo trials alike run through :func:`fit_draws`,
 the one loop that knows the chunk size: it simulates ``CHUNK`` draws at
@@ -30,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InferenceError, ShapeError, fit_error
-from .ingest import TransformedPanel
+from .ingest import X_LABELS, TransformedPanel
 from .series import Quarter
 from .svar import (
     DENOMINATOR_TOL,
@@ -49,9 +50,9 @@ from .var import (
     least_squares,
     rank_deficient,
     residual_cov,
+    simulate,
     spectral_radius,
     split_coefficients,
-    var_recursion,
 )
 
 # cap on replications and on Monte Carlo trials, 100 times the paper's
@@ -91,7 +92,7 @@ class ModelSpec:
     ordering must hold both."""
 
     lags: int = 4
-    ordering: tuple[str, ...] = ("G", "T", "Y", "i")
+    ordering: tuple[str, ...] = X_LABELS
     horizons: int = 20
 
     def __post_init__(self):
@@ -258,15 +259,6 @@ def resample_residuals(residuals: np.ndarray, rng: np.random.Generator) -> np.nd
     return U[idx]
 
 
-def _simulate(estimate, resampled, initial, exog):
-    """Artificial panels (..., p + T_eff, k) from a stack of resampled
-    residual blocks (..., T_eff, k)."""
-    base = resampled + estimate.intercept
-    if estimate.exog_coef.shape[1]:
-        base = base + exog[estimate.p:] @ estimate.exog_coef.T
-    return var_recursion(estimate.gammas, base, initial)
-
-
 def simulate_bootstrap_series(
     estimate: VarEstimate,
     resampled: np.ndarray,
@@ -274,14 +266,14 @@ def simulate_bootstrap_series(
     exog: np.ndarray,
     *,
     start: Quarter = Quarter(2000, 1),
-    x_labels: tuple[str, ...] = ("G", "T", "Y", "i"),
+    x_labels: tuple[str, ...] = X_LABELS,
     z_labels: tuple[str, ...] | None = None,
 ) -> TransformedPanel:
     """Rebuild an artificial panel from coefficients and resampled rows.
 
-    The recursion x*_t = c + sum Gamma_i x*_{t-i} + D z_t + u*_t starts
-    from the actual first p observations; ``exog`` must cover the full
-    panel (p initial rows plus one per resampled row).
+    :func:`~fiscalsvar.var.simulate` runs x*_t = c + sum Gamma_i x*_{t-i}
+    + D z_t + u*_t from the actual first p observations; ``exog`` must
+    cover the full panel (p initial rows plus one per resampled row).
     """
     p, k = estimate.p, estimate.k
     resampled = np.asarray(resampled, dtype=float)
@@ -296,7 +288,7 @@ def simulate_bootstrap_series(
     if exog.shape != (p + T_eff, m):
         raise ShapeError(f"exog must be ({p + T_eff}, {m}), got {exog.shape}")
 
-    X = _simulate(estimate, resampled, initial, exog)
+    X = simulate(estimate, resampled, exog[p:], initial)
     if z_labels is None:
         z_labels = tuple(f"z{j}" for j in range(m))
     return TransformedPanel(start, X, exog, x_labels, z_labels)
@@ -333,15 +325,15 @@ def significance_flags(bands: dict[int, np.ndarray]) -> tuple[str, ...]:
     return tuple(np.where(strong, "**", np.where(weak, "*", "")).tolist())
 
 
-def fit_draws(n: int, simulate, model: ModelSpec):
+def fit_draws(n: int, draw, model: ModelSpec):
     """Draws 0..n-1 in chunks of ``CHUNK``: for each chunk, its indices,
-    the panels X (C, T, k) and Z that ``simulate(indices)`` returns, their
+    the panels X (C, T, k) and Z that ``draw(indices)`` returns, their
     :class:`StackedFit` and the failed draws as {index: "Type: message"},
     in index order. Each chunk is simulated only when the caller asks."""
     for start in range(0, n, CHUNK):
         indices = np.arange(start, min(start + CHUNK, n))
         with np.errstate(all="ignore"):  # an overflowing draw fails as non-finite
-            X, Z = simulate(indices)
+            X, Z = draw(indices)
             fit = stacked_fit(X, Z, model)
         failed = {}
         for i, failure in sorted(fit.failures.items()):
@@ -370,7 +362,7 @@ def bootstrap_inference(
 
     def resample(rs):
         idx = np.stack([substream(config.seed, r).integers(0, len(U), size=len(U)) for r in rs])
-        return _simulate(estimate, U[idx], panel.X[: estimate.p], panel.Z), panel.Z
+        return simulate(estimate, U[idx], panel.Z[estimate.p:], panel.X[:estimate.p]), panel.Z
 
     chunks, failed = [], {}
     draws = fit_draws(config.replications, resample, model)

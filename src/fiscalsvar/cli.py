@@ -96,12 +96,12 @@ class RunConfig:
 
     countries: tuple[CountryEntry, ...]
     window: tuple[Quarter, Quarter] = DEFAULT_WINDOW
-    lags: int = 4
-    horizons: int = 20
-    ordering: tuple[str, ...] = ("G", "T", "Y", "i")
-    replications: int = 1000
-    seed: int = 0
-    levels: tuple[int, ...] = (68, 90)
+    lags: int = ModelSpec.lags
+    horizons: int = ModelSpec.horizons
+    ordering: tuple[str, ...] = ModelSpec.ordering
+    replications: int = BootstrapConfig.replications
+    seed: int = BootstrapConfig.seed
+    levels: tuple[int, ...] = BootstrapConfig.levels
     output_dir: Path = Path("out")
     plots: bool = True
 
@@ -528,7 +528,7 @@ def _cmd_montecarlo(args) -> int:
     if args.seed is not None and isinstance(payload, dict):
         payload = {**payload, "seed": args.seed}
     trials = args.reps if args.reps is not None else 100
-    horizons = args.horizon if args.horizon is not None else 20
+    horizons = args.horizon if args.horizon is not None else dgp_mod.RecoveryConfig.horizons
     try:
         spec = dgp_mod.DgpSpec.from_dict(payload)
     except ConfigError as exc:

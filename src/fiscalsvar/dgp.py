@@ -7,10 +7,11 @@ band coverage.
 
 Monte Carlo trials run through the bootstrap's draw loop,
 :func:`~fiscalsvar.bootstrap.fit_draws` (its module docstring describes
-the chunks): one recursion simulates a chunk of trials, each with its
-own exogenous columns Z, and a trial fails when the stack reports a
-failing check for it. Coverage trials then bootstrap only the trials
-the stack kept, each from its own row of the chunk.
+the chunks): :func:`~fiscalsvar.var.simulate`, as for replications,
+draws a chunk of trials, each with its own exogenous columns Z, and a
+trial fails when the stack reports a failing check for it. Coverage
+trials then bootstrap only the trials the stack kept, each from its own
+row of the chunk.
 
 Determinism contract: trial t draws its shocks, then its exogenous
 columns, from its own stream seeded by ``SeedSequence([seed, t, 0])``,
@@ -39,7 +40,7 @@ from .errors import (
     InferenceError,
     UnstableDgpError,
 )
-from .ingest import TransformedPanel
+from .ingest import X_LABELS, TransformedPanel
 from .series import Quarter
 from .svar import (
     RESPONSE,
@@ -50,7 +51,7 @@ from .svar import (
     multiplier_path,
     propagate_impulse,
 )
-from .var import companion_matrix, spectral_radius, var_recursion
+from .var import companion_matrix, simulate, spectral_radius
 
 SYNTHETIC_START = Quarter(2000, 1)
 
@@ -64,11 +65,11 @@ class DgpSpec:
     intercept: np.ndarray  # (k,)
     gammas: np.ndarray  # (p, k, k)
     B: np.ndarray  # (k, k) lower triangular, positive diagonal
-    exog_coef: np.ndarray | None  # (k, m) or None
+    exog_coef: np.ndarray | None  # (k, m); None means m = 0, stored as (k, 0)
     T: int
     burn_in: int = 200
     seed: int = 0
-    labels: tuple[str, ...] = ("G", "T", "Y", "i")
+    labels: tuple[str, ...] = X_LABELS
 
     def __post_init__(self):
         gammas = np.array(self.gammas, dtype=float)
@@ -88,12 +89,10 @@ class DgpSpec:
         if np.any(np.diag(B) <= 0.0):
             raise ConfigError("B must have a strictly positive diagonal")
         exog = self.exog_coef
-        if exog is not None:
-            exog = np.array(exog, dtype=float)
-            if exog.ndim != 2 or exog.shape[0] != k:
-                raise ConfigError(f"exog_coef must be ({k}, m)")
-            exog.setflags(write=False)
-        if not all(np.isfinite(a).all() for a in (gammas, B, intercept, exog) if a is not None):
+        exog = np.zeros((k, 0)) if exog is None else np.array(exog, dtype=float)
+        if exog.ndim != 2 or exog.shape[0] != k:
+            raise ConfigError(f"exog_coef must be ({k}, m)")
+        if not all(np.isfinite(a).all() for a in (gammas, B, intercept, exog)):
             raise ConfigError("DGP parameters must be finite")
         if self.T < 1:
             raise ConfigError("T must be >= 1")
@@ -112,10 +111,10 @@ class DgpSpec:
             raise UnstableDgpError(
                 f"companion eigenvalue modulus {top:.4f} >= 1; spec is explosive"
             )
-        for name, arr in (("gammas", gammas), ("B", B), ("intercept", intercept)):
+        for name, arr in (("gammas", gammas), ("B", B), ("intercept", intercept),
+                          ("exog_coef", exog)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "exog_coef", exog)
         object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
@@ -126,16 +125,12 @@ class DgpSpec:
     def k(self) -> int:
         return self.gammas.shape[1]
 
-    @property
-    def m(self) -> int:
-        return 0 if self.exog_coef is None else self.exog_coef.shape[1]
-
     def to_dict(self) -> dict:
         return {
             "intercept": self.intercept.tolist(),
             "gammas": self.gammas.tolist(),
             "B": self.B.tolist(),
-            "exog_coef": None if self.exog_coef is None else self.exog_coef.tolist(),
+            "exog_coef": self.exog_coef.tolist() if self.exog_coef.shape[1] else None,
             "T": self.T,
             "burn_in": self.burn_in,
             "seed": self.seed,
@@ -153,8 +148,11 @@ class DgpSpec:
         unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
         if unknown:
             raise ConfigError(f"unknown DGP fields: {', '.join(unknown)}")
-        if not all(isinstance(payload.get(name, 0), int) for name in ("T", "burn_in", "seed")):
+        sizes = (payload.get(name, 0) for name in ("T", "burn_in", "seed"))
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in sizes):
             raise ConfigError("T, burn_in and seed must be integers")
+        if not isinstance(payload.get("labels", []), list):
+            raise ConfigError("labels must be a list")
         kwargs = dict(payload)
         try:
             if "labels" in kwargs:
@@ -173,18 +171,14 @@ def _simulate_panels(
     Each generator draws its shocks, then its exogenous columns, so a
     panel depends on its own generator alone.
     """
-    k, p, m = spec.k, spec.p, spec.m
+    k, p, m = spec.k, spec.p, spec.exog_coef.shape[1]
     total = spec.burn_in + spec.T
     eps = np.empty((len(rngs), total, k))
     Z = np.zeros((len(rngs), total, m))
     for i, rng in enumerate(rngs):
         eps[i] = rng.standard_normal((total, k))
-        if m:
-            Z[i] = rng.standard_normal((total, m))
-    base = eps @ spec.B.T + spec.intercept
-    if m:
-        base = base + Z @ spec.exog_coef.T
-    X = var_recursion(spec.gammas, base, np.zeros((len(rngs), p, k)))
+        Z[i] = rng.standard_normal((total, m))  # at m = 0 the stream is untouched
+    X = simulate(spec, eps @ spec.B.T, Z, np.zeros((len(rngs), p, k)))
     return X[:, p + spec.burn_in:], Z[:, spec.burn_in:]
 
 
@@ -203,7 +197,7 @@ def simulate_var(spec: DgpSpec, rng: np.random.Generator | None = None) -> Trans
 
 def _panel(spec: DgpSpec, X: np.ndarray, Z: np.ndarray) -> TransformedPanel:
     """One simulated panel, labelled as the spec's columns."""
-    z_labels = tuple(f"z{j}" for j in range(spec.m))
+    z_labels = tuple(f"z{j}" for j in range(Z.shape[1]))
     return TransformedPanel(SYNTHETIC_START, X, Z, spec.labels, z_labels)
 
 
@@ -215,7 +209,7 @@ def analytic_irf(spec: DgpSpec, horizons: int, shock: str = SHOCK) -> IrfSet:
     return IrfSet(shock=shock, ordering=spec.labels, responses=responses)
 
 
-def analytic_multipliers(spec: DgpSpec, horizons: int = 20) -> MultiplierPath:
+def analytic_multipliers(spec: DgpSpec, horizons: int) -> MultiplierPath:
     """True cumulative multiplier path implied by the spec."""
     return multiplier_path(analytic_irf(spec, horizons), RESPONSE, SHOCK, horizons)
 
@@ -228,7 +222,7 @@ class RecoveryConfig:
     :class:`ModelSpec`: the default lags on the spec's own ordering, at
     these horizons. :func:`monte_carlo_recovery` checks the values."""
 
-    horizons: int = 20
+    horizons: int = ModelSpec.horizons
     bootstrap: BootstrapConfig | None = None
 
 

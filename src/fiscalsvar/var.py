@@ -6,7 +6,8 @@ The model for the k endogenous columns x_t of a panel is
 
 with z_t the exogenous columns entering contemporaneously. All equations
 share the same regressors, so the coefficients solve a single multi-target
-least-squares problem.
+least-squares problem. :func:`simulate` runs the law forward from shocks:
+it draws every artificial panel, replication, trial or snapshot country.
 
 Every stage also runs over a leading stack of fits: the bootstrap fits a
 chunk of artificial panels with the same functions that fit one panel.
@@ -110,6 +111,17 @@ def var_recursion(gammas: np.ndarray, base: np.ndarray, presample: np.ndarray) -
     # forward order and the memory layout of a single panel, so the
     # stages after the recursion meet the same strides stacked or not
     return np.ascontiguousarray(R[..., ::-1, :])
+
+
+def simulate(law, shocks: np.ndarray, Z: np.ndarray, presample: np.ndarray) -> np.ndarray:
+    """Panels (..., p + T, k), presample rows first, from the law of a
+    :class:`VarEstimate` or a :class:`~fiscalsvar.dgp.DgpSpec`, shocks u_t
+    (..., T, k), z_t (T, m) or (..., T, m), and the p rows before them."""
+    base = shocks + law.intercept
+    # skipped at m = 0 (the reference system): a zero-width Z @ D.T costs as much as a small one
+    if law.exog_coef.shape[1]:
+        base = base + Z @ law.exog_coef.T
+    return var_recursion(law.gammas, base, presample)
 
 
 def design_blocks(X: np.ndarray, Z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

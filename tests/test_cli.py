@@ -616,9 +616,14 @@ class TestMainExitCodes:
             ({}, ["--horizon", "0"], "horizons must be >= 1"),
             ({"labels": ["G", "T", "X", "i"]}, [],
              "ordering ['G', 'T', 'X', 'i'] must hold the shock 'G' and the response 'Y'"),
+            ({"seed": True}, [], "{path}: T, burn_in and seed must be integers"),
+            ({"burn_in": True}, [], "{path}: T, burn_in and seed must be integers"),
+            ({"T": True}, [], "{path}: T, burn_in and seed must be integers"),
+            ({"labels": "GTYi"}, [], "{path}: labels must be a list"),
         ],
         ids=["explosive", "non_numeric_gammas", "negative_seed", "seed_flag", "zero_reps",
-             "zero_horizon", "no_y_label"],
+             "zero_horizon", "no_y_label", "bool_seed", "bool_burn_in", "bool_t",
+             "string_labels"],
     )
     def test_montecarlo_bad_input_exit_2(self, tmp_path, capsys, change, flags, message):
         spec_path = tmp_path / "dgp.json"
@@ -780,19 +785,34 @@ def test_scripts_import_no_private_package_name():
 
 
 class TestSnapshotScript:
-    """scripts/make_snapshot.py still imports against the package, and its
-    CSV writer reproduces a committed snapshot file from what load_csv
-    reads back."""
+    """scripts/make_snapshot.py still imports against the package, its CSV
+    writer reproduces a committed snapshot file from what load_csv reads
+    back, and its generator rebuilds every committed country file."""
 
-    def test_rewrites_snapshot_csv_byte_for_byte(self, tmp_path):
+    ROOT = Path(__file__).resolve().parents[1]
+
+    @pytest.fixture
+    def script(self):
         pytest.importorskip("scipy")
-        root = Path(__file__).resolve().parents[1]
         spec = importlib.util.spec_from_file_location(
-            "make_snapshot", root / "scripts" / "make_snapshot.py"
+            "make_snapshot", self.ROOT / "scripts" / "make_snapshot.py"
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        data = module.load_csv(root / "data" / "cz.csv", country="cz")
-        dates = [str(data.start + i) for i in range(module.N_QUARTERS)]
-        module.write_csv(tmp_path / "cz.csv", {"date": dates, **data.values})
-        assert (tmp_path / "cz.csv").read_bytes() == (root / "data" / "cz.csv").read_bytes()
+        return module
+
+    def test_rewrites_snapshot_csv_byte_for_byte(self, script, tmp_path):
+        data = script.load_csv(self.ROOT / "data" / "cz.csv", country="cz")
+        dates = [str(data.start + i) for i in range(script.N_QUARTERS)]
+        script.write_csv(tmp_path / "cz.csv", {"date": dates, **data.values})
+        assert (tmp_path / "cz.csv").read_bytes() == (self.ROOT / "data" / "cz.csv").read_bytes()
+
+    @pytest.mark.parametrize("code", ["cz", "hu", "pl", "sk"])
+    def test_regenerates_country_file_byte_for_byte(self, script, tmp_path, code):
+        manifest = json.loads((self.ROOT / "data" / "manifest.json").read_text())
+        us_levels, z_full = script.us_block(script.BURN + script.N_QUARTERS)
+        data_seed = script.derive_data_seed(code, manifest["data_seeds"][code])
+        X = script.simulate_country(script.fit_country(code), z_full, data_seed)
+        script.write_csv(tmp_path / f"{code}.csv", script.invert_levels(code, X, us_levels))
+        expected = (self.ROOT / "data" / f"{code}.csv").read_bytes()
+        assert (tmp_path / f"{code}.csv").read_bytes() == expected
