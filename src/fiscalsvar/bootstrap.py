@@ -83,13 +83,19 @@ def substream(*parts: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(parts)))
 
 
+def check_names(names: tuple, what: str) -> None:
+    """Variable names are distinct, non-empty strings: each picks one column."""
+    if not all(isinstance(n, str) and n for n in names) or len(set(names)) != len(names):
+        raise ConfigError(f"{what} {list(names)} must be distinct, non-empty strings")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """What to estimate: lag order, identification ordering and
     ``horizons``, the quarters of the multiplier path; the responses run
     from impact to horizon ``horizons``. The multiplier is always the
     response of ``svar.RESPONSE`` to a shock in ``svar.SHOCK``, so the
-    ordering must hold both."""
+    ordering, whose names follow :func:`check_names`, must hold both."""
 
     lags: int = 4
     ordering: tuple[str, ...] = X_LABELS
@@ -97,6 +103,7 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "ordering", tuple(self.ordering))
+        check_names(self.ordering, "ordering")
         if self.lags < 1:
             raise ConfigError("lags must be >= 1")
         if self.horizons < 1:
@@ -244,19 +251,6 @@ def point_fit(
     estimate = VarEstimate.from_fit(fit.coef[0], fit.residuals[0], fit.sigma[0], model.lags)
     irfs = IrfSet(shock=SHOCK, ordering=model.ordering, responses=fit.responses[0])
     return estimate, irfs, MultiplierPath(values=fit.paths[0])
-
-
-def resample_residuals(residuals: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw residual rows i.i.d. with replacement, keeping rows intact.
-
-    Whole rows preserve the contemporaneous covariance the identification
-    step factorises.
-    """
-    U = np.asarray(residuals, dtype=float)
-    if U.ndim != 2 or U.shape[0] < 1:
-        raise ShapeError("residuals must have at least one row")
-    idx = rng.integers(0, U.shape[0], size=U.shape[0])
-    return U[idx]
 
 
 def simulate_bootstrap_series(

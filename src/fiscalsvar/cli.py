@@ -38,6 +38,7 @@ from .bootstrap import (
     derive_seed,
 )
 from .errors import ConfigError, DataError, EstimationError, FiscalSvarError, ShapeError
+from .errors import json_int, reject_unknown_keys
 from .ingest import X_LABELS, TransformedPanel, build_panel, load_csv
 from .plots import render_band_plot
 from .series import Quarter
@@ -111,11 +112,11 @@ class RunConfig:
         codes = [c.code for c in self.countries]
         if len(set(codes)) != len(codes):
             raise ConfigError(f"duplicate country codes: {codes}")
-        if sorted(self.ordering) != sorted(X_LABELS):
-            raise ConfigError(
-                f"ordering {list(self.ordering)} is not a permutation of {list(X_LABELS)}"
-            )
         model = ModelSpec(self.lags, self.ordering, self.horizons)
+        if sorted(model.ordering) != sorted(X_LABELS):
+            raise ConfigError(
+                f"ordering {list(model.ordering)} is not a permutation of {list(X_LABELS)}"
+            )
         boot = BootstrapConfig(self.replications, self.seed, self.levels)
         if self.plots and len(boot.levels) != 2:
             raise ConfigError(f"plots need exactly two band levels, got {list(boot.levels)}")
@@ -153,10 +154,6 @@ def _read_json(path: Path, what: str):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_run_config(path) -> RunConfig:
     """Parse the strict JSON config; unknown keys are hard errors.
 
@@ -168,9 +165,7 @@ def load_run_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
 
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
+    reject_unknown_keys(raw, _CONFIG_KEYS, f"{path}: unknown config key(s)")
     if "countries" not in raw:
         raise ConfigError(f"{path}: missing required key 'countries'")
     if not isinstance(raw["countries"], list):
@@ -180,9 +175,7 @@ def load_run_config(path) -> RunConfig:
     for i, item in enumerate(raw["countries"]):
         if not isinstance(item, dict):
             raise ConfigError(f"{path}: countries[{i}] must be an object")
-        bad = sorted(set(item) - _COUNTRY_KEYS)
-        if bad:
-            raise ConfigError(f"{path}: countries[{i}]: unknown key(s): {', '.join(bad)}")
+        reject_unknown_keys(item, _COUNTRY_KEYS, f"{path}: countries[{i}]: unknown key(s)")
         for req in ("code", "csv"):
             if req not in item:
                 raise ConfigError(f"{path}: countries[{i}]: missing '{req}'")
@@ -213,17 +206,17 @@ def load_run_config(path) -> RunConfig:
             raise ConfigError(f"{path}: bad window: {exc}") from None
     for key in ("lags", "horizons", "replications", "seed", "workers"):
         if key in raw:
-            if not _is_int(raw[key]):
+            if not json_int(raw[key]):
                 raise ConfigError(f"{path}: {key} must be an integer")
             kwargs[key] = raw[key]
     kwargs.pop("workers", None)
     if "ordering" in raw:
         if not isinstance(raw["ordering"], list):
             raise ConfigError(f"{path}: ordering must be a list of variable names")
-        kwargs["ordering"] = tuple(str(s) for s in raw["ordering"])
+        kwargs["ordering"] = tuple(raw["ordering"])
     if "levels" in raw:
         levels = raw["levels"]
-        if not (isinstance(levels, list) and all(_is_int(lv) for lv in levels)):
+        if not (isinstance(levels, list) and all(json_int(lv) for lv in levels)):
             raise ConfigError(f"{path}: levels must be a list of integers")
         kwargs["levels"] = tuple(levels)
     if "plots" in raw:

@@ -29,6 +29,7 @@ from .bootstrap import (
     BootstrapConfig,
     ModelSpec,
     bootstrap_inference,
+    check_names,
     derive_seed,
     fit_draws,
     substream,
@@ -39,6 +40,8 @@ from .errors import (
     EstimationError,
     InferenceError,
     UnstableDgpError,
+    json_int,
+    reject_unknown_keys,
 )
 from .ingest import X_LABELS, TransformedPanel
 from .series import Quarter
@@ -84,6 +87,7 @@ class DgpSpec:
             raise ConfigError(f"intercept must have length {k}")
         if len(self.labels) != k:
             raise ConfigError("labels must name every column")
+        check_names(self.labels, "labels")
         if np.any(np.triu(B, 1) != 0.0):
             raise ConfigError("B must be lower triangular")
         if np.any(np.diag(B) <= 0.0):
@@ -145,19 +149,13 @@ class DgpSpec:
         """
         if not isinstance(payload, dict):
             raise ConfigError("a DGP spec must be a JSON object")
-        unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ConfigError(f"unknown DGP fields: {', '.join(unknown)}")
-        sizes = (payload.get(name, 0) for name in ("T", "burn_in", "seed"))
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in sizes):
+        reject_unknown_keys(payload, cls.__dataclass_fields__, "unknown DGP fields")
+        if not all(json_int(payload.get(name, 0)) for name in ("T", "burn_in", "seed")):
             raise ConfigError("T, burn_in and seed must be integers")
         if not isinstance(payload.get("labels", []), list):
             raise ConfigError("labels must be a list")
-        kwargs = dict(payload)
         try:
-            if "labels" in kwargs:
-                kwargs["labels"] = tuple(kwargs["labels"])
-            return cls(**kwargs)
+            return cls(**payload)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed DGP spec: {exc}") from None
 

@@ -9,6 +9,9 @@ turns that check into its typed :class:`EstimationError`, so each
 failure message is written once. The single-fit functions raise it; the
 bootstrap and the Monte Carlo harness read it off the stacked fit and
 count it as one failed draw, not a failed run.
+
+Both JSON inputs, run config and DGP file, share :func:`json_int` and
+:func:`reject_unknown_keys`.
 """
 
 
@@ -62,10 +65,6 @@ class SampleSizeError(EstimationError):
 
 class RankError(EstimationError):
     """Regressor matrix is rank deficient (perfect collinearity)."""
-
-
-class DofError(EstimationError):
-    """No degrees of freedom left for the residual covariance."""
 
 
 class DecompositionError(EstimationError):
@@ -133,3 +132,16 @@ def fit_error(
     if check == "non-finite panel":
         return NonFiniteError("simulated panel holds non-finite values")
     return NonFiniteError("fit produced non-finite coefficients or responses")
+
+
+def json_int(value) -> bool:
+    """Whether a parsed JSON value is an integer; true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def reject_unknown_keys(payload: dict, known, message: str) -> None:
+    """Raise :class:`ConfigError` ``"<message>: <keys>"`` naming, sorted,
+    every key of the JSON object ``payload`` outside ``known``."""
+    unknown = sorted(set(payload) - set(known))
+    if unknown:
+        raise ConfigError(f"{message}: {', '.join(unknown)}")

@@ -97,22 +97,12 @@ class TransformedPanel:
     def rows(self) -> int:
         return self.X.shape[0]
 
-    def quarters(self) -> list[Quarter]:
-        return [self.start + i for i in range(self.rows)]
-
     def reordered(self, labels: tuple[str, ...]) -> "TransformedPanel":
         """Return a panel with X columns permuted into the given ordering."""
         if sorted(labels) != sorted(self.x_labels):
             raise ShapeError(f"ordering {labels} is not a permutation of {self.x_labels}")
         perm = [self.x_labels.index(lab) for lab in labels]
         return TransformedPanel(self.start, self.X[:, perm], self.Z, tuple(labels), self.z_labels)
-
-
-def default_schema() -> dict[str, str]:
-    """Identity column map: canonical names are used as CSV headers."""
-    schema = {DATE_COLUMN: DATE_COLUMN}
-    schema.update({name: name for name in SERIES})
-    return schema
 
 
 def load_csv(path, schema: dict[str, str] | None = None, country: str = "") -> MacroDataset:
@@ -123,7 +113,7 @@ def load_csv(path, schema: dict[str, str] | None = None, country: str = "") -> M
     canonical name itself.
     """
     path = Path(path)
-    full_schema = default_schema()
+    full_schema = {name: name for name in (DATE_COLUMN, *SERIES)}
     if schema:
         unknown = sorted(set(schema) - set(full_schema))
         if unknown:

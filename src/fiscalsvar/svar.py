@@ -141,8 +141,6 @@ def identify_cholesky(estimate: VarEstimate, ordering: tuple[str, ...]) -> Struc
     The estimate's columns must already be arranged in ``ordering``; this
     function does not permute, it only factorises.
     """
-    if len(ordering) != estimate.k:
-        raise ShapeError(f"ordering has {len(ordering)} names for k = {estimate.k}")
     B = lower_cholesky(estimate.sigma)
     return StructuralModel(estimate=estimate, B=B, ordering=ordering)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DofError, ShapeError, fit_error
+from .errors import ShapeError, fit_error
 from .ingest import TransformedPanel
 
 # relative tolerance on the diagonal of R in the QR factorisation
@@ -66,10 +66,6 @@ class VarEstimate:
         k = coef.shape[-1]
         intercept, gammas, exog_coef = split_coefficients(coef, p, k)
         return cls(p, k, intercept, gammas, exog_coef, residuals, sigma, residuals.shape[0])
-
-    @property
-    def n_regressors(self) -> int:
-        return 1 + self.p * self.k + self.exog_coef.shape[1]
 
     def companion(self) -> np.ndarray:
         return companion_matrix(self.gammas)
@@ -142,18 +138,6 @@ def design_blocks(X: np.ndarray, Z: np.ndarray, p: int) -> tuple[np.ndarray, np.
     return X[..., p:, :], W
 
 
-def lagged_design(panel: TransformedPanel, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Build the response block Y (T-p, k) and regressor block W of one
-    panel; see :func:`design_blocks`.
-    """
-    if p < 1:
-        raise ShapeError("lag order must be >= 1")
-    T = panel.X.shape[0]
-    if T <= p:
-        raise fit_error("lags", T, p)
-    return design_blocks(panel.X, panel.Z, p)
-
-
 def rank_deficient(rdiag: np.ndarray) -> np.ndarray:
     """Whether the smallest |R_ii| of each fit falls below
     :data:`RANK_RTOL` times its largest."""
@@ -194,7 +178,11 @@ def estimate_var(panel: TransformedPanel, p: int = 4) -> VarEstimate:
     rows than regressors, and :class:`RankError` when the regressor matrix
     is numerically rank-deficient.
     """
-    Y, W = lagged_design(panel, p)
+    if p < 1:
+        raise ShapeError("lag order must be >= 1")
+    if panel.rows <= p:
+        raise fit_error("lags", panel.rows, p)
+    Y, W = design_blocks(panel.X, panel.Z, p)
     T_eff, n_reg = W.shape
     if T_eff <= n_reg:
         raise fit_error("sample size", T_eff, n_reg)
@@ -209,16 +197,13 @@ def residual_cov(residuals: np.ndarray, n_regressors: int) -> np.ndarray:
     of each residual block in a stack (..., T_eff, k).
 
     The result is explicitly symmetrised so downstream factorisations never
-    see rounding-level asymmetry.
+    see rounding-level asymmetry. Every caller checks the sample size
+    first, so T_eff > n_reg.
     """
     U = np.asarray(residuals, dtype=float)
     if U.ndim < 2:
         raise ShapeError("residuals must be at least 2-d")
-    T_eff = U.shape[-2]
-    dof = T_eff - n_regressors
-    if dof <= 0:
-        raise DofError(f"non-positive degrees of freedom: {T_eff} rows, {n_regressors} regressors")
-    sigma = (U.swapaxes(-1, -2) @ U) / dof
+    sigma = (U.swapaxes(-1, -2) @ U) / (U.shape[-2] - n_regressors)
     return (sigma + sigma.swapaxes(-1, -2)) / 2.0
 
 

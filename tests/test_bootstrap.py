@@ -14,7 +14,6 @@ from fiscalsvar.bootstrap import (
     fit_draws,
     point_fit,
     quantile_bands,
-    resample_residuals,
     significance_flags,
     simulate_bootstrap_series,
     stacked_fit,
@@ -65,8 +64,11 @@ def single_fit(panel, model):
 
 def reference_draw(r, estimate, panel, config, model=ModelSpec()):
     """Replication r alone through the public single-fit functions: its
-    responses, multiplier path and whether the refit is stable."""
-    u_star = resample_residuals(estimate.residuals, substream(config.seed, r))
+    responses, multiplier path and whether the refit is stable. The
+    stream contract: replication r resamples whole residual rows, with
+    row indices from ``substream(seed, r)``."""
+    U = estimate.residuals
+    u_star = U[substream(config.seed, r).integers(0, len(U), size=len(U))]
     panel_star = simulate_bootstrap_series(
         estimate, u_star, panel.X[: estimate.p], panel.Z, x_labels=panel.x_labels
     )
@@ -102,38 +104,6 @@ class TestDeriveSeed:
         a = substream(7, np.int64(3)).integers(0, 1 << 30, size=8)
         b = np.random.default_rng(np.random.SeedSequence([7, 3])).integers(0, 1 << 30, size=8)
         assert np.array_equal(a, b)
-
-
-class TestResampleResiduals:
-    def test_single_row_fixed_point(self):
-        U = np.array([[1.5, -2.0]])
-        out = resample_residuals(U, np.random.default_rng(0))
-        assert np.array_equal(out, U)
-
-    def test_same_seed_same_draw(self):
-        U = np.random.default_rng(5).normal(size=(40, 3))
-        a = resample_residuals(U, np.random.default_rng(123))
-        b = resample_residuals(U, np.random.default_rng(123))
-        assert np.array_equal(a, b)
-
-    def test_rows_kept_intact(self):
-        U = np.column_stack([np.arange(30.0), 100.0 + np.arange(30.0)])
-        out = resample_residuals(U, np.random.default_rng(9))
-        # each output row must be one of the input rows, never a remix
-        assert np.array_equal(out[:, 1] - out[:, 0], np.full(30, 100.0))
-
-    def test_draw_frequencies_near_uniform(self):
-        U = np.array([[0.0], [1.0]])
-        rng = np.random.default_rng(7)
-        draws = np.concatenate(
-            [resample_residuals(np.repeat(U, 2500, 0), rng)[:, 0] for _ in range(1)]
-        )
-        share = draws.mean()
-        assert 0.45 <= share <= 0.55
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            resample_residuals(np.empty((0, 2)), np.random.default_rng(0))
 
 
 class TestSimulateBootstrapSeries:
@@ -394,6 +364,12 @@ class TestBootstrapInference:
             (lambda: ModelSpec(lags=0), "lags must be >= 1"),
             (lambda: ModelSpec(ordering=("T", "Y", "i")), "must hold the shock 'G'"),
             (lambda: ModelSpec(ordering=("G", "T", "i")), "the response 'Y'"),
+            (lambda: ModelSpec(ordering=("G", "Y", "Y")),
+             "ordering ['G', 'Y', 'Y'] must be distinct, non-empty strings"),
+            (lambda: ModelSpec(ordering=("G", "Y", "")),
+             "ordering ['G', 'Y', ''] must be distinct, non-empty strings"),
+            (lambda: ModelSpec(ordering=("G", "Y", 5)),
+             "ordering ['G', 'Y', 5] must be distinct, non-empty strings"),
         ]:
             with pytest.raises(ConfigError, match=re.escape(message)):
                 build()

@@ -116,7 +116,10 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="levels"):
             load_run_config(path)
 
-    @pytest.mark.parametrize("ordering", [["G", "T", "Y", "X"], ["G", "T", "Y"], "GTYi"])
+    @pytest.mark.parametrize(
+        "ordering",
+        [["G", "T", "Y", "X"], ["G", "T", "Y"], "GTYi", ["G", "T", "Y", 5], ["G", "T", "Y", "Y"]],
+    )
     def test_ordering_must_permute_the_variables(self, tmp_path, data_dir, ordering):
         path = write_config(tmp_path / "c.json", data_dir, ordering=ordering)
         with pytest.raises(ConfigError, match="ordering"):
@@ -350,6 +353,7 @@ class TestMainExitCodes:
             {"levels": []},
             {"levels": [90]},
             {"levels": [50, 68, 90]},
+            {"ordering": ["G", "T", "Y", 5]},
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "estimate"])
@@ -620,10 +624,14 @@ class TestMainExitCodes:
             ({"burn_in": True}, [], "{path}: T, burn_in and seed must be integers"),
             ({"T": True}, [], "{path}: T, burn_in and seed must be integers"),
             ({"labels": "GTYi"}, [], "{path}: labels must be a list"),
+            ({"labels": ["G", "Y", "Y", "i"]}, [],
+             "{path}: labels ['G', 'Y', 'Y', 'i'] must be distinct, non-empty strings"),
+            ({"labels": ["G", "T", "Y", 5]}, [],
+             "{path}: labels ['G', 'T', 'Y', 5] must be distinct, non-empty strings"),
         ],
         ids=["explosive", "non_numeric_gammas", "negative_seed", "seed_flag", "zero_reps",
              "zero_horizon", "no_y_label", "bool_seed", "bool_burn_in", "bool_t",
-             "string_labels"],
+             "string_labels", "repeated_label", "non_string_label"],
     )
     def test_montecarlo_bad_input_exit_2(self, tmp_path, capsys, change, flags, message):
         spec_path = tmp_path / "dgp.json"

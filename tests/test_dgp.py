@@ -3,11 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fiscalsvar.bootstrap as bootstrap_mod
 import fiscalsvar.dgp as dgp_mod
 from conftest import fail_draws
-from fiscalsvar.bootstrap import BootstrapConfig, bootstrap_inference, derive_seed, substream
+from fiscalsvar.bootstrap import (
+    BootstrapConfig,
+    ModelSpec,
+    bootstrap_inference,
+    derive_seed,
+    substream,
+)
 from fiscalsvar.dgp import (
     DgpSpec,
     RecoveryConfig,
@@ -110,6 +117,27 @@ class TestDgpSpec:
         payload["rho"] = 0.5
         with pytest.raises(ConfigError, match="^unknown DGP fields: rho$"):
             DgpSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("labels", [("G", "G"), ("G", ""), ("G", 5), ("G", None)])
+    def test_labels_are_distinct_strings(self, labels):
+        message = f"labels {list(labels)} must be distinct, non-empty strings"
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            small_spec(labels=labels)
+
+    @given(st.lists(st.one_of(st.sampled_from(["G", "Y", "T", "i", ""]), st.integers(0, 2)),
+                    min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_labels_name_one_g_and_one_y_column(self, labels):
+        # what a montecarlo run accepts: the spec, then its trials' model
+        k = len(labels)
+        try:
+            spec = DgpSpec(np.zeros(k), 0.5 * np.eye(k)[None], np.eye(k), None, T=84,
+                           labels=labels)
+            ModelSpec(ordering=spec.labels)
+        except ConfigError:
+            return
+        assert all(isinstance(name, str) for name in spec.labels)
+        assert spec.labels.count("G") == 1 and spec.labels.count("Y") == 1
 
 
 class TestSimulateVar:

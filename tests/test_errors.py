@@ -39,7 +39,6 @@ def test_every_error_has_exactly_one_base():
         "WindowCoverageError",
         "SampleSizeError",
         "RankError",
-        "DofError",
         "DecompositionError",
         "DegenerateDenominatorError",
         "NonFiniteError",

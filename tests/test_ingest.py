@@ -365,8 +365,8 @@ class TestBuildPanel:
         data = load_csv(path, country="pl")
         panel = build_panel(data, (START, Quarter(2019, 4)))
         assert panel.rows == 83
-        assert panel.quarters()[0] == Quarter(1999, 2)
-        assert panel.quarters()[-1] == Quarter(2019, 4)
+        assert panel.start == Quarter(1999, 2)
+        assert panel.start + (panel.rows - 1) == Quarter(2019, 4)
 
 
 class TestTransformedPanel:

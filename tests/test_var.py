@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fiscalsvar.dgp import DgpSpec, reference_spec, simulate_var
-from fiscalsvar.errors import DofError, RankError, SampleSizeError, ShapeError
+from fiscalsvar.errors import RankError, SampleSizeError, ShapeError
 from fiscalsvar.ingest import TransformedPanel
 from fiscalsvar.series import Quarter
 from fiscalsvar.var import (
     companion_matrix,
     design_blocks,
     estimate_var,
-    lagged_design,
     least_squares,
     rank_deficient,
     residual_cov,
@@ -69,7 +68,7 @@ class TestLaggedDesign:
     def test_columns_ordered_lag1_first(self):
         X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
         Z = np.array([[9.0], [10.0], [11.0], [12.0]])
-        Y, W = lagged_design(panel_from(X, Z), p=2)
+        Y, W = design_blocks(X, Z, p=2)
         assert np.array_equal(Y, X[2:])
         expected_W = np.array(
             [
@@ -81,8 +80,13 @@ class TestLaggedDesign:
 
     def test_too_short_sample(self):
         X = np.ones((3, 2)) + np.arange(6).reshape(3, 2)
-        with pytest.raises(SampleSizeError):
-            lagged_design(panel_from(X), p=3)
+        with pytest.raises(SampleSizeError, match="^need more than 3 rows to form lags, have 3$"):
+            estimate_var(panel_from(X), p=3)
+
+    def test_lag_order_below_one(self):
+        X = np.ones((3, 2)) + np.arange(6).reshape(3, 2)
+        with pytest.raises(ShapeError, match="^lag order must be >= 1$"):
+            estimate_var(panel_from(X), p=0)
 
 
 class TestEstimateVar:
@@ -90,7 +94,7 @@ class TestEstimateVar:
         # independent oracle: SVD pseudo-inverse instead of QR
         panel = simulate_var(reference_spec(T=120, seed=5))
         est = estimate_var(panel, p=2)
-        Y, W = lagged_design(panel, 2)
+        Y, W = design_blocks(panel.X, panel.Z, 2)
         coef = np.linalg.pinv(W) @ Y
         k = panel.X.shape[1]
         assert est.intercept == pytest.approx(coef[0], rel=1e-9, abs=1e-12)
@@ -129,7 +133,7 @@ class TestEstimateVar:
     def test_residuals_orthogonal_to_design(self):
         panel = simulate_var(reference_spec(T=150, seed=11))
         est = estimate_var(panel, p=4)
-        _, W = lagged_design(panel, 4)
+        _, W = design_blocks(panel.X, panel.Z, 4)
         assert np.max(np.abs(W.T @ est.residuals)) < 1e-8
 
     def test_sigma_positive_semidefinite_symmetric(self):
@@ -201,10 +205,6 @@ class TestResidualCov:
         U = np.array([[2.0, 0.0], [0.0, 1.0], [-2.0, -1.0]])
         sigma = residual_cov(U, n_regressors=1)
         assert np.array_equal(sigma, np.array([[4.0, 1.0], [1.0, 1.0]]))
-
-    def test_dof_guard(self):
-        with pytest.raises(DofError):
-            residual_cov(np.ones((3, 2)), n_regressors=3)
 
 
 class TestStability:
