@@ -8,10 +8,14 @@ records the replication's IRF and multiplier path. Percentile bands are
 read off the pooled replication draws.
 
 Replications and Monte Carlo trials alike run through :func:`fit_draws`,
-the one loop that knows the chunk size: it simulates ``CHUNK`` draws at
-a time and fits them with :func:`stacked_fit`, which chains the
-stack-native stages of :mod:`fiscalsvar.var` and :mod:`fiscalsvar.svar`;
-the point estimate is the same function on a stack of one. The stack
+the one loop that knows the two sizes, both set by panel rows: it
+simulates a block of draws at a time, never fewer than ``CHUNK`` and
+more when the draws are short, and fits each block in stacks of at most
+``CHUNK`` draws and ``ROWS`` panel rows with :func:`stacked_fit`, which
+chains the stack-native stages of :mod:`fiscalsvar.var` and
+:mod:`fiscalsvar.svar`; the point estimate is the same function on a
+stack of one. :func:`~fiscalsvar.var.below_unit_radius` counts the
+unstable refits, proving most stable ones by squaring. The stack
 reports, per draw, the first check that fails (sample size, a non-finite
 panel, rank, pivot, multiplier denominator, a non-finite result) in the
 order the single-fit functions run them, and that report alone decides
@@ -20,7 +24,7 @@ which draws fail and with which error.
 Determinism contract: replication r draws its residual rows from its own
 stream seeded by ``SeedSequence([seed, r])``, and every stacked stage
 runs the single-fit routine matrix by matrix. So every draw equals the
-single-fit path bit for bit, the chunk size never changes a number, and
+single-fit path bit for bit, neither size ever changes a number, and
 results are a pure function of the data, the model and the config.
 """
 from __future__ import annotations
@@ -45,13 +49,13 @@ from .svar import (
 )
 from .var import (
     VarEstimate,
+    below_unit_radius,
     companion_matrix,
     design_blocks,
     least_squares,
     rank_deficient,
     residual_cov,
     simulate,
-    spectral_radius,
     split_coefficients,
 )
 
@@ -62,9 +66,14 @@ MAX_REPLICATIONS = 100_000
 
 MAX_FAILURE_SHARE = 0.05
 
-# draws per step of fit_draws; a chunk holds the designs and Q factors
-# of all its draws at once, so memory grows with chunk size times T
+# draws per fit stack at most, and fewest draws per simulated block; a
+# stack holds the designs and Q factors of all its draws at once
 CHUNK = 25
+
+# panel rows per simulated block and per fit stack, so that neither
+# grows with the sample length; a block still holds CHUNK draws, and so
+# more than ROWS rows, once a draw is longer than ROWS / CHUNK rows
+ROWS = 8192
 
 
 def derive_seed(*parts: int) -> int:
@@ -319,21 +328,35 @@ def significance_flags(bands: dict[int, np.ndarray]) -> tuple[str, ...]:
     return tuple(np.where(strong, "**", np.where(weak, "*", "")).tolist())
 
 
-def fit_draws(n: int, draw, model: ModelSpec):
-    """Draws 0..n-1 in chunks of ``CHUNK``: for each chunk, its indices,
-    the panels X (C, T, k) and Z that ``draw(indices)`` returns, their
-    :class:`StackedFit` and the failed draws as {index: "Type: message"},
-    in index order. Each chunk is simulated only when the caller asks."""
-    for start in range(0, n, CHUNK):
-        indices = np.arange(start, min(start + CHUNK, n))
+def fit_draws(n: int, draw, model: ModelSpec, rows: int):
+    """Draws 0..n-1 in index order, one fit stack per step: its indices,
+    the panels X (C, T, k) and Z that ``draw(indices)`` returned for them,
+    their :class:`StackedFit` and the failed draws as
+    {index: "Type: message"}.
+
+    ``draw`` simulates ``rows`` rows per draw, and is called on the
+    most draws that stay within ``ROWS`` rows, rounded down to a whole
+    number of ``CHUNK`` but never below it, only when the caller asks for
+    a stack of that block; each stack fits min(``CHUNK``,
+    max(1, ``ROWS`` // T)) of them. A per-draw Z (C, T, m) is sliced
+    with X."""
+    # whole stacks of CHUNK: a short stack at every block's end would
+    # cost a stacked_fit call's fixed overhead for a few draws
+    block = max(1, ROWS // rows // CHUNK) * CHUNK
+    for start in range(0, n, block):
+        indices = np.arange(start, min(start + block, n))
         with np.errstate(all="ignore"):  # an overflowing draw fails as non-finite
             X, Z = draw(indices)
-            fit = stacked_fit(X, Z, model)
-        failed = {}
-        for i, failure in sorted(fit.failures.items()):
-            exc = fit_error(*failure, SHOCK)
-            failed[int(indices[i])] = f"{type(exc).__name__}: {exc}"
-        yield indices, X, Z, fit, failed
+        size = min(CHUNK, max(1, ROWS // X.shape[1]))
+        for lo in range(0, len(indices), size):
+            part = slice(lo, lo + size)
+            Xs, Zs = X[part], Z[part] if Z.ndim == 3 else Z
+            fit = stacked_fit(Xs, Zs, model)
+            failed = {}
+            for i, failure in sorted(fit.failures.items()):
+                exc = fit_error(*failure, SHOCK)
+                failed[int(indices[lo + i])] = f"{type(exc).__name__}: {exc}"
+            yield indices[part], Xs, Zs, fit, failed
 
 
 def bootstrap_inference(
@@ -358,20 +381,20 @@ def bootstrap_inference(
         idx = np.stack([substream(config.seed, r).integers(0, len(U), size=len(U)) for r in rs])
         return simulate(estimate, U[idx], panel.Z[estimate.p:], panel.X[:estimate.p]), panel.Z
 
-    chunks, failed = [], {}
-    draws = fit_draws(config.replications, resample, model)
-    for rs, _, _, fit, chunk_failed in draws:
-        failed.update(chunk_failed)
-        keep = ~np.isin(rs, list(chunk_failed))
-        stable = spectral_radius(fit.companion[keep]) < 1.0
-        chunks.append((rs[keep], fit.responses[keep], fit.paths[keep], stable))
+    stacks, failed = [], {}
+    draws = fit_draws(config.replications, resample, model, len(U))
+    for rs, _, _, fit, stack_failed in draws:
+        failed.update(stack_failed)
+        keep = ~np.isin(rs, list(stack_failed))
+        stable = below_unit_radius(fit.companion[keep])
+        stacks.append((rs[keep], fit.responses[keep], fit.paths[keep], stable))
 
     if len(failed) > MAX_FAILURE_SHARE * config.replications:
         raise InferenceError(
             f"{len(failed)} of {config.replications} replications failed "
             f"(limit {MAX_FAILURE_SHARE:.0%}); first: {next(iter(failed.values()))}"
         )
-    order, irf_draws, multipliers, stable = map(np.concatenate, zip(*chunks))
+    order, irf_draws, multipliers, stable = map(np.concatenate, zip(*stacks))
     unstable = int(np.count_nonzero(~stable))
 
     m_bands = quantile_bands(multipliers, config.levels)

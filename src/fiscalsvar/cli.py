@@ -39,7 +39,7 @@ from .bootstrap import (
 )
 from .errors import ConfigError, DataError, EstimationError, FiscalSvarError, ShapeError
 from .errors import json_int, reject_unknown_keys
-from .ingest import X_LABELS, TransformedPanel, build_panel, load_csv
+from .ingest import DATE_COLUMN, SERIES, X_LABELS, TransformedPanel, build_panel, load_csv
 from .plots import render_band_plot
 from .series import Quarter
 from .svar import RESPONSE, MultiplierPath
@@ -180,8 +180,15 @@ def load_run_config(path) -> RunConfig:
             if req not in item:
                 raise ConfigError(f"{path}: countries[{i}]: missing '{req}'")
         schema = item.get("schema")
-        if schema is not None and not isinstance(schema, dict):
-            raise ConfigError(f"{path}: countries[{i}]: schema must be an object")
+        if schema is not None:
+            if not isinstance(schema, dict):
+                raise ConfigError(f"{path}: countries[{i}]: schema must be an object")
+            reject_unknown_keys(schema, (DATE_COLUMN, *SERIES),
+                                f"{path}: countries[{i}]: unknown schema key(s)")
+            if not all(isinstance(column, str) and column for column in schema.values()):
+                raise ConfigError(
+                    f"{path}: countries[{i}]: schema values must be non-empty strings"
+                )
         try:
             csv_path = (path.parent / item["csv"]).resolve()
         except (TypeError, ValueError):  # not a string, a NUL byte, a lone surrogate
@@ -527,13 +534,7 @@ def _cmd_montecarlo(args) -> int:
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     report = dgp_mod.monte_carlo_recovery(spec, trials, dgp_mod.RecoveryConfig(horizons))
-    print(f"{trials} trials at T={spec.T}, failures {report.failures}")
-    print("  h   true m   med bias   med |err|     rmse")
-    for h in range(horizons):
-        print(
-            f"{h + 1:>3}  {report.analytic[h]:>7.3f}  {report.median_bias[h]:>+9.4f}"
-            f"  {report.median_abs_error[h]:>9.4f}  {report.rmse[h]:>7.4f}"
-        )
+    # the file first, so a reader that closes stdout early cannot lose it
     if args.out is not None:
         out = output_dir(Path(args.out))
         write_csv(out, "recovery.csv", {
@@ -543,6 +544,14 @@ def _cmd_montecarlo(args) -> int:
             "median_abs_error": report.median_abs_error,
             "rmse": report.rmse,
         })
+    print(f"{trials} trials at T={spec.T}, failures {report.failures}")
+    print("  h   true m   med bias   med |err|     rmse")
+    for h in range(horizons):
+        print(
+            f"{h + 1:>3}  {report.analytic[h]:>7.3f}  {report.median_bias[h]:>+9.4f}"
+            f"  {report.median_abs_error[h]:>9.4f}  {report.rmse[h]:>7.4f}"
+        )
+    if args.out is not None:
         print(f"wrote {out / 'recovery.csv'}")
     return 0
 
@@ -591,6 +600,15 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
     return code
 
 
+def closed_stdout() -> int:
+    """Exit code of a run whose reader closed stdout: every file is
+    written, and stdout is pointed at the null device, as the Python
+    ``signal`` docs advise, so the interpreter's own flush at exit
+    cannot fail again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1  # Python's own exit status on EPIPE
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -599,7 +617,11 @@ def main(argv: list[str] | None = None) -> int:
         "montecarlo": _cmd_montecarlo,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, inside the try
+        return code
+    except BrokenPipeError:
+        return closed_stdout()
     except ConfigError as exc:
         return _fail("config", exc, EXIT_CONFIG)
     except DataError as exc:

@@ -7,16 +7,16 @@ band coverage.
 
 Monte Carlo trials run through the bootstrap's draw loop,
 :func:`~fiscalsvar.bootstrap.fit_draws` (its module docstring describes
-the chunks): :func:`~fiscalsvar.var.simulate`, as for replications,
-draws a chunk of trials, each with its own exogenous columns Z, and a
-trial fails when the stack reports a failing check for it. Coverage
-trials then bootstrap only the trials the stack kept, each from its own
-row of the chunk.
+the block and stack sizes): :func:`~fiscalsvar.var.simulate`, as for
+replications, draws a block of trials, burn-in included, each with its
+own exogenous columns Z, and a trial fails when its fit stack reports a
+failing check for it. Coverage trials then bootstrap only the trials the
+stack kept, each from its own row of the stack.
 
 Determinism contract: trial t draws its shocks, then its exogenous
 columns, from its own stream seeded by ``SeedSequence([seed, t, 0])``,
-so every trial equals the single-trial path bit for bit and the chunk
-size never changes a number.
+so every trial equals the single-trial path bit for bit and neither
+size in the draw loop ever changes a number.
 """
 from __future__ import annotations
 
@@ -279,10 +279,10 @@ def monte_carlo_recovery(
         return _simulate_panels(spec, [substream(spec.seed, t, 0) for t in ts])
 
     rows, covered, failed = [], {}, {}
-    for ts, X, Z, fit, chunk_failed in fit_draws(n_trials, draw, model):
-        failed.update(chunk_failed)
+    for ts, X, Z, fit, stack_failed in fit_draws(n_trials, draw, model, spec.burn_in + spec.T):
+        failed.update(stack_failed)
         for i, t in enumerate(ts.tolist()):
-            if t in chunk_failed:
+            if t in stack_failed:
                 continue
             if config.bootstrap is not None:
                 boot_cfg = replace(config.bootstrap, seed=derive_seed(spec.seed, t, 1))

@@ -44,7 +44,7 @@ class InsufficientDataError(DataError):
 
 
 class SchemaError(DataError):
-    """A required CSV column is missing or the schema map is malformed."""
+    """A CSV file lacks its header, a required column or any data row."""
 
 
 class QuarterGapError(DataError):

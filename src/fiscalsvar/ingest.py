@@ -110,15 +110,12 @@ def load_csv(path, schema: dict[str, str] | None = None, country: str = "") -> M
 
     ``schema`` maps canonical series names (plus ``date``) to the column
     headers actually present in the file; omitted entries default to the
-    canonical name itself.
+    canonical name itself. The run config checks the map's keys and
+    values (:func:`~fiscalsvar.cli.load_run_config`).
     """
     path = Path(path)
     full_schema = {name: name for name in (DATE_COLUMN, *SERIES)}
-    if schema:
-        unknown = sorted(set(schema) - set(full_schema))
-        if unknown:
-            raise SchemaError(f"unknown schema keys: {', '.join(unknown)}")
-        full_schema.update(schema)
+    full_schema.update(schema or {})
 
     try:
         with open(path, newline="", encoding="utf-8") as fh:

@@ -10,7 +10,7 @@ least-squares problem. :func:`simulate` runs the law forward from shocks:
 it draws every artificial panel, replication, trial or snapshot country.
 
 Every stage also runs over a leading stack of fits: the bootstrap fits a
-chunk of artificial panels with the same functions that fit one panel.
+stack of artificial panels with the same functions that fit one panel.
 A stacked operation applies the single-fit routine matrix by matrix, so
 a fit's numbers never depend on the rest of its stack.
 """
@@ -210,6 +210,26 @@ def residual_cov(residuals: np.ndarray, n_regressors: int) -> np.ndarray:
 def spectral_radius(F: np.ndarray) -> np.ndarray:
     """Largest eigenvalue modulus of each matrix in a stack (..., n, n)."""
     return np.abs(np.linalg.eigvals(F)).max(axis=-1)
+
+
+def below_unit_radius(F: np.ndarray) -> np.ndarray:
+    """Whether ``spectral_radius(F) < 1.0`` for each companion in a
+    stack (C, n, n), mostly without eigenvalues.
+
+    rho(F)^256 <= ||F^256|| in any induced norm (Horn & Johnson, *Matrix
+    Analysis*, 5.6), so eight squarings prove rho(F) < 1 whenever
+    ||F^256||_inf < 0.5. Only the matrices that bound cannot settle, an
+    overflowing power among them, go to :func:`spectral_radius`.
+    """
+    P = F
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(8):
+            P = P @ P
+        stable = np.abs(P).sum(axis=-1).max(axis=-1) < 0.5
+    rest = ~stable
+    if rest.any():
+        stable[rest] = spectral_radius(F[rest]) < 1.0
+    return stable
 
 
 def stability(estimate: VarEstimate) -> tuple[float, bool]:

@@ -66,3 +66,12 @@ def fail_draws(monkeypatch, module, failing):
             yield indices, X, Z, fit, dict(sorted(failed.items()))
 
     monkeypatch.setattr(module, "fit_draws", draws)
+
+
+# (CHUNK, ROWS) pairs for the size-invariance tests. For bootstrap draws
+# of the 84-row reference panel (80 rows each) they give blocks and fit
+# stacks of: 100 and 25 (the defaults); 1 and 1; 12 and 4; 25 and 2 with
+# a last stack of 1 (the row budget binds); 7 and 1 (one panel exceeds
+# the budget); 64 and 64. For Monte Carlo trials (284 rows each): 25 and
+# 25; 1 and 1; 4 and 4; 25 and 2, 1; 7 and 1; 64 and 64.
+SIZES = [(25, 8192), (1, 1), (4, 1000), (25, 200), (7, 50), (64, 8192)]

@@ -1,11 +1,14 @@
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fiscalsvar.bootstrap as bootstrap_mod
-from conftest import fail_draws
+import fiscalsvar.var as var_mod
+from conftest import SIZES, fail_draws
 from fiscalsvar.bootstrap import (
     BootstrapConfig,
     ModelSpec,
@@ -19,6 +22,7 @@ from fiscalsvar.bootstrap import (
     stacked_fit,
     substream,
 )
+from fiscalsvar.cli import country_seed, load_panels, load_run_config
 from fiscalsvar.dgp import reference_spec, simulate_var
 from fiscalsvar.errors import (
     ConfigError,
@@ -42,6 +46,9 @@ from fiscalsvar.var import (
     stability,
     var_recursion,
 )
+
+
+SNAPSHOT_CONFIG = Path(__file__).resolve().parent.parent / "data" / "v4_config.json"
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +81,19 @@ def reference_draw(r, estimate, panel, config, model=ModelSpec()):
     )
     est, responses, path = single_fit(panel_star, model)
     return responses, path.values, stability(est)[1]
+
+
+def count_eigvals_rows(monkeypatch):
+    """Record, per call, how many companions reach ``spectral_radius``."""
+    rows = []
+    real = var_mod.spectral_radius
+
+    def counting(F):
+        rows.append(len(F))
+        return real(F)
+
+    monkeypatch.setattr(var_mod, "spectral_radius", counting)
+    return rows
 
 
 def explosive_panel():
@@ -220,19 +240,41 @@ class TestSignificanceFlags:
         assert significance_flags(bands) == want
 
 
+def steps(n, chunk, budget, rows, T):
+    """The draw blocks and the fit stacks, as index lists, of
+    ``fit_draws`` over n draws at sizes (CHUNK, ROWS) = (chunk, budget),
+    for draws that simulate ``rows`` rows into panels of T rows."""
+    block = max(1, budget // rows // chunk) * chunk
+    size = min(chunk, max(1, budget // T))
+    blocks = [list(range(b, min(b + block, n))) for b in range(0, n, block)]
+    return blocks, [b[i:i + size] for b in blocks for i in range(0, len(b), size)]
+
+
 class TestFitDraws:
-    """The one chunked simulate-and-fit loop behind replications and
-    trials."""
+    """The one simulate-and-fit loop behind replications and trials."""
 
     @pytest.mark.parametrize(
-        "n, chunk",
-        [(1, bootstrap_mod.CHUNK), (bootstrap_mod.CHUNK, bootstrap_mod.CHUNK),
-         (bootstrap_mod.CHUNK + 1, bootstrap_mod.CHUNK), (53, 7)],
+        "n, chunk, budget",
+        [pytest.param(n, chunk, budget, id=f"{n}-{chunk}" + (budget != 8192) * f"-{budget}")
+         for n, chunk, budget in [
+             # blocks of 100 at the defaults (98 at CHUNK = 7), in stacks
+             # of CHUNK: both sides of the first stack and block edges
+             (1, 25, 8192), (25, 25, 8192), (26, 25, 8192), (53, 7, 8192),
+             (99, 25, 8192), (100, 25, 8192), (101, 25, 8192), (205, 25, 8192),
+             # blocks of 12 in stacks of 4
+             (4, 4, 1000), (5, 4, 1000), (11, 4, 1000), (12, 4, 1000), (13, 4, 1000),
+             (25, 4, 1000),
+             # blocks of 25 in stacks of 2 and a last one, and blocks of 7
+             # in stacks of 1
+             (2, 25, 200), (3, 25, 200), (25, 25, 200), (26, 25, 200), (8, 7, 50),
+         ]],
     )
-    def test_each_draw_once_in_order(self, panel, monkeypatch, n, chunk):
+    def test_each_draw_once_in_order(self, panel, monkeypatch, n, chunk, budget):
         monkeypatch.setattr(bootstrap_mod, "CHUNK", chunk)
-        # draws on both sides of the first two chunk edges, and the last
-        bad = {0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, n - 1} & set(range(n))
+        monkeypatch.setattr(bootstrap_mod, "ROWS", budget)
+        blocks, stacks = steps(n, chunk, budget, 80, panel.rows)
+        # draws on both sides of every block and stack edge
+        bad = {t for stack in stacks for t in (stack[0], stack[-1])}
         seen = []
 
         def simulate(indices):
@@ -242,28 +284,50 @@ class TestFitDraws:
             return X, panel.Z
 
         _, _, point = point_fit(panel, ModelSpec())
-        failed = {}
-        for indices, X, Z, fit, chunk_failed in fit_draws(n, simulate, ModelSpec()):
-            assert X.shape[0] == fit.paths.shape[0] == len(indices) <= chunk
-            assert list(chunk_failed) == sorted(bad & set(indices.tolist()))
+        failed, got = {}, []
+        for indices, X, Z, fit, stack_failed in fit_draws(n, simulate, ModelSpec(), 80):
+            assert X.shape[0] == fit.paths.shape[0] == len(indices)
+            assert Z is panel.Z
+            assert list(stack_failed) == sorted(bad & set(indices.tolist()))
             for i, t in enumerate(indices.tolist()):
-                if t not in chunk_failed:
+                if t not in stack_failed:
                     assert np.array_equal(fit.paths[i], point.values), t
-            failed.update(chunk_failed)
-        assert [t for indices in seen for t in indices] == list(range(n))
-        assert all(len(indices) == chunk for indices in seen[:-1])
+            failed.update(stack_failed)
+            got.append(indices.tolist())
+        assert seen == blocks
+        assert got == stacks
         assert list(failed) == sorted(bad)
         assert set(failed.values()) == {
             "NonFiniteError: simulated panel holds non-finite values"
         }
+
+    def test_per_draw_z_sliced_with_x(self, panel, monkeypatch):
+        monkeypatch.setattr(bootstrap_mod, "CHUNK", 4)
+        monkeypatch.setattr(bootstrap_mod, "ROWS", 1000)
+
+        def simulate(indices):
+            # one exogenous column per draw, its presample row holding the
+            # draw's index
+            X = np.repeat(panel.X[None], len(indices), axis=0)
+            Z = np.random.default_rng(0).normal(size=(len(indices), panel.rows, 1))
+            Z[:, 0, 0] = indices
+            return X, Z
+
+        got = []
+        for indices, X, Z, fit, failed in fit_draws(11, simulate, ModelSpec(), 80):
+            assert Z.shape == (len(indices), panel.rows, 1) and not failed
+            assert np.array_equal(Z[:, 0, 0], indices)
+            got.append(len(indices))
+        assert got == [4, 4, 3]
 
 
 class TestBootstrapInference:
     def test_chunk_size_invariance(self, panel, monkeypatch):
         cfg = BootstrapConfig(replications=64, seed=5)
         runs = []
-        for chunk in (1, 7, 25, 64):
+        for chunk, budget in SIZES:
             monkeypatch.setattr(bootstrap_mod, "CHUNK", chunk)
+            monkeypatch.setattr(bootstrap_mod, "ROWS", budget)
             runs.append(bootstrap_inference(panel, cfg, ModelSpec()))
         a = runs[0]
         for b in runs[1:]:
@@ -346,11 +410,29 @@ class TestBootstrapInference:
         assert not stability(estimate)[1]
         want = sum(not reference_draw(r, estimate, panel, cfg)[2] for r in range(64))
         assert 0 < want < 64
-        for chunk in (1, 7, 25, 64):
+        eigvals_rows = count_eigvals_rows(monkeypatch)
+        for chunk, budget in SIZES:
             monkeypatch.setattr(bootstrap_mod, "CHUNK", chunk)
+            monkeypatch.setattr(bootstrap_mod, "ROWS", budget)
+            eigvals_rows.clear()
             res = bootstrap_inference(panel, cfg)
             assert res.n_failed == 0
-            assert res.unstable == want, chunk
+            assert res.unstable == want, (chunk, budget)
+            # every unstable draw, and some stable ones, reach eigvals;
+            # the other stable draws are proved by squaring
+            assert want < sum(eigvals_rows) < 64, (chunk, budget)
+
+    def test_snapshot_draws_rarely_reach_eigvals(self, monkeypatch):
+        # the 4000 draws of the snapshot estimate: squaring proves all but
+        # two stable (both pl, with moduli 0.979 and 0.982, whose F^256
+        # still has norm 0.51 and 1.04), so eigvals runs on two companions
+        config = load_run_config(SNAPSHOT_CONFIG)
+        eigvals_rows = count_eigvals_rows(monkeypatch)
+        for code, panel in load_panels(config).items():
+            boot = replace(config.bootstrap, seed=country_seed(config.seed, code))
+            res = bootstrap_inference(panel, boot, config.model)
+            assert res.unstable == 0 and res.n_failed == 0, code
+        assert eigvals_rows == [1, 1]
 
     def test_config_validation(self):
         for build, message in [

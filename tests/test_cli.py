@@ -2,6 +2,10 @@ import ast
 import csv
 import importlib.util
 import json
+import os
+import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -123,6 +127,23 @@ class TestLoadRunConfig:
     def test_ordering_must_permute_the_variables(self, tmp_path, data_dir, ordering):
         path = write_config(tmp_path / "c.json", data_dir, ordering=ordering)
         with pytest.raises(ConfigError, match="ordering"):
+            load_run_config(path)
+
+    def test_unknown_schema_key(self, tmp_path, data_dir):
+        path = tmp_path / "c.json"
+        payload = {"countries": [{"code": "cz", "csv": "x.csv", "schema": {"so_wrong": "gdp"}}]}
+        path.write_text(json.dumps(payload))
+        message = f"{path}: countries[0]: unknown schema key(s): so_wrong"
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("column", [5, "", None, ["gdp"]])
+    def test_schema_values_are_non_empty_strings(self, tmp_path, column):
+        path = tmp_path / "c.json"
+        payload = {"countries": [{"code": "cz", "csv": "x.csv", "schema": {"date": column}}]}
+        path.write_text(json.dumps(payload))
+        message = f"{path}: countries[0]: schema values must be non-empty strings"
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
             load_run_config(path)
 
     def test_permuted_ordering_accepted(self, tmp_path, data_dir):
@@ -354,10 +375,14 @@ class TestMainExitCodes:
             {"levels": [90]},
             {"levels": [50, 68, 90]},
             {"ordering": ["G", "T", "Y", 5]},
+            {"schema": {"bogus": "x"}},
+            {"schema": {"date": 5}},
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "estimate"])
     def test_bad_levels_or_ordering_exit_2(self, tmp_path, data_dir, capsys, override, command):
+        if "schema" in override:
+            override = {"countries": [{"code": "cz", "csv": str(data_dir / "cz.csv"), **override}]}
         path = write_config(tmp_path / "c.json", data_dir, **override)
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -777,6 +802,35 @@ class TestCoverageScript:
         assert capsys.readouterr().err == (
             f"config error: cannot write {tmp_path / 'coverage.csv'}: Is a directory\n"
         )
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["montecarlo", "coverage_experiment"])
+def test_closed_stdout_keeps_the_csv(tmp_path, command, buffered):
+    # the reader is gone before the first byte: unbuffered, the first line
+    # printed fails; buffered, the flush at the end does
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "o"
+    if command == "montecarlo":
+        spec_path = tmp_path / "dgp.json"
+        spec_path.write_text(json.dumps(reference_spec().to_dict()))
+        argv = ["-m", "fiscalsvar", "montecarlo", "--config", str(spec_path),
+                "--reps", "5", "--horizon", "4", "--out", str(out)]
+        written = out / "recovery.csv"
+    else:
+        argv = [str(root / "scripts" / "coverage_experiment.py"),
+                "--trials", "1", "--reps", "20", "--out", str(out)]
+        written = out / "coverage.csv"
+    flags = [] if buffered else ["-u"]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.Popen([sys.executable, *flags, *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and err == ""
+    assert written.read_text().startswith("h,analytic,")
 
 
 def test_scripts_import_no_private_package_name():

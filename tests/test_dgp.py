@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import fiscalsvar.bootstrap as bootstrap_mod
 import fiscalsvar.dgp as dgp_mod
-from conftest import fail_draws
+from conftest import SIZES, fail_draws
 from fiscalsvar.bootstrap import (
     BootstrapConfig,
     ModelSpec,
@@ -276,18 +276,19 @@ class TestRecovery:
 
 
 class TestStackedTrials:
-    """Trials run in stacked chunks yet equal the single-trial path bit
+    """Trials run in blocks and fit stacks yet equal the single-trial path bit
     for bit; the stack alone decides which fail."""
 
     @pytest.mark.parametrize("spec", [reference_spec(seed=11), exog_spec(seed=4)],
                              ids=["reference", "exogenous"])
     def test_estimates_equal_per_trial_path(self, spec, monkeypatch):
         want = per_trial_estimates(spec, 53)
-        for chunk in (1, 7, 25, 64):
+        for chunk, budget in SIZES:
             monkeypatch.setattr(bootstrap_mod, "CHUNK", chunk)
+            monkeypatch.setattr(bootstrap_mod, "ROWS", budget)
             rep = monte_carlo_recovery(spec, 53)
             assert rep.failures == 0
-            assert np.array_equal(rep.estimates, want), chunk
+            assert np.array_equal(rep.estimates, want), (chunk, budget)
 
     def test_failed_trials_counted_in_order(self, monkeypatch):
         spec = reference_spec(seed=5)
@@ -328,14 +329,15 @@ class TestStackedTrials:
         spec = reference_spec(seed=2)
         config = RecoveryConfig(bootstrap=BootstrapConfig(replications=30))
         want, want_coverage = per_trial_coverage(spec, 9, config)
-        for chunk in (1, 7, 25):
+        for chunk, budget in SIZES:
             monkeypatch.setattr(bootstrap_mod, "CHUNK", chunk)
+            monkeypatch.setattr(bootstrap_mod, "ROWS", budget)
             rep = monte_carlo_recovery(spec, 9, config)
             assert rep.failures == 0
-            assert np.array_equal(rep.estimates, want), chunk
+            assert np.array_equal(rep.estimates, want), (chunk, budget)
             assert rep.coverage.keys() == want_coverage.keys()
             for level, cov in want_coverage.items():
-                assert np.array_equal(rep.coverage[level], cov), (chunk, level)
+                assert np.array_equal(rep.coverage[level], cov), (chunk, budget, level)
 
     def test_stack_failed_trials_not_bootstrapped(self, monkeypatch):
         spec = reference_spec(seed=5)
@@ -354,3 +356,34 @@ class TestStackedTrials:
         assert rep.failures == 2
         assert seeds == [derive_seed(spec.seed, t, 1) for t in (0, 2, 3, 4, 5, 7)]
         assert np.array_equal(rep.estimates, np.delete(want, [1, 6], axis=0))
+
+
+@pytest.mark.parametrize("T, stack", [(3000, 2), (8000, 1)])
+def test_large_t_stacks_stay_within_the_row_budget(monkeypatch, T, stack):
+    # 27 trials of T + 200 rows: blocks of CHUNK draws (the budget alone
+    # would give 2 or 0), fitted in stacks of ROWS // T panels, or one
+    spec = reference_spec(T=T, seed=2)
+    blocks, stacks = [], []
+    simulate_panels, stacked_fit = dgp_mod._simulate_panels, bootstrap_mod.stacked_fit
+
+    def recording_simulate(spec, rngs):
+        blocks.append(len(rngs))
+        return simulate_panels(spec, rngs)
+
+    def recording_fit(X, Z, model):
+        stacks.append(X.shape)
+        return stacked_fit(X, Z, model)
+
+    monkeypatch.setattr(dgp_mod, "_simulate_panels", recording_simulate)
+    monkeypatch.setattr(bootstrap_mod, "stacked_fit", recording_fit)
+    rep = monte_carlo_recovery(spec, 27, RecoveryConfig(horizons=4))
+    assert rep.failures == 0
+    assert blocks == [25, 2]
+    remaining = 27
+    for size in blocks:
+        assert size >= min(bootstrap_mod.CHUNK, remaining)
+        remaining -= size
+    for C, rows, _ in stacks:
+        assert rows == T and (C == 1 or C * (T - spec.p) <= bootstrap_mod.ROWS)
+    sizes = [C for C, _, _ in stacks]
+    assert sizes == [stack] * (25 // stack) + [1] * (25 % stack) + [stack] * (2 // stack)

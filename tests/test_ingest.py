@@ -140,12 +140,6 @@ class TestLoadCsv:
         data = load_csv(path, schema={"gdp": "gdp_lcu"})
         assert list(data.values["gdp"]) == [10000.0, 10100.0, 10000.0, 10200.0]
 
-    def test_unknown_schema_key(self, tmp_path):
-        path = tmp_path / "x.csv"
-        write_country_csv(path, tiny_columns())
-        with pytest.raises(SchemaError, match="so_wrong"):
-            load_csv(path, schema={"so_wrong": "gdp"})
-
     def test_empty_file(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("")

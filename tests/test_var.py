@@ -1,18 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fiscalsvar.var as var_mod
 from fiscalsvar.dgp import DgpSpec, reference_spec, simulate_var
 from fiscalsvar.errors import RankError, SampleSizeError, ShapeError
 from fiscalsvar.ingest import TransformedPanel
 from fiscalsvar.series import Quarter
 from fiscalsvar.var import (
+    below_unit_radius,
     companion_matrix,
     design_blocks,
     estimate_var,
     least_squares,
     rank_deficient,
     residual_cov,
+    spectral_radius,
     split_coefficients,
     stability,
     var_recursion,
@@ -224,3 +229,54 @@ class TestStability:
         est = estimate_var(panel_from(X), p=1)
         top, stable = stability(est)
         assert top > 1.0 and not stable
+
+
+# companion moduli by kind: near_unit within 5e-3 of one, overflow so
+# large that F^256 overflows
+MODULI = {
+    "stable": (0.05, 0.99),
+    "near_unit": (0.995, 1.005),
+    "explosive": (1.01, 3.0),
+    "overflow": (1e2, 1e60),
+}
+
+
+def random_companion(kind, seed, p, k):
+    """A random (kp, kp) companion whose spectral radius is drawn from
+    the kind's range."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(p, k, k))
+    lo, hi = MODULI[kind]
+    modulus = np.exp(rng.uniform(np.log(lo), np.log(hi)))
+    # scaling lag l by c**l scales every companion eigenvalue by c
+    c = modulus / spectral_radius(companion_matrix(A))
+    return companion_matrix(A * c ** np.arange(1, p + 1)[:, None, None])
+
+
+class TestBelowUnitRadius:
+    """The squaring proof of stability against eigenvalues."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.sampled_from(sorted(MODULI)), st.integers(0, 2**32 - 1)),
+                      min_size=1, max_size=8),
+        p=st.integers(1, 4),
+        k=st.integers(1, 4),
+    )
+    def test_equals_eigenvalue_check(self, rows, p, k):
+        F = np.stack([random_companion(kind, seed, p, k) for kind, seed in rows])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning escapes
+            got = below_unit_radius(F)
+        assert np.array_equal(got, spectral_radius(F) < 1.0)
+
+    def test_both_paths_and_an_empty_stack(self, monkeypatch):
+        F = np.stack([random_companion(kind, seed, 4, 4)
+                      for kind in ("stable", "overflow", "explosive") for seed in range(20)])
+        rows = []
+        real = var_mod.spectral_radius
+        monkeypatch.setattr(var_mod, "spectral_radius", lambda F: rows.append(len(F)) or real(F))
+        assert np.array_equal(below_unit_radius(F), real(F) < 1.0)
+        # every unstable companion and at most a few stable ones need eigenvalues
+        assert 40 <= sum(rows) < 45
+        assert below_unit_radius(np.zeros((0, 4, 4))).shape == (0,)
