@@ -4,7 +4,7 @@
 Simulates the reference system at its working sample size, runs the
 full bootstrap in every trial, and reports how often each nominal band
 contains the true cumulative multiplier. The defaults reproduce the
-release-gate numbers (300 trials x 1000 replications, 38-50 s on
+release-gate numbers (300 trials x 1000 replications, 28-38 s on
 two cores); pass smaller --trials/--reps for a quick look. A count
 outside 1..100000, or a --sample or --seed the reference system
 rejects, or an --out directory that cannot be created, is a config

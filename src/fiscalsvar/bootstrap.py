@@ -21,15 +21,23 @@ panel, rank, pivot, multiplier denominator, a non-finite result) in the
 order the single-fit functions run them, and that report alone decides
 which draws fail and with which error.
 
-Determinism contract: replication r draws its residual rows from its own
-stream seeded by ``SeedSequence([seed, r])``, and every stacked stage
-runs the single-fit routine matrix by matrix. So every draw equals the
-single-fit path bit for bit, neither size ever changes a number, and
-results are a pure function of the data, the model and the config.
+Determinism contract: replication r draws its residual rows as
+``default_rng(SeedSequence([seed, r])).integers(0, n, size=n)``, and
+every stacked stage runs the single-fit routine matrix by matrix. So
+every draw equals the single-fit path bit for bit, neither size ever
+changes a number, and results are a pure function of the data, the
+model and the config. :func:`stream_integers` computes those streams
+for a whole block at once, numpy's own algorithms on uint32 and uint64
+arrays: the SeedSequence hash (:func:`seed_pool`), PCG64 seeding
+(:func:`pcg64_seed`) and stepping, and Lemire's bounded draw; a stream
+that meets Lemire's rejection is drawn by numpy itself. The streams are
+numpy's exactly, and the tests pin every step against the installed
+numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +69,9 @@ from .var import (
 
 # cap on replications and on Monte Carlo trials, 100 times the paper's
 # 1000; every kept draw stays in memory until the bands are read, so a
-# larger count is refused before the run starts
+# larger count is refused before the run starts. It must stay below
+# 2**32: seed_pool hashes each index as one uint32 word, as SeedSequence
+# reads an integer below 2**32
 MAX_REPLICATIONS = 100_000
 
 MAX_FAILURE_SHARE = 0.05
@@ -86,10 +96,177 @@ def derive_seed(*parts: int) -> int:
     return int(state[0]) ^ (int(state[1]) << 64)
 
 
-def substream(*parts: int) -> np.random.Generator:
-    """Generator on the stream that ``SeedSequence(parts)`` seeds: one per
-    (master, replication) or (master, trial, ...) tuple."""
-    return np.random.default_rng(np.random.SeedSequence(list(parts)))
+# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's 128-bit
+# LCG multiplier; every stream below is computed from these exactly as
+# numpy computes it, over a whole block of indices at once
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U32, _U64 = 2**32 - 1, 2**64 - 1
+
+
+def _words(n: int) -> list[int]:
+    """An entropy integer as SeedSequence reads it: little-endian uint32
+    words, 0 as one word."""
+    words = [n & _U32]
+    while n > _U32:
+        n >>= 32
+        words.append(n & _U32)
+    return words
+
+
+def _constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**c mod 2**32 for c = 0..count, as a uint32 column."""
+    values = [init]
+    for _ in range(count):
+        values.append(values[-1] * mult & _U32)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+def seed_pool(seed: int, indices: np.ndarray, suffix: tuple[int, ...] = ()) -> np.ndarray:
+    """``SeedSequence([seed, i, *suffix]).generate_state(4, uint64)`` for
+    every index i, as rows of a (C, 4) uint64 array.
+
+    Each index is one uint32 word of the entropy (see ``MAX_REPLICATIONS``),
+    and the hash constants depend only on the entropy's length, so each
+    step of the hash runs over the whole block at once, and over every
+    pool word it updates.
+    """
+    head = _words(seed)
+    words = head + [0] + [w for part in suffix for w in _words(part)]
+    entropy = np.zeros((max(_POOL, len(words)), len(indices)), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(head)] = np.asarray(indices, dtype=np.uint32)
+    const = _constants(_INIT_A, _MULT_A, _POOL * len(entropy))
+    calls = 0
+    shift = np.uint32(16)
+
+    def hashmix(values, n):
+        # the next n hashmix calls, one per row of the result
+        nonlocal calls
+        values = (values ^ const[calls:calls + n]) * const[calls + 1:calls + n + 1]
+        calls += n
+        return values ^ (values >> shift)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return result ^ (result >> shift)
+
+    # an entropy shorter than the pool is padded with zero words
+    pool = hashmix(entropy[:_POOL], _POOL)
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL - 1))
+    for word in entropy[_POOL:]:
+        pool = mix(pool, hashmix(word, _POOL))
+    const = _constants(_INIT_B, _MULT_B, 2 * _POOL)
+    state = (np.concatenate([pool, pool]) ^ const[:-1]) * const[1:]
+    state = (state ^ (state >> shift)).astype(np.uint64)
+    return (state[0::2] | (state[1::2] << np.uint64(32))).T
+
+
+def _mul64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full 128-bit products of uint64 arrays, as (high, low) limbs."""
+    low = np.uint64(_U32)
+    a0, a1, b0, b1 = a & low, a >> np.uint64(32), b & low, b >> np.uint64(32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> np.uint64(32)) + (p01 & low) + (p10 & low)
+    high = a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+    return high, a * b
+
+
+def _mul128(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """x * y mod 2**128 on (high, low) limbs."""
+    high, low = _mul64(x[1], y[1])
+    return high + x[1] * y[0] + x[0] * y[1], low
+
+
+def _add128(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """x + y mod 2**128 on (high, low) limbs."""
+    low = x[1] + y[1]
+    return x[0] + y[0] + (low < x[1]).astype(np.uint64), low
+
+
+def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit integers as (high, low) uint64 limbs."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _U64 for v in values], dtype=np.uint64))
+
+
+def pcg64_seed(
+    seed: int, indices: np.ndarray, suffix: tuple[int, ...] = ()
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The state and increment ``PCG64(SeedSequence([seed, i, *suffix]))``
+    starts from, for every index i, each as (high, low) uint64 limbs:
+    ``inc = initseq << 1 | 1`` and ``state = (inc + initstate) * M + inc``
+    from the pool words (initstate high, low, initseq high, low)."""
+    words = seed_pool(seed, indices, suffix)
+    one = np.uint64(1)
+    inc = ((words[:, 2] << one) | (words[:, 3] >> np.uint64(63)), (words[:, 3] << one) | one)
+    mult = tuple(np.uint64(v) for v in divmod(_PCG_MULT, 2**64))
+    return _add128(_mul128(_add128(inc, (words[:, 0], words[:, 1])), mult), inc), inc
+
+
+@lru_cache(maxsize=16)
+def _jumps(count: int) -> tuple[tuple, tuple]:
+    """M**j and sum_{i<j} M**i mod 2**128 for j = 1..count, as limbs: the
+    LCG state j steps on is M**j * state + (sum_{i<j} M**i) * inc."""
+    power, total, powers, totals = 1, 0, [], []
+    for _ in range(count):
+        total = (total + power) % 2**128
+        power = power * _PCG_MULT % 2**128
+        powers.append(power)
+        totals.append(total)
+    return _limbs(powers), _limbs(totals)
+
+
+def stream_integers(seed: int, indices: np.ndarray, bound: int, size: int) -> np.ndarray:
+    """Row i is ``default_rng(SeedSequence([seed, i])).integers(0, bound,
+    size=size)`` for 1 <= bound <= 2**32, bit for bit: (C, size) int64.
+
+    PCG64 (O'Neill 2014; XSL-RR output) is stepped by jump tables over the
+    whole block; each value takes one uint32, the low half of a 64-bit
+    output first, as ``(u * bound) >> 32`` (Lemire 2019). A row in which
+    some ``(u * bound) mod 2**32`` falls below ``2**32 mod bound`` is one
+    where numpy's sampler rejects and redraws, shifting the rest of the
+    stream; such rows, about size * bound / 2**32 of them, are drawn by
+    numpy itself.
+    """
+    state, inc = pcg64_seed(seed, indices)
+    powers, totals = _jumps((size + 1) // 2)
+    state, inc = (tuple(limb[:, None] for limb in v) for v in (state, inc))
+    high, low = _add128(_mul128(powers, state), _mul128(totals, inc))
+    x = high ^ low
+    rot = high >> np.uint64(58)
+    out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    u = np.empty((len(indices), 2 * out.shape[1]), dtype=np.uint64)
+    u[:, 0::2], u[:, 1::2] = out & np.uint64(_U32), out >> np.uint64(32)
+    m = u[:, :size] * np.uint64(bound)
+    rejects = ((m & np.uint64(_U32)) < np.uint64(2**32 % bound)).any(axis=1)
+    values = (m >> np.uint64(32)).astype(np.int64)
+    for row in np.flatnonzero(rejects):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, int(indices[row])]))
+        values[row] = rng.integers(0, bound, size=size)
+    return values
+
+
+def stream_generators(seed: int, indices: np.ndarray, suffix: tuple[int, ...] = ()):
+    """Yield, for every index i in turn, a Generator on the stream of
+    ``default_rng(SeedSequence([seed, i, *suffix]))``. It is one Generator
+    whose PCG64 state is set in place for each index, so each is spent
+    before the next is yielded."""
+    rng = np.random.Generator(np.random.PCG64())
+    state, inc = pcg64_seed(seed, indices, suffix)
+    for sh, sl, ih, il in zip(*(a.tolist() for a in (*state, *inc))):
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def check_names(names: tuple, what: str) -> None:
@@ -378,7 +555,7 @@ def bootstrap_inference(
     U = estimate.residuals
 
     def resample(rs):
-        idx = np.stack([substream(config.seed, r).integers(0, len(U), size=len(U)) for r in rs])
+        idx = stream_integers(config.seed, rs, len(U), len(U))
         return simulate(estimate, U[idx], panel.Z[estimate.p:], panel.X[:estimate.p]), panel.Z
 
     stacks, failed = [], {}

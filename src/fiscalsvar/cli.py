@@ -533,6 +533,8 @@ def _cmd_montecarlo(args) -> int:
         spec = dgp_mod.DgpSpec.from_dict(payload)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if args.out is not None:  # refused before the study, created after it
+        _check_output_dir(Path(args.out))
     report = dgp_mod.monte_carlo_recovery(spec, trials, dgp_mod.RecoveryConfig(horizons))
     # the file first, so a reader that closes stdout early cannot lose it
     if args.out is not None:

@@ -14,9 +14,12 @@ failing check for it. Coverage trials then bootstrap only the trials the
 stack kept, each from its own row of the stack.
 
 Determinism contract: trial t draws its shocks, then its exogenous
-columns, from its own stream seeded by ``SeedSequence([seed, t, 0])``,
+columns, from its own stream, ``default_rng(SeedSequence([seed, t, 0]))``,
 so every trial equals the single-trial path bit for bit and neither
-size in the draw loop ever changes a number.
+size in the draw loop ever changes a number. The block's seeds are
+hashed at once and one generator is reseeded in place for each trial
+(:func:`~fiscalsvar.bootstrap.stream_generators`); the draws are
+numpy's own ``standard_normal`` on exactly that stream.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from .bootstrap import (
     check_names,
     derive_seed,
     fit_draws,
-    substream,
+    stream_generators,
 )
 from .errors import (
     ConfigError,
@@ -160,23 +163,23 @@ class DgpSpec:
             raise ConfigError(f"malformed DGP spec: {exc}") from None
 
 
-def _simulate_panels(
-    spec: DgpSpec, rngs: list[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one panel per generator from the spec's law, as one stack:
-    endogenous columns (C, T, k) and exogenous columns (C, T, m).
+def _simulate_panels(spec: DgpSpec, n: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n panels from the spec's law, one per generator that ``rngs``
+    yields, as one stack: endogenous columns (n, T, k) and exogenous
+    columns (n, T, m).
 
-    Each generator draws its shocks, then its exogenous columns, so a
-    panel depends on its own generator alone.
+    Each generator draws its shocks, then its exogenous columns, before
+    the next is taken, so a panel depends on its own generator alone,
+    even when ``rngs`` yields one generator reseeded in place.
     """
     k, p, m = spec.k, spec.p, spec.exog_coef.shape[1]
     total = spec.burn_in + spec.T
-    eps = np.empty((len(rngs), total, k))
-    Z = np.zeros((len(rngs), total, m))
+    eps = np.empty((n, total, k))
+    Z = np.zeros((n, total, m))
     for i, rng in enumerate(rngs):
         eps[i] = rng.standard_normal((total, k))
         Z[i] = rng.standard_normal((total, m))  # at m = 0 the stream is untouched
-    X = simulate(spec, eps @ spec.B.T, Z, np.zeros((len(rngs), p, k)))
+    X = simulate(spec, eps @ spec.B.T, Z, np.zeros((n, p, k)))
     return X[:, p + spec.burn_in:], Z[:, spec.burn_in:]
 
 
@@ -189,7 +192,7 @@ def simulate_var(spec: DgpSpec, rng: np.random.Generator | None = None) -> Trans
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    X, Z = _simulate_panels(spec, [rng])
+    X, Z = _simulate_panels(spec, 1, [rng])
     return _panel(spec, X[0], Z[0])
 
 
@@ -276,7 +279,7 @@ def monte_carlo_recovery(
         raise ConfigError(f"the DGP has no true multiplier path: {exc}") from None
 
     def draw(ts):
-        return _simulate_panels(spec, [substream(spec.seed, t, 0) for t in ts])
+        return _simulate_panels(spec, len(ts), stream_generators(spec.seed, ts, (0,)))
 
     rows, covered, failed = [], {}, {}
     for ts, X, Z, fit, stack_failed in fit_draws(n_trials, draw, model, spec.burn_in + spec.T):

@@ -13,14 +13,18 @@ from fiscalsvar.bootstrap import (
     BootstrapConfig,
     ModelSpec,
     bootstrap_inference,
+    MAX_REPLICATIONS,
     derive_seed,
     fit_draws,
+    pcg64_seed,
     point_fit,
     quantile_bands,
+    seed_pool,
     significance_flags,
     simulate_bootstrap_series,
     stacked_fit,
-    substream,
+    stream_generators,
+    stream_integers,
 )
 from fiscalsvar.cli import country_seed, load_panels, load_run_config
 from fiscalsvar.dgp import reference_spec, simulate_var
@@ -69,13 +73,18 @@ def single_fit(panel, model):
     return est, irfs.responses, multiplier_path(irfs, "Y", "G", model.horizons)
 
 
+def numpy_stream(*parts):
+    return np.random.default_rng(np.random.SeedSequence(list(parts)))
+
+
 def reference_draw(r, estimate, panel, config, model=ModelSpec()):
     """Replication r alone through the public single-fit functions: its
     responses, multiplier path and whether the refit is stable. The
     stream contract: replication r resamples whole residual rows, with
-    row indices from ``substream(seed, r)``."""
+    row indices from ``SeedSequence([seed, r])``, spelled with numpy
+    alone."""
     U = estimate.residuals
-    u_star = U[substream(config.seed, r).integers(0, len(U), size=len(U))]
+    u_star = U[numpy_stream(config.seed, r).integers(0, len(U), size=len(U))]
     panel_star = simulate_bootstrap_series(
         estimate, u_star, panel.X[: estimate.p], panel.Z, x_labels=panel.x_labels
     )
@@ -119,11 +128,81 @@ class TestDeriveSeed:
     def test_order_sensitive(self):
         assert derive_seed(1, 2) != derive_seed(2, 1)
 
-    def test_substream_is_the_seed_sequence_stream(self):
-        # replication r of master seed s draws from SeedSequence([s, r])
-        a = substream(7, np.int64(3)).integers(0, 1 << 30, size=8)
-        b = np.random.default_rng(np.random.SeedSequence([7, 3])).integers(0, 1 << 30, size=8)
-        assert np.array_equal(a, b)
+
+
+# master seeds of 1, 2, 4 and 7 uint32 words; a derive_seed output is a
+# coverage trial's bootstrap seed, so [seed, r] is 5 words, more than the
+# hash's pool of 4
+STREAM_SEEDS = [0, 2**32, derive_seed(0, 5, 1), derive_seed(3, 17, 1), 2**200]
+SEED_IDS = ["zero", "2^32", "derived-a", "derived-b", "2^200"]
+
+
+class TestStreams:
+    """The vectorized draw layer against the installed numpy, piece by
+    piece, so that a numpy whose streams change fails here."""
+
+    def test_seeds_span_the_word_counts(self):
+        words = [max(1, -(-seed.bit_length() // 32)) for seed in STREAM_SEEDS]
+        assert words == [1, 2, 4, 4, 7]
+
+    def test_indices_fit_one_word(self):
+        # seed_pool hashes each replication or trial index as one uint32
+        assert MAX_REPLICATIONS < 2**32
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=SEED_IDS)
+    def test_pool_equals_seed_sequence(self, seed):
+        # every index for the one-word seed, every 101st for the others
+        step = 1 if seed == 0 else 101
+        rs = np.arange(0, MAX_REPLICATIONS, step)
+        rs[-1] = MAX_REPLICATIONS - 1
+        pool = seed_pool(seed, rs)
+        assert pool.dtype == np.uint64 and pool.shape == (len(rs), 4)
+        want = [np.random.SeedSequence([seed, r]).generate_state(4, np.uint64) for r in rs.tolist()]
+        assert np.array_equal(pool, np.stack(want))
+
+    @pytest.mark.parametrize("suffix", [(), (0,), (1, 2**40)])
+    @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=SEED_IDS)
+    def test_pcg64_seed_equals_numpy(self, seed, suffix):
+        rs = np.arange(200)
+        state, inc = pcg64_seed(seed, rs, suffix)
+        for r in rs.tolist():
+            want = np.random.PCG64(np.random.SeedSequence([seed, r, *suffix])).state["state"]
+            assert int(state[0][r]) << 64 | int(state[1][r]) == want["state"]
+            assert int(inc[0][r]) << 64 | int(inc[1][r]) == want["inc"]
+
+    @pytest.mark.parametrize("bound", [80, 83])
+    @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=SEED_IDS)
+    def test_integers_equal_numpy_at_the_bootstrap_bounds(self, seed, bound):
+        # the snapshot's residual counts; odd and even sizes end a stream
+        # on either half of its last 64-bit output
+        rs = np.arange(0, 3000, 3)
+        got = stream_integers(seed, rs, bound, bound)
+        assert got.dtype == np.int64
+        want = [numpy_stream(seed, r).integers(0, bound, size=bound) for r in rs.tolist()]
+        assert np.array_equal(got, np.stack(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**130), start=st.integers(0, MAX_REPLICATIONS - 40),
+           bound=st.integers(2, 40001), size=st.integers(1, 300))
+    def test_integers_equal_numpy(self, seed, start, bound, size):
+        rs = np.arange(start, start + 40)
+        want = [numpy_stream(seed, r).integers(0, bound, size=size) for r in rs.tolist()]
+        assert np.array_equal(stream_integers(seed, rs, bound, size), np.stack(want))
+
+    def test_rejected_streams_are_redrawn(self):
+        # at this bound a quarter of all values fall in Lemire's rejection
+        # zone, so every stream takes numpy's redraw and still matches
+        bound, rs = 3 * 2**30 + 1, np.arange(50)
+        want = [numpy_stream(7, r).integers(0, bound, size=64) for r in rs.tolist()]
+        assert np.array_equal(stream_integers(7, rs, bound, 64), np.stack(want))
+
+    @pytest.mark.parametrize("suffix", [(0,), (1,)])
+    def test_generators_equal_per_index_streams(self, suffix):
+        ts = np.arange(5, 30)
+        for t, rng in zip(ts.tolist(), stream_generators(9, ts, suffix)):
+            want = numpy_stream(9, t, *suffix)
+            assert np.array_equal(rng.standard_normal((7, 3)), want.standard_normal((7, 3)))
+            assert np.array_equal(rng.integers(0, 83, size=5), want.integers(0, 83, size=5))
 
 
 class TestSimulateBootstrapSeries:

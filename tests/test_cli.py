@@ -702,6 +702,20 @@ class TestMainExitCodes:
         )
         assert not out.exists()
 
+    def test_montecarlo_uncreatable_out_exit_2_before_the_study(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli_mod.dgp_mod, "monte_carlo_recovery", never)
+        spec_path = tmp_path / "dgp.json"
+        spec_path.write_text(json.dumps(reference_spec().to_dict()))
+        out = spec_path / "mc"  # under a regular file, as /dev/null/x
+        assert main(["montecarlo", "--config", str(spec_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot create output directory")
+        assert err.count("\n") == 1
+
     def test_montecarlo_unwritable_csv_exit_2(self, tmp_path, capsys):
         spec_path = tmp_path / "dgp.json"
         spec_path.write_text(json.dumps(reference_spec().to_dict()))

@@ -13,7 +13,7 @@ from fiscalsvar.bootstrap import (
     ModelSpec,
     bootstrap_inference,
     derive_seed,
-    substream,
+    stream_generators,
 )
 from fiscalsvar.dgp import (
     DgpSpec,
@@ -58,12 +58,17 @@ def exog_spec(seed=0):
     return replace(reference_spec(seed=seed), exog_coef=loadings)
 
 
+def trial_stream(seed, t):
+    """Trial t's generator, spelled with numpy alone."""
+    return np.random.default_rng(np.random.SeedSequence([seed, t, 0]))
+
+
 def per_trial_estimates(spec, n_trials, horizons=20):
     """The reference for the stacked trials: each trial simulated on its
     own stream and fitted by the public single-fit functions."""
     paths = []
     for t in range(n_trials):
-        panel = simulate_var(spec, substream(spec.seed, t, 0))
+        panel = simulate_var(spec, trial_stream(spec.seed, t))
         irfs = irf(identify_cholesky(estimate_var(panel, 4), spec.labels), "G", horizons)
         paths.append(multiplier_path(irfs, "Y", "G", horizons).values)
     return np.stack(paths)
@@ -76,7 +81,7 @@ def per_trial_coverage(spec, n_trials, config):
     truth = analytic_multipliers(spec, config.horizons).values
     rows, hits = [], {}
     for t in range(n_trials):
-        panel = simulate_var(spec, substream(spec.seed, t, 0))
+        panel = simulate_var(spec, trial_stream(spec.seed, t))
         boot = replace(config.bootstrap, seed=derive_seed(spec.seed, t, 1))
         result = bootstrap_inference(panel, boot)
         rows.append(result.point_multipliers.values)
@@ -358,6 +363,18 @@ class TestStackedTrials:
         assert np.array_equal(rep.estimates, np.delete(want, [1, 6], axis=0))
 
 
+@pytest.mark.parametrize("spec", [reference_spec(seed=4), exog_spec(seed=4)], ids=["m0", "m2"])
+def test_trial_generators_equal_per_trial_streams(spec):
+    # one generator reseeded per trial draws what a fresh default_rng on
+    # SeedSequence([seed, t, 0]) draws, shocks then exogenous columns
+    ts = np.arange(3, 12)
+    X, Z = dgp_mod._simulate_panels(spec, len(ts), stream_generators(spec.seed, ts, (0,)))
+    for i, t in enumerate(ts.tolist()):
+        panel = simulate_var(spec, trial_stream(spec.seed, t))
+        assert np.array_equal(X[i], panel.X) and np.array_equal(Z[i], panel.Z)
+    assert Z.shape[2] == spec.exog_coef.shape[1]
+
+
 @pytest.mark.parametrize("T, stack", [(3000, 2), (8000, 1)])
 def test_large_t_stacks_stay_within_the_row_budget(monkeypatch, T, stack):
     # 27 trials of T + 200 rows: blocks of CHUNK draws (the budget alone
@@ -366,9 +383,9 @@ def test_large_t_stacks_stay_within_the_row_budget(monkeypatch, T, stack):
     blocks, stacks = [], []
     simulate_panels, stacked_fit = dgp_mod._simulate_panels, bootstrap_mod.stacked_fit
 
-    def recording_simulate(spec, rngs):
-        blocks.append(len(rngs))
-        return simulate_panels(spec, rngs)
+    def recording_simulate(spec, n, rngs):
+        blocks.append(n)
+        return simulate_panels(spec, n, rngs)
 
     def recording_fit(X, Z, model):
         stacks.append(X.shape)

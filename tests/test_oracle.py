@@ -5,7 +5,7 @@ The reference builds the lagged design row by row, solves it with
 covariance with ``np.linalg.cholesky``, propagates responses with
 ``matrix_power`` and forms cumulative ratios with ``cumsum``. It runs on
 the four snapshot panels and on 40 replications of each, rebuilt from
-``substream`` as the bootstrap draws them, against :func:`point_fit` and
+numpy's ``SeedSequence([seed, r])`` streams as the bootstrap draws them, against :func:`point_fit` and
 :func:`stacked_fit`. Largest deviations measured at seed 7: 7.7e-14 for
 responses (relative to the largest response) and 3.1e-12 for multipliers
 (elementwise relative); the tolerances leave about a hundredfold margin.
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fiscalsvar.bootstrap import ModelSpec, point_fit, stacked_fit, substream
+from fiscalsvar.bootstrap import ModelSpec, point_fit, stacked_fit
 from fiscalsvar.cli import load_panels, load_run_config
 from fiscalsvar.var import simulate
 
@@ -51,7 +51,10 @@ def test_point_and_stacked_fits_match_the_textbook_chain(code):
     panel = load_panels(load_run_config(SNAPSHOT_CONFIG))[code]
     estimate, irfs, path = point_fit(panel, model)
     U = estimate.residuals
-    idx = np.stack([substream(7, r).integers(0, len(U), size=len(U)) for r in range(40)])
+    idx = np.stack([
+        np.random.default_rng(np.random.SeedSequence([7, r])).integers(0, len(U), size=len(U))
+        for r in range(40)
+    ])
     draws = simulate(estimate, U[idx], panel.Z[p:], panel.X[:p])
     fit = stacked_fit(draws, panel.Z, model)
     assert not fit.failures
