@@ -10,21 +10,21 @@ outside 1..100000, or a --sample or --seed the reference system
 rejects, or an --out directory that cannot be created, is a config
 error: one line on stderr and exit code 2, before anything is simulated.
 A coverage.csv that cannot be written is the same config error, after
-the study has run and before it prints its table. A reader that closes
-stdout early ends the script with exit code 1 and no traceback, the
-coverage.csv already written.
+the study has run and before it prints its table. A study in which
+every trial fails is an estimation error: one line on stderr and exit
+code 4 (a data error exits 3), as in the ``fiscalsvar`` commands. A
+reader that closes stdout early ends the script with exit code 1 and no
+traceback, the coverage.csv already written.
 """
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 from pathlib import Path
 
 from fiscalsvar.bootstrap import BootstrapConfig
-from fiscalsvar.cli import closed_stdout, output_dir, write_csv
+from fiscalsvar.cli import output_dir, run_guarded, write_csv
 from fiscalsvar.dgp import RecoveryConfig, monte_carlo_recovery, reference_spec
-from fiscalsvar.errors import ConfigError
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -34,16 +34,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sample", type=int, default=84, help="simulated sample length")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="optional directory for coverage.csv")
-    args = parser.parse_args(argv)
-    try:
-        code = run(args)
-        sys.stdout.flush()  # a closed stdout fails here, inside the try
-        return code
-    except BrokenPipeError:
-        return closed_stdout()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    return run_guarded(run, parser.parse_args(argv))
 
 
 def run(args) -> int:

@@ -26,13 +26,13 @@ Determinism contract: replication r draws its residual rows as
 every stacked stage runs the single-fit routine matrix by matrix. So
 every draw equals the single-fit path bit for bit, neither size ever
 changes a number, and results are a pure function of the data, the
-model and the config. :func:`stream_integers` computes those streams
-for a whole block at once, numpy's own algorithms on uint32 and uint64
-arrays: the SeedSequence hash (:func:`seed_pool`), PCG64 seeding
-(:func:`pcg64_seed`) and stepping, and Lemire's bounded draw; a stream
-that meets Lemire's rejection is drawn by numpy itself. The streams are
-numpy's exactly, and the tests pin every step against the installed
-numpy.
+model and the config. :func:`stream_generators` builds those streams
+for a whole block at once: it hashes the block's seeds in one pass with
+numpy's SeedSequence algorithm on uint32 arrays (:func:`seed_pool`) and
+hands each row to numpy's own PCG64 through an ``ISeedSequence`` whose
+only state is that row; numpy's Generator then draws every value. The
+streams are numpy's exactly, and the tests pin every step against the
+installed numpy.
 """
 from __future__ import annotations
 
@@ -96,15 +96,13 @@ def derive_seed(*parts: int) -> int:
     return int(state[0]) ^ (int(state[1]) << 64)
 
 
-# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's 128-bit
-# LCG multiplier; every stream below is computed from these exactly as
-# numpy computes it, over a whole block of indices at once
+# numpy's SeedSequence hash (pool of 4 uint32 words), computed exactly
+# as numpy computes it, over a whole block of indices at once
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_U32, _U64 = 2**32 - 1, 2**64 - 1
+_U32 = 2**32 - 1
 
 
 def _words(n: int) -> list[int]:
@@ -164,109 +162,45 @@ def seed_pool(seed: int, indices: np.ndarray, suffix: tuple[int, ...] = ()) -> n
     const = _constants(_INIT_B, _MULT_B, 2 * _POOL)
     state = (np.concatenate([pool, pool]) ^ const[:-1]) * const[1:]
     state = (state ^ (state >> shift)).astype(np.uint64)
-    return (state[0::2] | (state[1::2] << np.uint64(32))).T
+    # C order: PCG64 reads each row as four contiguous words
+    return np.ascontiguousarray((state[0::2] | (state[1::2] << np.uint64(32))).T)
 
 
-def _mul64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full 128-bit products of uint64 arrays, as (high, low) limbs."""
-    low = np.uint64(_U32)
-    a0, a1, b0, b1 = a & low, a >> np.uint64(32), b & low, b >> np.uint64(32)
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> np.uint64(32)) + (p01 & low) + (p10 & low)
-    high = a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
-    return high, a * b
+@lru_cache(maxsize=1)
+def _pool_type() -> type:
+    """An ISeedSequence whose one answer is a ready pool row: PCG64 seeds
+    itself from ``generate_state(4, uint64)``, so it starts exactly where
+    ``PCG64(SeedSequence(entropy))`` does. Built once, on the first draw,
+    so that importing the package does not import ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Pool(ISeedSequence):
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != _POOL or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a pool row is {_POOL} uint64 words, not {n_words} {dtype}")
+            return self.row
+
+    return Pool
 
 
-def _mul128(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """x * y mod 2**128 on (high, low) limbs."""
-    high, low = _mul64(x[1], y[1])
-    return high + x[1] * y[0] + x[0] * y[1], low
-
-
-def _add128(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """x + y mod 2**128 on (high, low) limbs."""
-    low = x[1] + y[1]
-    return x[0] + y[0] + (low < x[1]).astype(np.uint64), low
-
-
-def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """128-bit integers as (high, low) uint64 limbs."""
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & _U64 for v in values], dtype=np.uint64))
-
-
-def pcg64_seed(
-    seed: int, indices: np.ndarray, suffix: tuple[int, ...] = ()
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The state and increment ``PCG64(SeedSequence([seed, i, *suffix]))``
-    starts from, for every index i, each as (high, low) uint64 limbs:
-    ``inc = initseq << 1 | 1`` and ``state = (inc + initstate) * M + inc``
-    from the pool words (initstate high, low, initseq high, low)."""
-    words = seed_pool(seed, indices, suffix)
-    one = np.uint64(1)
-    inc = ((words[:, 2] << one) | (words[:, 3] >> np.uint64(63)), (words[:, 3] << one) | one)
-    mult = tuple(np.uint64(v) for v in divmod(_PCG_MULT, 2**64))
-    return _add128(_mul128(_add128(inc, (words[:, 0], words[:, 1])), mult), inc), inc
-
-
-@lru_cache(maxsize=16)
-def _jumps(count: int) -> tuple[tuple, tuple]:
-    """M**j and sum_{i<j} M**i mod 2**128 for j = 1..count, as limbs: the
-    LCG state j steps on is M**j * state + (sum_{i<j} M**i) * inc."""
-    power, total, powers, totals = 1, 0, [], []
-    for _ in range(count):
-        total = (total + power) % 2**128
-        power = power * _PCG_MULT % 2**128
-        powers.append(power)
-        totals.append(total)
-    return _limbs(powers), _limbs(totals)
+def stream_generators(seed: int, indices: np.ndarray, suffix: tuple[int, ...] = ()):
+    """Yield ``default_rng(SeedSequence([seed, i, *suffix]))`` for every
+    index i in turn, seeded from the block's :func:`seed_pool` rows."""
+    pool = _pool_type()
+    for row in seed_pool(seed, indices, suffix):
+        yield np.random.Generator(np.random.PCG64(pool(row)))
 
 
 def stream_integers(seed: int, indices: np.ndarray, bound: int, size: int) -> np.ndarray:
     """Row i is ``default_rng(SeedSequence([seed, i])).integers(0, bound,
-    size=size)`` for 1 <= bound <= 2**32, bit for bit: (C, size) int64.
-
-    PCG64 (O'Neill 2014; XSL-RR output) is stepped by jump tables over the
-    whole block; each value takes one uint32, the low half of a 64-bit
-    output first, as ``(u * bound) >> 32`` (Lemire 2019). A row in which
-    some ``(u * bound) mod 2**32`` falls below ``2**32 mod bound`` is one
-    where numpy's sampler rejects and redraws, shifting the rest of the
-    stream; such rows, about size * bound / 2**32 of them, are drawn by
-    numpy itself.
-    """
-    state, inc = pcg64_seed(seed, indices)
-    powers, totals = _jumps((size + 1) // 2)
-    state, inc = (tuple(limb[:, None] for limb in v) for v in (state, inc))
-    high, low = _add128(_mul128(powers, state), _mul128(totals, inc))
-    x = high ^ low
-    rot = high >> np.uint64(58)
-    out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    u = np.empty((len(indices), 2 * out.shape[1]), dtype=np.uint64)
-    u[:, 0::2], u[:, 1::2] = out & np.uint64(_U32), out >> np.uint64(32)
-    m = u[:, :size] * np.uint64(bound)
-    rejects = ((m & np.uint64(_U32)) < np.uint64(2**32 % bound)).any(axis=1)
-    values = (m >> np.uint64(32)).astype(np.int64)
-    for row in np.flatnonzero(rejects):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, int(indices[row])]))
-        values[row] = rng.integers(0, bound, size=size)
+    size=size)``: (C, size) int64."""
+    values = np.empty((len(indices), size), dtype=np.int64)
+    for row, rng in zip(values, stream_generators(seed, indices)):
+        row[:] = rng.integers(0, bound, size=size)
     return values
-
-
-def stream_generators(seed: int, indices: np.ndarray, suffix: tuple[int, ...] = ()):
-    """Yield, for every index i in turn, a Generator on the stream of
-    ``default_rng(SeedSequence([seed, i, *suffix]))``. It is one Generator
-    whose PCG64 state is set in place for each index, so each is spent
-    before the next is yielded."""
-    rng = np.random.Generator(np.random.PCG64())
-    state, inc = pcg64_seed(seed, indices, suffix)
-    for sh, sl, ih, il in zip(*(a.tolist() for a in (*state, *inc))):
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
 
 
 def check_names(names: tuple, what: str) -> None:

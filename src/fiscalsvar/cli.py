@@ -602,13 +602,27 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
     return code
 
 
-def closed_stdout() -> int:
-    """Exit code of a run whose reader closed stdout: every file is
-    written, and stdout is pointed at the null device, as the Python
-    ``signal`` docs advise, so the interpreter's own flush at exit
-    cannot fail again."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 1  # Python's own exit status on EPIPE
+def run_guarded(run, args) -> int:
+    """Exit code of ``run(args)``, the one place a command or script ends:
+    a reader that closed stdout gives 1, and an error of the package one
+    stderr line and its exit code (config 2, data 3, estimation 4), never
+    a traceback."""
+    try:
+        code = run(args)
+        sys.stdout.flush()  # a closed stdout fails here, inside the try
+        return code
+    except BrokenPipeError:
+        # every file is written; stdout goes to the null device, as the
+        # Python ``signal`` docs advise, so the interpreter's own flush at
+        # exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1  # Python's own exit status on EPIPE
+    except ConfigError as exc:
+        return _fail("config", exc, EXIT_CONFIG)
+    except DataError as exc:
+        return _fail("data", exc, EXIT_DATA)
+    except EstimationError as exc:
+        return _fail("estimation", exc, EXIT_ESTIMATION)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -618,18 +632,7 @@ def main(argv: list[str] | None = None) -> int:
         "estimate": _cmd_estimate,
         "montecarlo": _cmd_montecarlo,
     }[args.command]
-    try:
-        code = handler(args)
-        sys.stdout.flush()  # a closed stdout fails here, inside the try
-        return code
-    except BrokenPipeError:
-        return closed_stdout()
-    except ConfigError as exc:
-        return _fail("config", exc, EXIT_CONFIG)
-    except DataError as exc:
-        return _fail("data", exc, EXIT_DATA)
-    except EstimationError as exc:
-        return _fail("estimation", exc, EXIT_ESTIMATION)
+    return run_guarded(handler, args)
 
 
 if __name__ == "__main__":

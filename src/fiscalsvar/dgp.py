@@ -17,9 +17,9 @@ Determinism contract: trial t draws its shocks, then its exogenous
 columns, from its own stream, ``default_rng(SeedSequence([seed, t, 0]))``,
 so every trial equals the single-trial path bit for bit and neither
 size in the draw loop ever changes a number. The block's seeds are
-hashed at once and one generator is reseeded in place for each trial
-(:func:`~fiscalsvar.bootstrap.stream_generators`); the draws are
-numpy's own ``standard_normal`` on exactly that stream.
+hashed at once, and each trial gets numpy's own PCG64 seeded from its
+row of that hash (:func:`~fiscalsvar.bootstrap.stream_generators`); the
+draws are numpy's own ``standard_normal`` on exactly that stream.
 """
 from __future__ import annotations
 
@@ -168,9 +168,8 @@ def _simulate_panels(spec: DgpSpec, n: int, rngs) -> tuple[np.ndarray, np.ndarra
     yields, as one stack: endogenous columns (n, T, k) and exogenous
     columns (n, T, m).
 
-    Each generator draws its shocks, then its exogenous columns, before
-    the next is taken, so a panel depends on its own generator alone,
-    even when ``rngs`` yields one generator reseeded in place.
+    Each generator draws its shocks, then its exogenous columns, so a
+    panel depends on its own generator alone.
     """
     k, p, m = spec.k, spec.p, spec.exog_coef.shape[1]
     total = spec.burn_in + spec.T

@@ -132,6 +132,8 @@ def load_csv(path, schema: dict[str, str] | None = None, country: str = "") -> M
     for canonical, column in full_schema.items():
         if column not in header:
             raise SchemaError(f"{path}: missing column '{column}' (for {canonical})")
+        if header.count(column) > 1:
+            raise SchemaError(f"{path}: column '{column}' (for {canonical}) appears more than once")
         positions[canonical] = header.index(column)
 
     rows = []

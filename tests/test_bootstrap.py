@@ -16,7 +16,6 @@ from fiscalsvar.bootstrap import (
     MAX_REPLICATIONS,
     derive_seed,
     fit_draws,
-    pcg64_seed,
     point_fit,
     quantile_bands,
     seed_pool,
@@ -135,6 +134,8 @@ class TestDeriveSeed:
 # hash's pool of 4
 STREAM_SEEDS = [0, 2**32, derive_seed(0, 5, 1), derive_seed(3, 17, 1), 2**200]
 SEED_IDS = ["zero", "2^32", "derived-a", "derived-b", "2^200"]
+# a Monte Carlo trial's suffix, a multi-word one and none
+STREAM_SUFFIXES = [(0,), (1, 2**40), ()]
 
 
 class TestStreams:
@@ -157,18 +158,27 @@ class TestStreams:
         rs[-1] = MAX_REPLICATIONS - 1
         pool = seed_pool(seed, rs)
         assert pool.dtype == np.uint64 and pool.shape == (len(rs), 4)
+        assert pool.flags.c_contiguous  # PCG64 reads a row as four adjacent words
         want = [np.random.SeedSequence([seed, r]).generate_state(4, np.uint64) for r in rs.tolist()]
         assert np.array_equal(pool, np.stack(want))
 
-    @pytest.mark.parametrize("suffix", [(), (0,), (1, 2**40)])
+    @pytest.mark.parametrize("suffix", STREAM_SUFFIXES)
     @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=SEED_IDS)
-    def test_pcg64_seed_equals_numpy(self, seed, suffix):
+    def test_bit_generators_equal_numpy(self, seed, suffix):
         rs = np.arange(200)
-        state, inc = pcg64_seed(seed, rs, suffix)
-        for r in rs.tolist():
-            want = np.random.PCG64(np.random.SeedSequence([seed, r, *suffix])).state["state"]
-            assert int(state[0][r]) << 64 | int(state[1][r]) == want["state"]
-            assert int(inc[0][r]) << 64 | int(inc[1][r]) == want["inc"]
+        for r, rng in zip(rs.tolist(), stream_generators(seed, rs, suffix)):
+            got = rng.bit_generator
+            want = np.random.PCG64(np.random.SeedSequence([seed, r, *suffix]))
+            assert got.state == want.state
+            assert np.array_equal(got.random_raw(3), want.random_raw(3))
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
+    def test_pool_type_refuses_other_requests(self, n_words, dtype):
+        row = seed_pool(0, np.arange(1))[0]
+        pool = bootstrap_mod._pool_type()(row)
+        assert pool.generate_state(4, np.uint64) is row
+        with pytest.raises(ValueError, match="a pool row is 4 uint64 words"):
+            pool.generate_state(n_words, dtype)
 
     @pytest.mark.parametrize("bound", [80, 83])
     @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=SEED_IDS)
@@ -190,19 +200,20 @@ class TestStreams:
         assert np.array_equal(stream_integers(seed, rs, bound, size), np.stack(want))
 
     def test_rejected_streams_are_redrawn(self):
-        # at this bound a quarter of all values fall in Lemire's rejection
-        # zone, so every stream takes numpy's redraw and still matches
+        # at this bound numpy's bounded sampler rejects a quarter of all
+        # values and redraws them, so every stream runs past size outputs
         bound, rs = 3 * 2**30 + 1, np.arange(50)
         want = [numpy_stream(7, r).integers(0, bound, size=64) for r in rs.tolist()]
         assert np.array_equal(stream_integers(7, rs, bound, 64), np.stack(want))
 
-    @pytest.mark.parametrize("suffix", [(0,), (1,)])
+    @pytest.mark.parametrize("suffix", STREAM_SUFFIXES)
     def test_generators_equal_per_index_streams(self, suffix):
         ts = np.arange(5, 30)
-        for t, rng in zip(ts.tolist(), stream_generators(9, ts, suffix)):
-            want = numpy_stream(9, t, *suffix)
-            assert np.array_equal(rng.standard_normal((7, 3)), want.standard_normal((7, 3)))
-            assert np.array_equal(rng.integers(0, 83, size=5), want.integers(0, 83, size=5))
+        for seed in STREAM_SEEDS:
+            for t, rng in zip(ts.tolist(), stream_generators(seed, ts, suffix)):
+                want = numpy_stream(seed, t, *suffix)
+                assert np.array_equal(rng.standard_normal((7, 3)), want.standard_normal((7, 3)))
+                assert np.array_equal(rng.integers(0, 83, size=5), want.integers(0, 83, size=5))
 
 
 class TestSimulateBootstrapSeries:

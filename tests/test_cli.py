@@ -817,6 +817,14 @@ class TestCoverageScript:
             f"config error: cannot write {tmp_path / 'coverage.csv'}: Is a directory\n"
         )
 
+    def test_every_trial_failing_exit_4(self, capsys):
+        # 21 quarters leave 17 rows for 17 regressors, so no trial fits
+        assert load_coverage_script().main(["--sample", "21", "--trials", "2", "--reps", "20"]) == 4
+        assert capsys.readouterr().err == (
+            "estimation error: all 2 trials failed; first: SampleSizeError: "
+            "17 usable rows for 17 regressors; need T - p > n_regressors\n"
+        )
+
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", ["montecarlo", "coverage_experiment"])

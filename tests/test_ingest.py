@@ -131,6 +131,20 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="vat"):
             load_csv(path)
 
+    @pytest.mark.parametrize("schema", [None, {"gdp": "gdp_lcu"}], ids=["canonical", "renamed"])
+    def test_duplicate_column(self, tmp_path, schema):
+        # a second column of 1000x the values must not be silently ignored
+        cols = tiny_columns()
+        column = (schema or {}).get("gdp", "gdp")
+        cols[column] = cols.pop("gdp")
+        cols["copy"] = [1000 * v for v in cols[column]]
+        path = tmp_path / "x.csv"
+        write_country_csv(path, cols, header=list(cols))
+        path.write_text(path.read_text().replace(",copy\n", f",{column}\n", 1))
+        message = f"x\\.csv: column '{column}' \\(for gdp\\) appears more than once"
+        with pytest.raises(SchemaError, match=message):
+            load_csv(path, schema=schema)
+
     def test_schema_renames_columns(self, tmp_path):
         cols = tiny_columns()
         cols["gdp_lcu"] = cols.pop("gdp")
