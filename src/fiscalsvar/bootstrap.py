@@ -27,17 +27,13 @@ every stacked stage runs the single-fit routine matrix by matrix. So
 every draw equals the single-fit path bit for bit, neither size ever
 changes a number, and results are a pure function of the data, the
 model and the config. :func:`stream_generators` builds those streams
-for a whole block at once: it hashes the block's seeds in one pass with
-numpy's SeedSequence algorithm on uint32 arrays (:func:`seed_pool`) and
-hands each row to numpy's own PCG64 through an ``ISeedSequence`` whose
-only state is that row; numpy's Generator then draws every value. The
-streams are numpy's exactly, and the tests pin every step against the
-installed numpy.
+with numpy's own SeedSequence, PCG64 and Generator, from the seed's
+uint32 words split once per block, so they are numpy's exactly; the
+tests pin each step against the installed numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -70,8 +66,8 @@ from .var import (
 # cap on replications and on Monte Carlo trials, 100 times the paper's
 # 1000; every kept draw stays in memory until the bands are read, so a
 # larger count is refused before the run starts. It must stay below
-# 2**32: seed_pool hashes each index as one uint32 word, as SeedSequence
-# reads an integer below 2**32
+# 2**32: stream_generators writes each index as one uint32 word of its
+# entropy, as SeedSequence reads an integer below 2**32
 MAX_REPLICATIONS = 100_000
 
 MAX_FAILURE_SHARE = 0.05
@@ -96,12 +92,6 @@ def derive_seed(*parts: int) -> int:
     return int(state[0]) ^ (int(state[1]) << 64)
 
 
-# numpy's SeedSequence hash (pool of 4 uint32 words), computed exactly
-# as numpy computes it, over a whole block of indices at once
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
 _U32 = 2**32 - 1
 
 
@@ -115,83 +105,21 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _constants(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult**c mod 2**32 for c = 0..count, as a uint32 column."""
-    values = [init]
-    for _ in range(count):
-        values.append(values[-1] * mult & _U32)
-    return np.array(values, dtype=np.uint32)[:, None]
-
-
-def seed_pool(seed: int, indices: np.ndarray, suffix: tuple[int, ...] = ()) -> np.ndarray:
-    """``SeedSequence([seed, i, *suffix]).generate_state(4, uint64)`` for
-    every index i, as rows of a (C, 4) uint64 array.
-
-    Each index is one uint32 word of the entropy (see ``MAX_REPLICATIONS``),
-    and the hash constants depend only on the entropy's length, so each
-    step of the hash runs over the whole block at once, and over every
-    pool word it updates.
-    """
-    head = _words(seed)
-    words = head + [0] + [w for part in suffix for w in _words(part)]
-    entropy = np.zeros((max(_POOL, len(words)), len(indices)), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(head)] = np.asarray(indices, dtype=np.uint32)
-    const = _constants(_INIT_A, _MULT_A, _POOL * len(entropy))
-    calls = 0
-    shift = np.uint32(16)
-
-    def hashmix(values, n):
-        # the next n hashmix calls, one per row of the result
-        nonlocal calls
-        values = (values ^ const[calls:calls + n]) * const[calls + 1:calls + n + 1]
-        calls += n
-        return values ^ (values >> shift)
-
-    def mix(x, y):
-        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return result ^ (result >> shift)
-
-    # an entropy shorter than the pool is padded with zero words
-    pool = hashmix(entropy[:_POOL], _POOL)
-    for src in range(_POOL):
-        dst = [i for i in range(_POOL) if i != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL - 1))
-    for word in entropy[_POOL:]:
-        pool = mix(pool, hashmix(word, _POOL))
-    const = _constants(_INIT_B, _MULT_B, 2 * _POOL)
-    state = (np.concatenate([pool, pool]) ^ const[:-1]) * const[1:]
-    state = (state ^ (state >> shift)).astype(np.uint64)
-    # C order: PCG64 reads each row as four contiguous words
-    return np.ascontiguousarray((state[0::2] | (state[1::2] << np.uint64(32))).T)
-
-
-@lru_cache(maxsize=1)
-def _pool_type() -> type:
-    """An ISeedSequence whose one answer is a ready pool row: PCG64 seeds
-    itself from ``generate_state(4, uint64)``, so it starts exactly where
-    ``PCG64(SeedSequence(entropy))`` does. Built once, on the first draw,
-    so that importing the package does not import ``numpy.random``."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Pool(ISeedSequence):
-        def __init__(self, row: np.ndarray):
-            self.row = row
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != _POOL or np.dtype(dtype) != np.uint64:
-                raise ValueError(f"a pool row is {_POOL} uint64 words, not {n_words} {dtype}")
-            return self.row
-
-    return Pool
-
-
 def stream_generators(seed: int, indices: np.ndarray, suffix: tuple[int, ...] = ()):
     """Yield ``default_rng(SeedSequence([seed, i, *suffix]))`` for every
-    index i in turn, seeded from the block's :func:`seed_pool` rows."""
-    pool = _pool_type()
-    for row in seed_pool(seed, indices, suffix):
-        yield np.random.Generator(np.random.PCG64(pool(row)))
+    index i in turn.
+
+    Each index's entropy is its own row of uint32 words, exactly what
+    numpy coerces that list to, with the index as one word (see
+    ``MAX_REPLICATIONS``): numpy reads an array in one step, a list word
+    by word in Python. No row is written after its SeedSequence is made,
+    which keeps a reference to it as ``.entropy``."""
+    head, tail = _words(seed), [w for part in suffix for w in _words(part)]
+    entropy = np.empty((len(indices), len(head) + 1 + len(tail)), dtype=np.uint32)
+    entropy[:] = [*head, 0, *tail]
+    entropy[:, len(head)] = indices
+    for row in entropy:
+        yield np.random.Generator(np.random.PCG64(np.random.SeedSequence(row)))
 
 
 def stream_integers(seed: int, indices: np.ndarray, bound: int, size: int) -> np.ndarray:
@@ -417,12 +345,10 @@ def quantile_bands(samples: np.ndarray, levels: tuple[int, ...]) -> dict[int, np
     a = np.asarray(samples, dtype=float)
     if a.size == 0 or a.shape[0] == 0:
         raise ShapeError("no samples to take quantiles over")
-    bands = {}
-    for level in levels:
-        lo = (100 - level) / 200.0
-        hi = (100 + level) / 200.0
-        bands[level] = np.quantile(a, [lo, hi], axis=0, method="linear")
-    return bands
+    # every level's pair in one call; each quantile is read on its own
+    qs = [q for level in levels for q in ((100 - level) / 200.0, (100 + level) / 200.0)]
+    values = np.quantile(a, qs, axis=0, method="linear")
+    return {level: values[2 * j:2 * j + 2] for j, level in enumerate(levels)}
 
 
 def significance_flags(bands: dict[int, np.ndarray]) -> tuple[str, ...]:

@@ -189,6 +189,15 @@ def load_run_config(path) -> RunConfig:
                 raise ConfigError(
                     f"{path}: countries[{i}]: schema values must be non-empty strings"
                 )
+            owners: dict[str, str] = {}
+            for name in (DATE_COLUMN, *SERIES):
+                column = schema.get(name, name)
+                if column in owners:
+                    raise ConfigError(
+                        f"{path}: countries[{i}]: schema maps both '{owners[column]}' "
+                        f"and '{name}' to column '{column}'"
+                    )
+                owners[column] = name
         try:
             csv_path = (path.parent / item["csv"]).resolve()
         except (TypeError, ValueError):  # not a string, a NUL byte, a lone surrogate

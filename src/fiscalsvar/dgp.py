@@ -16,10 +16,10 @@ stack kept, each from its own row of the stack.
 Determinism contract: trial t draws its shocks, then its exogenous
 columns, from its own stream, ``default_rng(SeedSequence([seed, t, 0]))``,
 so every trial equals the single-trial path bit for bit and neither
-size in the draw loop ever changes a number. The block's seeds are
-hashed at once, and each trial gets numpy's own PCG64 seeded from its
-row of that hash (:func:`~fiscalsvar.bootstrap.stream_generators`); the
-draws are numpy's own ``standard_normal`` on exactly that stream.
+size in the draw loop ever changes a number. Each trial's generator is
+numpy's own SeedSequence, PCG64 and Generator on its entropy words
+(:func:`~fiscalsvar.bootstrap.stream_generators`); the draws are numpy's
+own ``standard_normal`` on exactly that stream.
 """
 from __future__ import annotations
 

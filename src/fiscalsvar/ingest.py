@@ -118,7 +118,7 @@ def load_csv(path, schema: dict[str, str] | None = None, country: str = "") -> M
     full_schema.update(schema or {})
 
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             table = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None

@@ -18,7 +18,6 @@ from fiscalsvar.bootstrap import (
     fit_draws,
     point_fit,
     quantile_bands,
-    seed_pool,
     significance_flags,
     simulate_bootstrap_series,
     stacked_fit,
@@ -139,28 +138,26 @@ STREAM_SUFFIXES = [(0,), (1, 2**40), ()]
 
 
 class TestStreams:
-    """The vectorized draw layer against the installed numpy, piece by
-    piece, so that a numpy whose streams change fails here."""
+    """The stream layer against the installed numpy, piece by piece, so
+    that a numpy whose streams change fails here."""
 
     def test_seeds_span_the_word_counts(self):
         words = [max(1, -(-seed.bit_length() // 32)) for seed in STREAM_SEEDS]
         assert words == [1, 2, 4, 4, 7]
 
     def test_indices_fit_one_word(self):
-        # seed_pool hashes each replication or trial index as one uint32
+        # each replication or trial index is one uint32 word of its entropy
         assert MAX_REPLICATIONS < 2**32
 
+    @pytest.mark.parametrize("suffix", STREAM_SUFFIXES)
     @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=SEED_IDS)
-    def test_pool_equals_seed_sequence(self, seed):
-        # every index for the one-word seed, every 101st for the others
-        step = 1 if seed == 0 else 101
-        rs = np.arange(0, MAX_REPLICATIONS, step)
-        rs[-1] = MAX_REPLICATIONS - 1
-        pool = seed_pool(seed, rs)
-        assert pool.dtype == np.uint64 and pool.shape == (len(rs), 4)
-        assert pool.flags.c_contiguous  # PCG64 reads a row as four adjacent words
-        want = [np.random.SeedSequence([seed, r]).generate_state(4, np.uint64) for r in rs.tolist()]
-        assert np.array_equal(pool, np.stack(want))
+    def test_words_are_numpys_entropy(self, seed, suffix):
+        # stream_generators hands SeedSequence the words of [seed, r, *suffix]
+        tail = [w for part in suffix for w in bootstrap_mod._words(part)]
+        for r in [0, 1, 2**31, MAX_REPLICATIONS - 1]:
+            words = np.array([*bootstrap_mod._words(seed), r, *tail], dtype=np.uint32)
+            want = np.random.SeedSequence([seed, r, *suffix]).pool
+            assert np.array_equal(np.random.SeedSequence(words).pool, want)
 
     @pytest.mark.parametrize("suffix", STREAM_SUFFIXES)
     @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=SEED_IDS)
@@ -171,14 +168,6 @@ class TestStreams:
             want = np.random.PCG64(np.random.SeedSequence([seed, r, *suffix]))
             assert got.state == want.state
             assert np.array_equal(got.random_raw(3), want.random_raw(3))
-
-    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
-    def test_pool_type_refuses_other_requests(self, n_words, dtype):
-        row = seed_pool(0, np.arange(1))[0]
-        pool = bootstrap_mod._pool_type()(row)
-        assert pool.generate_state(4, np.uint64) is row
-        with pytest.raises(ValueError, match="a pool row is 4 uint64 words"):
-            pool.generate_state(n_words, dtype)
 
     @pytest.mark.parametrize("bound", [80, 83])
     @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=SEED_IDS)
@@ -286,6 +275,16 @@ class TestQuantileBands:
         bands = quantile_bands(samples, (68, 90))
         assert np.all(bands[90][0] <= bands[68][0])
         assert np.all(bands[68][1] <= bands[90][1])
+
+    @pytest.mark.parametrize("shape", [(1000, 21, 4), (1000, 20), (7, 3)])
+    def test_equals_one_quantile_call_per_level(self, shape):
+        samples = np.random.default_rng(len(shape)).normal(size=shape)
+        levels = (50, 68, 90)
+        bands = quantile_bands(samples, levels)
+        assert list(bands) == list(levels)
+        for level in levels:
+            q = [(100 - level) / 200.0, (100 + level) / 200.0]
+            assert np.array_equal(bands[level], np.quantile(samples, q, axis=0))
 
 
 class TestSignificanceFlags:

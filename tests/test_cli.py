@@ -146,6 +146,29 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
             load_run_config(path)
 
+    @pytest.mark.parametrize(
+        "schema, first, second, column",
+        [
+            ({"gdp": "vat"}, "vat", "gdp", "vat"),
+            ({"date": "cpi"}, "date", "cpi", "cpi"),
+            ({"us_gdp": "x", "us_inflation": "x"}, "us_gdp", "us_inflation", "x"),
+        ],
+    )
+    def test_schema_columns_must_be_distinct(self, tmp_path, schema, first, second, column):
+        path = tmp_path / "c.json"
+        payload = {"countries": [{"code": "cz", "csv": "x.csv", "schema": schema}]}
+        path.write_text(json.dumps(payload))
+        message = (f"{path}: countries[0]: schema maps both '{first}' and '{second}' "
+                   f"to column '{column}'")
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            load_run_config(path)
+
+    def test_schema_swap_accepted(self, tmp_path):
+        path = tmp_path / "c.json"
+        schema = {"gdp": "vat", "vat": "gdp"}
+        path.write_text(json.dumps({"countries": [{"code": "cz", "csv": "x.csv", "schema": schema}]}))
+        assert load_run_config(path).countries[0].schema == schema
+
     def test_permuted_ordering_accepted(self, tmp_path, data_dir):
         path = write_config(tmp_path / "c.json", data_dir, ordering=["T", "G", "Y", "i"])
         assert load_run_config(path).ordering == ("T", "G", "Y", "i")
@@ -377,6 +400,7 @@ class TestMainExitCodes:
             {"ordering": ["G", "T", "Y", 5]},
             {"schema": {"bogus": "x"}},
             {"schema": {"date": 5}},
+            {"schema": {"gdp": "vat"}},
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "estimate"])

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +155,17 @@ class TestLoadCsv:
         write_country_csv(path, cols, header=header)
         data = load_csv(path, schema={"gdp": "gdp_lcu"})
         assert list(data.values["gdp"]) == [10000.0, 10100.0, 10000.0, 10200.0]
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # spreadsheet exports often start a UTF-8 file with a BOM
+        original = Path(__file__).resolve().parents[1] / "data" / "cz.csv"
+        path = tmp_path / "cz.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        window = (START, Quarter(2019, 4))
+        want = build_panel(load_csv(original, country="cz"), window)
+        got = build_panel(load_csv(path, country="cz"), window)
+        assert got.start == want.start
+        assert np.array_equal(got.X, want.X) and np.array_equal(got.Z, want.Z)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "x.csv"
