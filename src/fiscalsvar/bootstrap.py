@@ -311,28 +311,18 @@ def simulate_bootstrap_series(
     x_labels: tuple[str, ...] = X_LABELS,
     z_labels: tuple[str, ...] | None = None,
 ) -> TransformedPanel:
-    """Rebuild an artificial panel from coefficients and resampled rows.
+    """Rebuild an artificial panel from a law and resampled rows.
 
     :func:`~fiscalsvar.var.simulate` runs x*_t = c + sum Gamma_i x*_{t-i}
-    + D z_t + u*_t from the actual first p observations; ``exog`` must
-    cover the full panel (p initial rows plus one per resampled row).
+    + D z_t + u*_t from the actual first p observations; ``exog`` covers
+    the full panel (p initial rows plus one per resampled row), and
+    ``simulate`` refuses any shape that does not match the law.
     """
-    p, k = estimate.p, estimate.k
-    resampled = np.asarray(resampled, dtype=float)
-    initial = np.asarray(initial, dtype=float)
     exog = np.asarray(exog, dtype=float)
-    m = estimate.exog_coef.shape[1]
-    if resampled.ndim != 2 or resampled.shape[1] != k:
-        raise ShapeError(f"resampled must be (T_eff, {k})")
-    if initial.shape != (p, k):
-        raise ShapeError(f"initial must be ({p}, {k}), got {initial.shape}")
-    T_eff = resampled.shape[0]
-    if exog.shape != (p + T_eff, m):
-        raise ShapeError(f"exog must be ({p + T_eff}, {m}), got {exog.shape}")
-
-    X = simulate(estimate, resampled, exog[p:], initial)
+    X = simulate(estimate, np.asarray(resampled, dtype=float), exog[estimate.p:],
+                 np.asarray(initial, dtype=float))
     if z_labels is None:
-        z_labels = tuple(f"z{j}" for j in range(m))
+        z_labels = tuple(f"z{j}" for j in range(exog.shape[1]))
     return TransformedPanel(start, X, exog, x_labels, z_labels)
 
 

@@ -109,9 +109,10 @@ class RunConfig:
     def __post_init__(self):
         if not self.countries:
             raise ConfigError("countries must be non-empty")
+        # a code names output files, and cz and CZ clash where file names ignore case
         codes = [c.code for c in self.countries]
-        if len(set(codes)) != len(codes):
-            raise ConfigError(f"duplicate country codes: {codes}")
+        if len({c.lower() for c in codes}) != len(codes):
+            raise ConfigError(f"duplicate country codes (ignoring case): {codes}")
         model = ModelSpec(self.lags, self.ordering, self.horizons)
         if sorted(model.ordering) != sorted(X_LABELS):
             raise ConfigError(
@@ -248,15 +249,21 @@ def load_run_config(path) -> RunConfig:
 
 def config_hash(config: RunConfig) -> str:
     """SHA-256 over the canonical JSON of every :class:`RunConfig` field
-    but the output directory, which is deliberately excluded: it does not
-    affect a single number in the bundle.
+    but the output directory, with each country's CSV as the SHA-256 of
+    its bytes, not its path. Where the output or the checkout lies does
+    not affect a single number in the bundle, and any edit to the data
+    does. A CSV that cannot be read is a :class:`DataError`.
     """
     payload = {f.name: getattr(config, f.name) for f in fields(RunConfig)}
     del payload["output_dir"]
-    payload["countries"] = [
-        {"code": c.code, "csv": str(c.csv), "name": c.name, "schema": c.schema or {}}
-        for c in config.countries
-    ]
+    payload["countries"] = []
+    for c in config.countries:
+        try:
+            digest = hashlib.sha256(Path(c.csv).read_bytes()).hexdigest()
+        except OSError as exc:
+            raise DataError(f"cannot read {c.csv}: {exc.strerror}") from None
+        payload["countries"].append(
+            {"code": c.code, "csv": digest, "name": c.name, "schema": c.schema or {}})
     payload["window"] = [str(config.window[0]), str(config.window[1])]
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()

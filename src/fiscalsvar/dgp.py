@@ -3,7 +3,10 @@
 A :class:`DgpSpec` carries true coefficients, so simulated panels come
 with exact impulse responses and multiplier paths to check the whole
 estimation chain against: least-squares recovery, identification,
-band coverage.
+band coverage. A spec is a law, as a fitted
+:class:`~fiscalsvar.var.VarEstimate` is, so the code that reads a fit
+reads it too: :func:`~fiscalsvar.var.simulate` (which refuses mismatched
+shapes), :func:`~fiscalsvar.var.stability` and :func:`~fiscalsvar.svar.irf`.
 
 Monte Carlo trials run through the bootstrap's draw loop,
 :func:`~fiscalsvar.bootstrap.fit_draws` (its module docstring describes
@@ -48,16 +51,8 @@ from .errors import (
 )
 from .ingest import X_LABELS, TransformedPanel
 from .series import Quarter
-from .svar import (
-    RESPONSE,
-    SHOCK,
-    IrfSet,
-    MultiplierPath,
-    column_of,
-    multiplier_path,
-    propagate_impulse,
-)
-from .var import companion_matrix, simulate, spectral_radius
+from .svar import RESPONSE, SHOCK, IrfSet, MultiplierPath, StructuralModel, irf, multiplier_path
+from .var import simulate, stability
 
 SYNTHETIC_START = Quarter(2000, 1)
 
@@ -113,16 +108,16 @@ class DgpSpec:
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
-        top = float(spectral_radius(companion_matrix(gammas)))
-        if top >= 1.0:
-            raise UnstableDgpError(
-                f"companion eigenvalue modulus {top:.4f} >= 1; spec is explosive"
-            )
         for name, arr in (("gammas", gammas), ("B", B), ("intercept", intercept),
                           ("exog_coef", exog)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "labels", tuple(self.labels))
+        top, stable = stability(self)
+        if not stable:
+            raise UnstableDgpError(
+                f"companion eigenvalue modulus {top:.4f} >= 1; spec is explosive"
+            )
 
     @property
     def p(self) -> int:
@@ -202,11 +197,10 @@ def _panel(spec: DgpSpec, X: np.ndarray, Z: np.ndarray) -> TransformedPanel:
 
 
 def analytic_irf(spec: DgpSpec, horizons: int, shock: str = SHOCK) -> IrfSet:
-    """Exact responses from the true parameters, no estimation involved."""
-    F = companion_matrix(spec.gammas)
-    impact = spec.B[:, column_of(spec.labels, shock)]
-    responses = propagate_impulse(F, impact, horizons)
-    return IrfSet(shock=shock, ordering=spec.labels, responses=responses)
+    """Exact responses from the true parameters, no estimation involved:
+    :func:`~fiscalsvar.svar.irf` of the spec as its own law, with its own
+    B."""
+    return irf(StructuralModel(spec, spec.B, spec.labels), shock, horizons)
 
 
 def analytic_multipliers(spec: DgpSpec, horizons: int) -> MultiplierPath:

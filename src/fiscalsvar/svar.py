@@ -8,11 +8,12 @@ moves every later variable on impact but not vice versa.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError, fit_error
-from .var import VarEstimate
+from .var import VarEstimate, companion_matrix
 
 # the multiplier's pair: the cumulative response of output to a
 # government-spending shock
@@ -31,24 +32,14 @@ def column_of(ordering: tuple[str, ...], variable: str) -> int:
         raise ShapeError(f"unknown variable '{variable}', ordering is {ordering}") from None
 
 
-@dataclass(frozen=True)
-class StructuralModel:
-    """A reduced-form estimate together with its impact matrix B."""
+class StructuralModel(NamedTuple):
+    """A law, a fitted :class:`VarEstimate` or a true
+    :class:`~fiscalsvar.dgp.DgpSpec`, with its impact matrix B and column
+    names; its builder has already shaped B as k x k."""
 
-    estimate: VarEstimate
+    law: object
     B: np.ndarray
     ordering: tuple[str, ...]
-
-    def __post_init__(self):
-        B = np.array(self.B, dtype=float)
-        k = self.estimate.k
-        if B.shape != (k, k):
-            raise ShapeError(f"B must be {k} x {k}")
-        if len(self.ordering) != k:
-            raise ShapeError("ordering length must equal k")
-        B.setflags(write=False)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "ordering", tuple(self.ordering))
 
 
 @dataclass(frozen=True)
@@ -141,8 +132,9 @@ def identify_cholesky(estimate: VarEstimate, ordering: tuple[str, ...]) -> Struc
     The estimate's columns must already be arranged in ``ordering``; this
     function does not permute, it only factorises.
     """
-    B = lower_cholesky(estimate.sigma)
-    return StructuralModel(estimate=estimate, B=B, ordering=ordering)
+    if len(ordering) != estimate.k:
+        raise ShapeError("ordering length must equal k")
+    return StructuralModel(estimate, lower_cholesky(estimate.sigma), tuple(ordering))
 
 
 def propagate_impulse(F: np.ndarray, impact: np.ndarray, horizons: int) -> np.ndarray:
@@ -165,16 +157,16 @@ def propagate_impulse(F: np.ndarray, impact: np.ndarray, horizons: int) -> np.nd
 
 
 def irf(model: StructuralModel, shock: str, horizons: int) -> IrfSet:
-    """Responses to a one-standard-deviation structural shock.
+    """Responses to a one-standard-deviation structural shock, from a
+    fitted or a true law alike.
 
-    Horizon h response is the top-left k x k block of F^h applied to the
-    shock's column of B.
+    Horizon h response is the top-left k x k block of F^h, F the law's
+    companion, applied to the shock's column of B.
     """
     if horizons < 0:
         raise ShapeError("horizons must be >= 0")
-    F = model.estimate.companion()
     impact = model.B[:, column_of(model.ordering, shock)]
-    responses = propagate_impulse(F, impact, horizons)
+    responses = propagate_impulse(companion_matrix(model.law.gammas), impact, horizons)
     return IrfSet(shock=shock, ordering=model.ordering, responses=responses)
 
 

@@ -6,8 +6,11 @@ The model for the k endogenous columns x_t of a panel is
 
 with z_t the exogenous columns entering contemporaneously. All equations
 share the same regressors, so the coefficients solve a single multi-target
-least-squares problem. :func:`simulate` runs the law forward from shocks:
-it draws every artificial panel, replication, trial or snapshot country.
+least-squares problem. :func:`simulate` runs a *law* forward from shocks:
+anything with ``intercept``, ``gammas`` and ``exog_coef``, a fitted
+:class:`VarEstimate` or a true :class:`~fiscalsvar.dgp.DgpSpec`. It
+refuses mismatched shapes and draws every artificial panel, replication,
+trial or snapshot country.
 
 Every stage also runs over a leading stack of fits: the bootstrap fits a
 stack of artificial panels with the same functions that fit one panel.
@@ -67,9 +70,6 @@ class VarEstimate:
         intercept, gammas, exog_coef = split_coefficients(coef, p, k)
         return cls(p, k, intercept, gammas, exog_coef, residuals, sigma, residuals.shape[0])
 
-    def companion(self) -> np.ndarray:
-        return companion_matrix(self.gammas)
-
 
 def companion_matrix(gammas: np.ndarray) -> np.ndarray:
     """Stack lag matrices (..., p, k, k) into companion form (..., k*p, k*p).
@@ -110,9 +110,17 @@ def var_recursion(gammas: np.ndarray, base: np.ndarray, presample: np.ndarray) -
 
 
 def simulate(law, shocks: np.ndarray, Z: np.ndarray, presample: np.ndarray) -> np.ndarray:
-    """Panels (..., p + T, k), presample rows first, from the law of a
-    :class:`VarEstimate` or a :class:`~fiscalsvar.dgp.DgpSpec`, shocks u_t
-    (..., T, k), z_t (T, m) or (..., T, m), and the p rows before them."""
+    """Panels (..., p + T, k), presample rows first, from a law (a
+    :class:`VarEstimate` or a :class:`~fiscalsvar.dgp.DgpSpec`), shocks u_t
+    (..., T, k), z_t (T, m) or (..., T, m), and the p rows (..., p, k)
+    before them. Leading stack axes broadcast; any other mismatch with the
+    law's p, k and m is a :class:`ShapeError`, never a broadcast."""
+    p, k, _ = law.gammas.shape
+    T = shocks.shape[-2] if shocks.ndim > 1 else 0
+    for name, arr, want in (("shocks", shocks, (T, k)), ("presample", presample, (p, k)),
+                            ("Z", Z, (T, law.exog_coef.shape[1]))):
+        if arr.shape[-2:] != want:
+            raise ShapeError(f"{name} must end in {want}, got {arr.shape}")
     base = shocks + law.intercept
     # skipped at m = 0 (the reference system): a zero-width Z @ D.T costs as much as a small one
     if law.exog_coef.shape[1]:
@@ -232,10 +240,11 @@ def below_unit_radius(F: np.ndarray) -> np.ndarray:
     return stable
 
 
-def stability(estimate: VarEstimate) -> tuple[float, bool]:
-    """Largest companion eigenvalue modulus and whether it is below one.
+def stability(law) -> tuple[float, bool]:
+    """Largest companion eigenvalue modulus of a law, a fit or a
+    :class:`~fiscalsvar.dgp.DgpSpec`, and whether it is below one.
 
-    Reported only; estimation never rejects an explosive fit.
+    Reported only for a fit; estimation never rejects an explosive one.
     """
-    top = float(spectral_radius(estimate.companion()))
+    top = float(spectral_radius(companion_matrix(law.gammas)))
     return top, top < 1.0

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -27,7 +28,7 @@ from fiscalsvar.cli import (
     run_pipeline,
 )
 from fiscalsvar.dgp import reference_spec
-from fiscalsvar.errors import ConfigError, DecompositionError, ShapeError
+from fiscalsvar.errors import ConfigError, DataError, DecompositionError, ShapeError
 from fiscalsvar.plots import render_band_plot
 from fiscalsvar.series import Quarter
 from fiscalsvar.svar import MultiplierPath
@@ -194,18 +195,43 @@ class TestConfigHash:
         b = load_run_config(write_config(tmp_path / "b.json", data_dir, replications=51))
         assert config_hash(a) != config_hash(b)
 
-    def test_digest_pinned(self):
-        # every RunConfig field but output_dir enters the digest; a change
-        # to what is hashed, or how, shows here
+    def test_same_data_from_any_directory(self, tmp_path, data_dir):
+        shutil.copytree(data_dir, tmp_path / "copy")
+        a = load_run_config(write_config(tmp_path / "a.json", data_dir))
+        b = load_run_config(write_config(tmp_path / "b.json", tmp_path / "copy"))
+        assert config_hash(a) == config_hash(b)
+
+    def test_sensitive_to_one_data_cell(self, tmp_path, data_dir):
+        shutil.copytree(data_dir, tmp_path / "copy")
+        config = load_run_config(write_config(tmp_path / "a.json", tmp_path / "copy"))
+        before = config_hash(config)
+        levels = synthetic_levels(START, N_QUARTERS, seed=0)  # cz, as data_dir writes it
+        levels["gdp"][10] *= 1.001
+        write_country_csv(tmp_path / "copy" / "cz.csv", levels)
+        assert config_hash(config) != before
+
+    def test_unreadable_csv_is_a_data_error(self, tmp_path, data_dir):
+        shutil.copytree(data_dir, tmp_path / "copy")
+        config = load_run_config(write_config(tmp_path / "a.json", tmp_path / "copy"))
+        (tmp_path / "copy" / "hu.csv").unlink()
+        with pytest.raises(DataError, match="cannot read .*hu.csv"):
+            config_hash(config)
+
+    def test_digest_pinned(self, tmp_path):
+        # every RunConfig field but output_dir enters the digest, each CSV
+        # by its bytes, wherever it lies; a change to what is hashed, or
+        # how, shows here
+        for code in ("cz", "sk"):
+            (tmp_path / f"{code}.csv").write_bytes(f"date,gdp\n2000-Q1,{code}\n".encode())
         config = RunConfig(
-            countries=(CountryEntry("cz", Path("/data/cz.csv"), "Czechia", {"G": "gov"}),
-                       CountryEntry("sk", Path("/data/sk.csv"))),
+            countries=(CountryEntry("cz", tmp_path / "cz.csv", "Czechia", {"G": "gov"}),
+                       CountryEntry("sk", tmp_path / "sk.csv")),
             window=(Quarter(2000, 1), Quarter(2018, 4)), lags=2, horizons=12,
             ordering=("T", "G", "Y", "i"), replications=500, seed=7, levels=(90, 68),
             output_dir=Path("elsewhere"), plots=False,
         )
         assert config_hash(config) == (
-            "4a81d61ad695e57120b1ad1cf660208ef86713aa09e9e34bdc064f20724bf096"
+            "0588e3e8b050fcc08e7e2c33420597ff6505c194fc84ea7977ac810ee7922122"
         )
 
 
@@ -779,13 +805,16 @@ class TestRunConfigValidation:
     def test_duplicate_codes(self, data_dir):
         from fiscalsvar.cli import CountryEntry
 
-        with pytest.raises(ConfigError, match="duplicate"):
-            RunConfig(
-                countries=(
-                    CountryEntry("cz", data_dir / "cz.csv"),
-                    CountryEntry("cz", data_dir / "cz.csv"),
-                ),
-            )
+        # codes name output files: on a case-insensitive file system, CZ's
+        # would overwrite cz's
+        for other in ("CZ", "cz"):
+            with pytest.raises(ConfigError, match=r"duplicate country codes \(ignoring case\)"):
+                RunConfig(
+                    countries=(
+                        CountryEntry("cz", data_dir / "cz.csv"),
+                        CountryEntry(other, data_dir / "cz.csv"),
+                    ),
+                )
 
     def test_bad_levels(self, data_dir):
         from fiscalsvar.cli import CountryEntry

@@ -1,8 +1,6 @@
 """Importing the package stays cheap: every command pays for its imports
 at start-up, and ``numpy.random`` alone adds tens of milliseconds. The
-package imports it on the first draw, not before. numpy 1.x loads
-``numpy.random`` with ``import numpy`` itself, so the test asks only that
-the package load nothing of it beyond what numpy does."""
+package imports it on the first draw, not before."""
 import os
 import subprocess
 import sys
@@ -14,13 +12,10 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_import_leaves_numpy_random_unloaded():
     code = (
         "import sys\n"
-        "import numpy\n"
-        "before = 'numpy.random' in sys.modules\n"
         "import fiscalsvar.cli, fiscalsvar.dgp, fiscalsvar.bootstrap\n"
-        "print(before, 'numpy.random' in sys.modules)\n"
+        "print('numpy.random' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
-    before, after = out
-    assert after == before
+    assert out == ["False"]

@@ -19,7 +19,7 @@ from fiscalsvar.svar import (
     multiplier_path,
     propagate_impulse,
 )
-from fiscalsvar.var import estimate_var
+from fiscalsvar.var import companion_matrix, estimate_var
 
 
 def random_pd(k, rng):
@@ -129,7 +129,7 @@ class TestIrf:
         est = estimate_var(panel, p=4)
         model = identify_cholesky(est, panel.x_labels)
         out = irf(model, "G", 12)
-        F = est.companion()
+        F = companion_matrix(est.gammas)
         col = model.B[:, 0]
         for h in range(13):
             direct = np.linalg.matrix_power(F, h)[:4, :4] @ col

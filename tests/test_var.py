@@ -1,10 +1,12 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fiscalsvar.var as var_mod
+from fiscalsvar.cli import load_panels, load_run_config
 from fiscalsvar.dgp import DgpSpec, reference_spec, simulate_var
 from fiscalsvar.errors import RankError, SampleSizeError, ShapeError
 from fiscalsvar.ingest import TransformedPanel
@@ -17,11 +19,14 @@ from fiscalsvar.var import (
     least_squares,
     rank_deficient,
     residual_cov,
+    simulate,
     spectral_radius,
     split_coefficients,
     stability,
     var_recursion,
 )
+
+SNAPSHOT_CONFIG = Path(__file__).resolve().parent.parent / "data" / "v4_config.json"
 
 
 def panel_from(X, Z=None, labels=None):
@@ -210,6 +215,26 @@ class TestResidualCov:
         U = np.array([[2.0, 0.0], [0.0, 1.0], [-2.0, -1.0]])
         sigma = residual_cov(U, n_regressors=1)
         assert np.array_equal(sigma, np.array([[4.0, 1.0], [1.0, 1.0]]))
+
+
+class TestSimulate:
+    @pytest.mark.parametrize("call", [
+        # one presample row would broadcast to the p = 4 the law needs
+        lambda est, X, Z: simulate(est, est.residuals, Z[4:], X[:1]),
+        # one shock column would broadcast to the law's k = 4
+        lambda est, X, Z: simulate(est, est.residuals[:, :1], Z[4:], X[:4]),
+        # a law with m = 0 would silently drop Z's three columns
+        lambda est, X, Z: simulate(
+            reference_spec(), np.zeros((10, 4)), np.zeros((10, 3)), np.zeros((1, 4))
+        ),
+    ], ids=["presample", "shocks", "exog"])
+    def test_mismatched_shapes_refused(self, call):
+        panel = load_panels(load_run_config(SNAPSHOT_CONFIG))["cz"]
+        est = estimate_var(panel, p=4)
+        X, Z = panel.X, panel.Z
+        assert simulate(est, est.residuals, Z[4:], X[:4]).shape == X.shape
+        with pytest.raises(ShapeError):
+            call(est, X, Z)
 
 
 class TestStability:
