@@ -185,9 +185,10 @@ class BootstrapResult:
     """Point estimates, per-replication draws, bands, and bookkeeping.
 
     ``estimate`` is the point fit the replications resample from.
-    ``multipliers`` holds one row per successful replication (sorted by
-    replication index); band dicts map level -> array with rows
-    (lower, upper). ``stars`` follows the two-tier marking convention.
+    ``multipliers`` and ``irf_draws`` hold one row per successful
+    replication (sorted by replication index), the largest arrays of a
+    run; band dicts map level -> (lower, upper) rows. ``stars`` follows
+    the two-tier marking convention.
     """
 
     estimate: VarEstimate
@@ -393,9 +394,11 @@ def bootstrap_inference(
 ) -> BootstrapResult:
     """Full resampling loop around the point pipeline.
 
-    Failed replications (rank loss, covariance not PD, degenerate
-    denominator, numeric overflow) are recorded with the typed error of
-    their first failing check and excluded; more than 5% failures aborts.
+    Each stack's draws are written in place, at their replication
+    indices, into arrays allocated once. Failed replications (rank loss,
+    covariance not PD, degenerate denominator, numeric overflow) are
+    recorded with the typed error of their first failing check and
+    dropped in one copy at the end; more than 5% failures aborts.
     Unstable re-estimates are kept and counted.
     """
     if panel.x_labels != model.ordering:
@@ -408,21 +411,24 @@ def bootstrap_inference(
         idx = stream_integers(config.seed, rs, len(U), len(U))
         return simulate(estimate, U[idx], panel.Z[estimate.p:], panel.X[:estimate.p]), panel.Z
 
-    stacks, failed = [], {}
-    draws = fit_draws(config.replications, resample, model, len(U))
-    for rs, _, _, fit, stack_failed in draws:
+    R = config.replications
+    irf_draws = np.empty((R, *point_irf.responses.shape))
+    multipliers = np.empty((R, model.horizons))
+    failed, unstable = {}, 0
+    for rs, _, _, fit, stack_failed in fit_draws(R, resample, model, len(U)):
         failed.update(stack_failed)
+        irf_draws[rs], multipliers[rs] = fit.responses, fit.paths
         keep = ~np.isin(rs, list(stack_failed))
-        stable = below_unit_radius(fit.companion[keep])
-        stacks.append((rs[keep], fit.responses[keep], fit.paths[keep], stable))
+        unstable += int(np.count_nonzero(~below_unit_radius(fit.companion[keep])))
 
-    if len(failed) > MAX_FAILURE_SHARE * config.replications:
+    if len(failed) > MAX_FAILURE_SHARE * R:
         raise InferenceError(
-            f"{len(failed)} of {config.replications} replications failed "
+            f"{len(failed)} of {R} replications failed "
             f"(limit {MAX_FAILURE_SHARE:.0%}); first: {next(iter(failed.values()))}"
         )
-    order, irf_draws, multipliers, stable = map(np.concatenate, zip(*stacks))
-    unstable = int(np.count_nonzero(~stable))
+    order = np.delete(np.arange(R), list(failed))
+    if failed:
+        irf_draws, multipliers = irf_draws[order], multipliers[order]
 
     m_bands = quantile_bands(multipliers, config.levels)
     i_bands = quantile_bands(irf_draws, config.levels)
@@ -438,7 +444,7 @@ def bootstrap_inference(
         multiplier_bands=m_bands,
         irf_bands=i_bands,
         stars=stars,
-        replications=config.replications,
+        replications=R,
         failed=failed,
         unstable=unstable,
     )

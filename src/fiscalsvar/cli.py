@@ -10,9 +10,11 @@ Everything ``estimate`` produces lands in one output directory:
 per-country IRF and multiplier CSVs, a combined multiplier table in text
 and CSV form, SVG band plots, and a manifest recording the seed, a hash
 of the semantically meaningful config fields, and per-country failure
-counts. :func:`write_text` writes every file, :func:`write_csv` every CSV
-through it. Outputs carry no timestamps, so a rerun with the same config
-and seed reproduces the bundle byte for byte.
+counts. A country's files are rendered to text as soon as its bootstrap
+ends, so one country's draws are held at a time, and :func:`write_text`
+writes every file after the last country, so a failing country leaves
+none behind. Outputs carry no timestamps, so a rerun with the same
+config and seed reproduces the bundle byte for byte.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ import numpy as np
 from . import dgp as dgp_mod
 from .bootstrap import (
     BootstrapConfig,
-    BootstrapResult,
     ModelSpec,
     bootstrap_inference,
     derive_seed,
@@ -276,7 +277,10 @@ def country_seed(master: int, code: str) -> int:
 
 def _run_country(
     entry: CountryEntry, panel: TransformedPanel, config: RunConfig
-) -> tuple[BootstrapResult, dict]:
+) -> tuple[dict[str, str], tuple[MultiplierPath, tuple[str, ...]], dict]:
+    """Bootstrap one country and render its files. Returns {file name:
+    text}, its table column (multiplier path, stars) and its manifest
+    entry; the result, draws and all, dies on return."""
     boot = replace(config.bootstrap, seed=country_seed(config.seed, entry.code))
     result = bootstrap_inference(panel, boot, config.model)
     max_mod, stable = stability(result.estimate)
@@ -287,7 +291,35 @@ def _run_country(
         "max_companion_eigenvalue": round(max_mod, 12),
         "stable": stable,
     }
-    return result, info
+    irfs, m = result.point_irf, result.point_multipliers.values
+    steps = range(config.horizons + 1)
+    files = {
+        f"irf_{entry.code}.csv": csv_text({
+            "h": [h for _ in irfs.ordering for h in steps],
+            "variable": [v for v in irfs.ordering for _ in steps],
+            "response": irfs.responses.T.ravel(),
+            "cumulative": np.cumsum(irfs.responses, axis=0).T.ravel(),
+            **_band_columns(result.irf_bands, config.levels),
+        }),
+        f"multipliers_{entry.code}.csv": csv_text({
+            "h": steps[1:],
+            "m": m,
+            **_band_columns(result.multiplier_bands, config.levels),
+            "stars": result.stars,
+        }),
+    }
+    if config.plots:
+        y = irfs.ordering.index(RESPONSE)
+        files[f"multipliers_{entry.code}.svg"] = render_band_plot(
+            steps[1:], m, result.multiplier_bands,
+            title=f"{entry.display}: cumulative spending multiplier",
+        )
+        files[f"irf_{entry.code}.svg"] = render_band_plot(
+            steps, irfs.responses[:, y],
+            {lv: band[:, :, y] for lv, band in result.irf_bands.items()},
+            title=f"{entry.display}: output response to a spending shock",
+        )
+    return files, (result.point_multipliers, result.stars), info
 
 
 @contextmanager
@@ -342,59 +374,35 @@ def _check_output_dir(out: Path) -> None:
 
 
 def run_pipeline(config: RunConfig) -> dict:
-    """Read every input, then run every country, one after another, and
-    write the full report bundle.
-
-    Returns the manifest dict (also written to manifest.json).
+    """Read every input, then run and render every country, one after
+    another, keeping only its files' text, and write the full report
+    bundle after the last country. Returns the manifest dict (also
+    written to manifest.json).
     """
     panels = load_panels(config)
     out = output_dir(config.output_dir)
 
-    results = {}
+    files, columns, countries = {}, {}, {}
     for entry in config.countries:
         with _for_country(entry.code):
-            results[entry.code] = _run_country(entry, panels[entry.code], config)
+            texts, columns[entry.code], countries[entry.code] = _run_country(
+                entry, panels[entry.code], config)
+        files.update(texts)
 
-    written = []
-    for entry in config.countries:
-        result, _ = results[entry.code]
-        irfs = result.point_irf
-        steps = range(config.horizons + 1)
-        written.append(write_csv(out, f"irf_{entry.code}.csv", {
-            "h": [h for _ in irfs.ordering for h in steps],
-            "variable": [v for v in irfs.ordering for _ in steps],
-            "response": irfs.responses.T.ravel(),
-            "cumulative": np.cumsum(irfs.responses, axis=0).T.ravel(),
-            **_band_columns(result.irf_bands, config.levels),
-        }))
-        written.append(write_csv(out, f"multipliers_{entry.code}.csv", {
-            "h": range(1, config.horizons + 1),
-            "m": result.point_multipliers.values,
-            **_band_columns(result.multiplier_bands, config.levels),
-            "stars": result.stars,
-        }))
-        if config.plots:
-            written.extend(_write_plots(out, entry, result))
-
-    table_txt, table_csv = emit_table(
-        {
-            code: (result.point_multipliers, result.stars)
-            for code, (result, _) in results.items()
-        },
-        labels={e.code: e.display for e in config.countries},
-    )
-    written += [write_text(out, "table1.txt", table_txt), write_text(out, "table1.csv", table_csv)]
-
+    files["table1.txt"], files["table1.csv"] = emit_table(
+        columns, labels={e.code: e.display for e in config.countries})
     manifest = {
         "seed": config.seed,
         "config_hash": config_hash(config),
         "replications": config.replications,
         "horizons": config.horizons,
         "window": [str(config.window[0]), str(config.window[1])],
-        "countries": {code: info for code, (_, info) in results.items()},
-        "outputs": sorted(written + ["manifest.json"]),
+        "countries": countries,
+        "outputs": sorted([*files, "manifest.json"]),
     }
-    write_text(out, "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    files["manifest.json"] = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    for name, text in files.items():
+        write_text(out, name, text)
     return manifest
 
 
@@ -434,26 +442,6 @@ def _band_columns(bands: dict[int, np.ndarray], levels) -> dict:
         lo, hi = bands[lv]
         columns[f"lo{lv}"], columns[f"hi{lv}"] = lo.T.ravel(), hi.T.ravel()
     return columns
-
-
-def _write_plots(out: Path, entry: CountryEntry, result: BootstrapResult) -> list[str]:
-    m = result.point_multipliers.values
-    m_svg = render_band_plot(
-        np.arange(1, len(m) + 1),
-        m,
-        result.multiplier_bands,
-        title=f"{entry.display}: cumulative spending multiplier",
-    )
-    y_idx = result.point_irf.ordering.index(RESPONSE)
-    y = result.point_irf.responses[:, y_idx]
-    irf_svg = render_band_plot(
-        np.arange(y.shape[0]),
-        y,
-        {lv: band[:, :, y_idx] for lv, band in result.irf_bands.items()},
-        title=f"{entry.display}: output response to a spending shock",
-    )
-    return [write_text(out, f"multipliers_{entry.code}.svg", m_svg),
-            write_text(out, f"irf_{entry.code}.svg", irf_svg)]
 
 
 def emit_table(

@@ -259,7 +259,9 @@ def monte_carlo_recovery(
     bootstrap config is supplied its master seed is re-derived per trial
     the same way, so the whole report is a pure function of the spec and
     config. Estimation failures are counted, not fatal; a trial the
-    stacked fit fails is never bootstrapped.
+    stacked fit fails is never bootstrapped. Paths are written in place
+    by trial index, and a coverage trial keeps only its bootstrap's
+    bands, so its draws are freed before the next trial's bootstrap.
     """
     if not 1 <= n_trials <= MAX_REPLICATIONS:
         raise ConfigError(f"n_trials must be between 1 and {MAX_REPLICATIONS}")
@@ -274,27 +276,29 @@ def monte_carlo_recovery(
     def draw(ts):
         return _simulate_panels(spec, len(ts), stream_generators(spec.seed, ts, (0,)))
 
-    rows, covered, failed = [], {}, {}
+    estimates = np.empty((n_trials, config.horizons))
+    covered, failed = {}, {}
     for ts, X, Z, fit, stack_failed in fit_draws(n_trials, draw, model, spec.burn_in + spec.T):
         failed.update(stack_failed)
+        estimates[ts] = fit.paths
+        if config.bootstrap is None:
+            continue
         for i, t in enumerate(ts.tolist()):
             if t in stack_failed:
                 continue
-            if config.bootstrap is not None:
-                boot_cfg = replace(config.bootstrap, seed=derive_seed(spec.seed, t, 1))
-                try:
-                    result = bootstrap_inference(_panel(spec, X[i], Z[i]), boot_cfg, model)
-                except EstimationError as exc:
-                    failed[t] = f"{type(exc).__name__}: {exc}"
-                    continue
-                for level, band in result.multiplier_bands.items():
-                    hit = (band[0] <= truth.values) & (truth.values <= band[1])
-                    covered.setdefault(level, []).append(hit)
-            rows.append(fit.paths[i])
+            boot = replace(config.bootstrap, seed=derive_seed(spec.seed, t, 1))
+            try:
+                bands = bootstrap_inference(_panel(spec, X[i], Z[i]), boot, model).multiplier_bands
+            except EstimationError as exc:
+                failed[t] = f"{type(exc).__name__}: {exc}"
+                continue
+            for level, band in bands.items():
+                hit = (band[0] <= truth.values) & (truth.values <= band[1])
+                covered.setdefault(level, []).append(hit)
 
-    if not rows:  # every trial failed, trial 0 among them
+    if len(failed) == n_trials:  # trial 0 among them
         raise InferenceError(f"all {n_trials} trials failed; first: {failed[0]}")
-    estimates = np.stack(rows)
+    estimates = np.delete(estimates, list(failed), axis=0)
     errors = estimates - truth.values
     coverage = None
     if covered:

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -28,7 +29,13 @@ from fiscalsvar.cli import (
     run_pipeline,
 )
 from fiscalsvar.dgp import reference_spec
-from fiscalsvar.errors import ConfigError, DataError, DecompositionError, ShapeError
+from fiscalsvar.errors import (
+    ConfigError,
+    DataError,
+    DecompositionError,
+    InferenceError,
+    ShapeError,
+)
 from fiscalsvar.plots import render_band_plot
 from fiscalsvar.series import Quarter
 from fiscalsvar.svar import MultiplierPath
@@ -799,6 +806,44 @@ class TestCountryErrors:
             run_pipeline(config)
         assert err.value.pivot == 2
         assert str(err.value) == "country cz: pivot 2 is non-positive"
+
+
+class TestOneCountryAtATime:
+    def test_a_finished_result_dies_before_the_next_bootstrap(self, tmp_path, data_dir,
+                                                              monkeypatch):
+        # a country's result, draws and all, must be freed once its files
+        # are rendered, so peak memory holds one country's draws
+        real, refs = cli_mod.bootstrap_inference, []
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in refs), "an earlier country's result is alive"
+            result = real(*args, **kwargs)
+            refs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(cli_mod, "bootstrap_inference", tracked)
+        path = write_config(tmp_path / "c.json", data_dir)
+        assert main(["estimate", "--config", str(path),
+                     "--out", str(tmp_path / "o"), "--reps", "30"]) == 0
+        assert len(refs) == 2
+
+    def test_a_failing_country_writes_no_bundle(self, tmp_path, data_dir, capsys, monkeypatch):
+        real, calls = cli_mod.bootstrap_inference, []
+
+        def second_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise InferenceError("2 of 30 replications failed (limit 5%)")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "bootstrap_inference", second_fails)
+        path = write_config(tmp_path / "c.json", data_dir)
+        out = tmp_path / "o"
+        assert main(["estimate", "--config", str(path), "--out", str(out), "--reps", "30"]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("estimation error: country hu:")
+        for pattern in ("irf_*", "multipliers_*", "table1.*", "manifest.json"):
+            assert not list(out.glob(pattern)), pattern
 
 
 class TestRunConfigValidation:

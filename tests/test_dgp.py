@@ -1,4 +1,5 @@
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -361,6 +362,22 @@ class TestStackedTrials:
         assert rep.failures == 2
         assert seeds == [derive_seed(spec.seed, t, 1) for t in (0, 2, 3, 4, 5, 7)]
         assert np.array_equal(rep.estimates, np.delete(want, [1, 6], axis=0))
+
+    def test_a_trial_result_dies_before_the_next_bootstrap(self, monkeypatch):
+        # only a coverage trial's bands outlive its bootstrap, so one
+        # trial's draws are held at a time
+        refs = []
+
+        def tracked(panel, boot, model):
+            assert all(ref() is None for ref in refs), "an earlier trial's result is alive"
+            result = bootstrap_inference(panel, boot, model)
+            refs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(dgp_mod, "bootstrap_inference", tracked)
+        config = RecoveryConfig(bootstrap=BootstrapConfig(replications=20))
+        assert monte_carlo_recovery(reference_spec(seed=5), 3, config).failures == 0
+        assert len(refs) == 3
 
 
 @pytest.mark.parametrize("spec", [reference_spec(seed=4), exog_spec(seed=4)], ids=["m0", "m2"])
