@@ -58,7 +58,6 @@ from .var import (
     design_blocks,
     least_squares,
     rank_deficient,
-    residual_cov,
     simulate,
     split_coefficients,
 )
@@ -73,7 +72,7 @@ MAX_REPLICATIONS = 100_000
 MAX_FAILURE_SHARE = 0.05
 
 # draws per fit stack at most, and fewest draws per simulated block; a
-# stack holds the designs and Q factors of all its draws at once
+# stack holds the augmented designs and R factors of all its draws at once
 CHUNK = 25
 
 # panel rows per simulated block and per fit stack, so that neither
@@ -223,11 +222,10 @@ class StackedFit(NamedTuple):
     ``failures`` maps each failed row to its first failing check as the
     ``(check, index, value)`` arguments of
     :func:`~fiscalsvar.errors.fit_error`; the arrays are meaningless in
-    those rows.
+    those rows. No fit keeps residuals: :func:`point_fit` forms its own.
     """
 
     coef: np.ndarray  # (C, n_reg, k), ordered as the design's columns
-    residuals: np.ndarray  # (C, T - p, k)
     sigma: np.ndarray  # (C, k, k)
     companion: np.ndarray  # (C, kp, kp)
     responses: np.ndarray  # (C, H + 1, k)
@@ -244,25 +242,24 @@ def stacked_fit(X: np.ndarray, Z: np.ndarray, model: ModelSpec) -> StackedFit:
 
     Each row gets exactly the numbers of its own single fit, or fails at
     the first check that trips, in the order the single-fit functions run
-    them: sample size, a non-finite panel, rank, Cholesky pivot,
-    multiplier denominator, non-finite results. X is never written to; a
-    non-finite panel is fitted as zeros in a copy, so no stage meets a nan.
+    them: sample size (T - p >= n_reg + k), a non-finite panel, rank,
+    Cholesky pivot, multiplier denominator, non-finite results. X is
+    never written to; a non-finite panel is fitted as zeros in a copy, so
+    no stage meets a nan.
     """
     C, T, k = X.shape
     p, H = model.lags, model.horizons
     n_reg = 1 + k * p + Z.shape[-1]
-    if T - p <= n_reg:
+    if T - p < n_reg + k:
         failure = ("lags", T, p) if T <= p else ("sample size", T - p, n_reg)
-        shapes = (n_reg, k), (max(T - p, 0), k), (k, k), (k * p, k * p), (H + 1, k), (H,)
+        shapes = (n_reg, k), (k, k), (k * p, k * p), (H + 1, k), (H,)
         blank = (np.full((C, *shape), np.nan) for shape in shapes)
         return StackedFit(*blank, dict.fromkeys(range(C), failure))
     finite = np.isfinite(X).all(axis=(1, 2))
     if not finite.all():
         X = np.where(finite[:, None, None], X, 0.0)
 
-    Y, W = design_blocks(X, Z, p)
-    coef, residuals, rdiag = least_squares(W, Y)
-    sigma = residual_cov(residuals, n_reg)
+    coef, sigma, rdiag = least_squares(design_blocks(X, Z, p), k)
     L, pivots = cholesky_factor(sigma)
     F = companion_matrix(split_coefficients(coef, p, k)[1])
     shock = model.ordering.index(SHOCK)
@@ -284,7 +281,7 @@ def stacked_fit(X: np.ndarray, Z: np.ndarray, model: ModelSpec) -> StackedFit:
     ):
         for i in np.flatnonzero(failed):
             failures.setdefault(int(i), (check, int(index[i]), float(value[i])))
-    return StackedFit(coef, residuals, sigma, F, responses, paths, failures)
+    return StackedFit(coef, sigma, F, responses, paths, failures)
 
 
 def point_fit(
@@ -297,7 +294,8 @@ def point_fit(
     fit = stacked_fit(panel.X[None], panel.Z, model)
     if fit.failures:
         raise fit_error(*fit.failures[0], SHOCK)
-    estimate = VarEstimate.from_fit(fit.coef[0], fit.residuals[0], fit.sigma[0], model.lags)
+    A = design_blocks(panel.X, panel.Z, model.lags)
+    estimate = VarEstimate.from_fit(A, fit.coef[0], fit.sigma[0], model.lags)
     irfs = IrfSet(shock=SHOCK, ordering=model.ordering, responses=fit.responses[0])
     return estimate, irfs, MultiplierPath(values=fit.paths[0])
 

@@ -117,7 +117,7 @@ def fit_error(
         return SampleSizeError(f"need more than {value} rows to form lags, have {index}")
     if check == "sample size":
         return SampleSizeError(
-            f"{index} usable rows for {value} regressors; need T - p > n_regressors"
+            f"{index} usable rows for {value} regressors; need T - p >= n_regressors + k"
         )
     if check == "rank":
         return RankError(f"regressor matrix is rank deficient (min |R_ii| = {value:.3e})")

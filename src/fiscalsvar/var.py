@@ -6,7 +6,11 @@ The model for the k endogenous columns x_t of a panel is
 
 with z_t the exogenous columns entering contemporaneously. All equations
 share the same regressors, so the coefficients solve a single multi-target
-least-squares problem. :func:`simulate` runs a *law* forward from shocks:
+least-squares problem. One R-only QR of the augmented design [W | Y]
+gives the coefficients, the residual covariance and the rank check
+(Golub & Van Loan, *Matrix Computations*, 5.3); a fit needs
+T - p >= n_reg + k rows, so that covariance can have full rank.
+:func:`simulate` runs a *law* forward from shocks:
 anything with ``intercept``, ``gammas`` and ``exog_coef``, a fitted
 :class:`VarEstimate` or a true :class:`~fiscalsvar.dgp.DgpSpec`. It
 refuses mismatched shapes and draws every artificial panel, replication,
@@ -61,12 +65,13 @@ class VarEstimate:
 
     @classmethod
     def from_fit(
-        cls, coef: np.ndarray, residuals: np.ndarray, sigma: np.ndarray, p: int
+        cls, A: np.ndarray, coef: np.ndarray, sigma: np.ndarray, p: int
     ) -> "VarEstimate":
-        """The estimate of one fit from its coefficients (n_reg, k), ordered
-        as the columns of :func:`design_blocks`, its residuals and its
-        residual covariance."""
-        k = coef.shape[-1]
+        """The estimate of one fit from its design A (T - p, n_reg + k) of
+        :func:`design_blocks`, its coefficients (n_reg, k) and its residual
+        covariance; the residuals are A's response block less the fit."""
+        n_reg, k = coef.shape
+        residuals = A[:, n_reg:] - A[:, :n_reg] @ coef
         intercept, gammas, exog_coef = split_coefficients(coef, p, k)
         return cls(p, k, intercept, gammas, exog_coef, residuals, sigma, residuals.shape[0])
 
@@ -128,22 +133,25 @@ def simulate(law, shocks: np.ndarray, Z: np.ndarray, presample: np.ndarray) -> n
     return var_recursion(law.gammas, base, presample)
 
 
-def design_blocks(X: np.ndarray, Z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Response block Y (..., T-p, k) and regressor block W of a stack of
-    panels X (..., T, k) with exogenous columns Z: either one (T, m) block
-    every panel shares, as in the bootstrap, or one block per panel
+def design_blocks(X: np.ndarray, Z: np.ndarray, p: int) -> np.ndarray:
+    """The augmented design A = [W | Y] (..., T-p, n_reg + k) of a stack
+    of panels X (..., T, k) with exogenous columns Z: either one (T, m)
+    block every panel shares, as in the bootstrap, or one block per panel
     (..., T, m), as in Monte Carlo trials that each draw their own.
 
-    W columns: constant, then lag 1 through lag p of X (each lag keeps the
-    panel's column order), then the contemporaneous exogenous columns.
+    Columns: constant, lag 1 through lag p of X (each lag keeps the
+    panel's column order), the contemporaneous exogenous columns, and
+    last the responses Y, lag 0 of X.
     """
     *lead, T, k = X.shape
-    W = np.empty((*lead, T - p, 1 + k * p + Z.shape[-1]))
-    W[..., 0] = 1.0
+    n_reg = 1 + k * p + Z.shape[-1]
+    A = np.empty((*lead, T - p, n_reg + k))
+    A[..., 0] = 1.0
     for lag in range(1, p + 1):
-        W[..., 1 + (lag - 1) * k:1 + lag * k] = X[..., p - lag:T - lag, :]
-    W[..., 1 + k * p:] = Z[..., p:, :]
-    return X[..., p:, :], W
+        A[..., 1 + (lag - 1) * k:1 + lag * k] = X[..., p - lag:T - lag, :]
+    A[..., 1 + k * p:n_reg] = Z[..., p:, :]
+    A[..., n_reg:] = X[..., p:, :]
+    return A
 
 
 def rank_deficient(rdiag: np.ndarray) -> np.ndarray:
@@ -152,19 +160,25 @@ def rank_deficient(rdiag: np.ndarray) -> np.ndarray:
     return rdiag.min(axis=-1) < RANK_RTOL * rdiag.max(axis=-1)
 
 
-def least_squares(W: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """QR least squares of Y on W over a stack of fits.
-
-    Returns coefficients (..., n_reg, k), residuals (..., T_eff, k) and
-    |diag R| (..., n_reg). A fit that :func:`rank_deficient` rejects is
-    solved against an identity R instead, so it leaves the rest of its
-    stack usable; its coefficients mean nothing.
+def least_squares(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least squares of the last k columns Y of designs A (..., T_eff,
+    n_reg + k) on the rest, W, from A's R factor alone; every caller
+    ensures T_eff >= n_reg + k, so R = [[R_WW, R_WY], [0, R_YY]] is
+    square. The coefficients (..., n_reg, k) solve R_WW B = R_WY, and the
+    residuals' U'U is R_YY'R_YY. Returns them, the symmetrised
+    U'U / (T_eff - n_reg) (..., k, k) and |diag R_WW|. A fit that
+    :func:`rank_deficient` rejects is solved against an identity R_WW
+    instead, so it leaves the rest of its stack usable; its coefficients
+    mean nothing.
     """
-    Q, R = np.linalg.qr(W)
-    rdiag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
-    R[rank_deficient(rdiag)] = np.eye(R.shape[-1])
-    coef = np.linalg.solve(R, Q.swapaxes(-1, -2) @ Y)
-    return coef, Y - W @ coef, rdiag
+    R = np.linalg.qr(A, mode="r")
+    n_reg = A.shape[-1] - k
+    R_WW, R_YY = R[..., :n_reg, :n_reg], R[..., n_reg:, n_reg:]
+    rdiag = np.abs(np.diagonal(R_WW, axis1=-2, axis2=-1))
+    R_WW[rank_deficient(rdiag)] = np.eye(n_reg)
+    coef = np.linalg.solve(R_WW, R[..., :n_reg, n_reg:])
+    sigma = (R_YY.swapaxes(-1, -2) @ R_YY) / (A.shape[-2] - n_reg)
+    return coef, (sigma + sigma.swapaxes(-1, -2)) / 2.0, rdiag
 
 
 def split_coefficients(
@@ -180,39 +194,25 @@ def split_coefficients(
 
 
 def estimate_var(panel: TransformedPanel, p: int = 4) -> VarEstimate:
-    """Fit the VAR(p) by QR-based least squares.
+    """Fit the VAR(p) by :func:`least_squares`.
 
-    Raises :class:`SampleSizeError` when there are not strictly more usable
-    rows than regressors, and :class:`RankError` when the regressor matrix
-    is numerically rank-deficient.
+    Raises :class:`SampleSizeError` when there are fewer usable rows than
+    regressors plus variables, T - p < n_reg + k, and :class:`RankError`
+    when the regressor matrix is numerically rank-deficient.
     """
     if p < 1:
         raise ShapeError("lag order must be >= 1")
     if panel.rows <= p:
         raise fit_error("lags", panel.rows, p)
-    Y, W = design_blocks(panel.X, panel.Z, p)
-    T_eff, n_reg = W.shape
-    if T_eff <= n_reg:
+    k = panel.X.shape[1]
+    A = design_blocks(panel.X, panel.Z, p)
+    T_eff, n_reg = A.shape[0], A.shape[1] - k
+    if T_eff < n_reg + k:
         raise fit_error("sample size", T_eff, n_reg)
-    coef, residuals, rdiag = least_squares(W, Y)
+    coef, sigma, rdiag = least_squares(A, k)
     if rank_deficient(rdiag):
         raise fit_error("rank", value=float(rdiag.min()))
-    return VarEstimate.from_fit(coef, residuals, residual_cov(residuals, n_reg), p)
-
-
-def residual_cov(residuals: np.ndarray, n_regressors: int) -> np.ndarray:
-    """Degrees-of-freedom adjusted residual covariance U'U / (T_eff - n_reg)
-    of each residual block in a stack (..., T_eff, k).
-
-    The result is explicitly symmetrised so downstream factorisations never
-    see rounding-level asymmetry. Every caller checks the sample size
-    first, so T_eff > n_reg.
-    """
-    U = np.asarray(residuals, dtype=float)
-    if U.ndim < 2:
-        raise ShapeError("residuals must be at least 2-d")
-    sigma = (U.swapaxes(-1, -2) @ U) / (U.shape[-2] - n_regressors)
-    return (sigma + sigma.swapaxes(-1, -2)) / 2.0
+    return VarEstimate.from_fit(A, coef, sigma, p)
 
 
 def spectral_radius(F: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from fiscalsvar.errors import (
     DataError,
     DecompositionError,
     InferenceError,
+    SampleSizeError,
     ShapeError,
 )
 from fiscalsvar.plots import render_band_plot
@@ -43,6 +44,7 @@ from fiscalsvar.svar import MultiplierPath
 START = Quarter(1999, 1)
 N_QUARTERS = 48
 END = START + (N_QUARTERS - 1)
+SNAPSHOT_CONFIG = Path(__file__).resolve().parent.parent / "data" / "v4_config.json"
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +53,18 @@ def data_dir(tmp_path_factory):
     for i, code in enumerate(("cz", "hu")):
         write_country_csv(root / f"{code}.csv", synthetic_levels(START, N_QUARTERS, seed=i))
     return root
+
+
+def snapshot_window_config(path, end, codes):
+    """The snapshot config cut to the window 1999-Q1..``end`` and to
+    ``codes``, at one replication, with its CSV paths made absolute."""
+    payload = json.loads(SNAPSHOT_CONFIG.read_text(encoding="utf-8"))
+    payload["countries"] = [dict(c, csv=str(SNAPSHOT_CONFIG.parent / c["csv"]))
+                            for c in payload["countries"] if c["code"] in codes]
+    payload.update(window={"start": "1999-Q1", "end": end}, replications=1,
+                   output_dir=str(path.parent / "o"))
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
 
 
 def write_config(path, data_dir, **overrides):
@@ -504,6 +518,28 @@ class TestMainExitCodes:
         assert main(["estimate", "--config", str(path)]) == 4
         assert "cz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("code", ["cz", "hu", "pl", "sk"])
+    @pytest.mark.parametrize("end, rows", [("2005-Q2", 21), ("2005-Q3", 22), ("2005-Q4", 23)])
+    def test_residual_covariance_short_of_full_rank_exit_4(self, tmp_path, capsys, end, rows,
+                                                           code):
+        # fewer usable rows than 20 regressors plus 4 variables leave the
+        # residual covariance singular by construction, whatever its
+        # rounding: every country fails at its point fit
+        path = snapshot_window_config(tmp_path / "c.json", end, [code])
+        with pytest.raises(SampleSizeError):
+            run_pipeline(load_run_config(path))
+        assert main(["estimate", "--config", str(path), "--reps", "1", "--seed", "0"]) == 4
+        assert capsys.readouterr().err == (
+            f"estimation error: country {code}: {rows} usable rows for 20 regressors; "
+            "need T - p >= n_regressors + k\n"
+        )
+
+    def test_full_rank_boundary_fits(self, tmp_path, capsys):
+        # 1999-Q1..2006-Q1 leaves exactly 20 + 4 usable rows
+        path = snapshot_window_config(tmp_path / "c.json", "2006-Q1", ["cz", "hu", "pl", "sk"])
+        assert main(["estimate", "--config", str(path), "--reps", "1", "--seed", "0"]) == 0
+        assert (tmp_path / "o" / "table1.txt").exists()
+
     @pytest.mark.parametrize(
         "overrides, flags",
         [({"lags": N_QUARTERS}, []), ({"horizons": N_QUARTERS}, []),
@@ -920,7 +956,7 @@ class TestCoverageScript:
         assert load_coverage_script().main(["--sample", "21", "--trials", "2", "--reps", "20"]) == 4
         assert capsys.readouterr().err == (
             "estimation error: all 2 trials failed; first: SampleSizeError: "
-            "17 usable rows for 17 regressors; need T - p > n_regressors\n"
+            "17 usable rows for 17 regressors; need T - p >= n_regressors + k\n"
         )
 
 

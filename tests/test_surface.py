@@ -10,9 +10,9 @@ count, so a name only they call is dead code.
 
 What the check cannot see: a public name that shares its spelling with a
 local variable, a parameter read in a body or an attribute of something
-else counts as used even when nothing calls it. A property
-``n_regressors`` beside a ``residual_cov`` parameter of that name, or a
-method ``quarters`` beside a local ``quarters`` list, would both pass.
+else counts as used even when nothing calls it. A property ``k``
+beside a ``least_squares`` parameter of that name, or a method
+``quarters`` beside a local ``quarters`` list, would both pass.
 """
 import ast
 from pathlib import Path

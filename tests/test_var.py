@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fiscalsvar.var as var_mod
+from fiscalsvar.bootstrap import BootstrapConfig, bootstrap_inference
 from fiscalsvar.cli import load_panels, load_run_config
-from fiscalsvar.dgp import DgpSpec, reference_spec, simulate_var
+from fiscalsvar.dgp import (
+    DgpSpec,
+    RecoveryConfig,
+    monte_carlo_recovery,
+    reference_spec,
+    simulate_var,
+)
 from fiscalsvar.errors import RankError, SampleSizeError, ShapeError
 from fiscalsvar.ingest import TransformedPanel
 from fiscalsvar.series import Quarter
@@ -18,7 +25,6 @@ from fiscalsvar.var import (
     estimate_var,
     least_squares,
     rank_deficient,
-    residual_cov,
     simulate,
     spectral_radius,
     split_coefficients,
@@ -78,15 +84,15 @@ class TestLaggedDesign:
     def test_columns_ordered_lag1_first(self):
         X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
         Z = np.array([[9.0], [10.0], [11.0], [12.0]])
-        Y, W = design_blocks(X, Z, p=2)
-        assert np.array_equal(Y, X[2:])
-        expected_W = np.array(
+        A = design_blocks(X, Z, p=2)
+        expected_A = np.array(
             [
-                [1.0, 3.0, 4.0, 1.0, 2.0, 11.0],
-                [1.0, 5.0, 6.0, 3.0, 4.0, 12.0],
+                [1.0, 3.0, 4.0, 1.0, 2.0, 11.0, 5.0, 6.0],
+                [1.0, 5.0, 6.0, 3.0, 4.0, 12.0, 7.0, 8.0],
             ]
         )
-        assert np.array_equal(W, expected_W)
+        assert np.array_equal(A, expected_A)
+        assert np.array_equal(A[:, -2:], X[2:])
 
     def test_too_short_sample(self):
         X = np.ones((3, 2)) + np.arange(6).reshape(3, 2)
@@ -104,9 +110,10 @@ class TestEstimateVar:
         # independent oracle: SVD pseudo-inverse instead of QR
         panel = simulate_var(reference_spec(T=120, seed=5))
         est = estimate_var(panel, p=2)
-        Y, W = design_blocks(panel.X, panel.Z, 2)
-        coef = np.linalg.pinv(W) @ Y
         k = panel.X.shape[1]
+        A = design_blocks(panel.X, panel.Z, 2)
+        W, Y = A[:, :-k], A[:, -k:]
+        coef = np.linalg.pinv(W) @ Y
         assert est.intercept == pytest.approx(coef[0], rel=1e-9, abs=1e-12)
         assert est.gammas[0] == pytest.approx(coef[1 : 1 + k].T, rel=1e-9, abs=1e-12)
         assert est.gammas[1] == pytest.approx(coef[1 + k : 1 + 2 * k].T, rel=1e-9, abs=1e-12)
@@ -133,6 +140,16 @@ class TestEstimateVar:
         with pytest.raises(SampleSizeError):
             estimate_var(panel, p=4)
 
+    def test_sample_size_counts_the_responses(self):
+        # 17 regressors and 4 responses: 21 usable rows fit, 20 leave a
+        # residual covariance of rank 3 at most and are refused
+        est = estimate_var(simulate_var(reference_spec(T=25, seed=0)), p=4)
+        assert est.sample_size == 21
+        with pytest.raises(SampleSizeError, match=(
+            "^20 usable rows for 17 regressors; need T - p >= n_regressors [+] k$"
+        )):
+            estimate_var(simulate_var(reference_spec(T=24, seed=0)), p=4)
+
     def test_rank_deficient_design(self):
         rng = np.random.default_rng(3)
         base = rng.normal(size=(60, 1))
@@ -143,7 +160,7 @@ class TestEstimateVar:
     def test_residuals_orthogonal_to_design(self):
         panel = simulate_var(reference_spec(T=150, seed=11))
         est = estimate_var(panel, p=4)
-        _, W = design_blocks(panel.X, panel.Z, 4)
+        W = design_blocks(panel.X, panel.Z, 4)[:, :-4]
         assert np.max(np.abs(W.T @ est.residuals)) < 1e-8
 
     def test_sigma_positive_semidefinite_symmetric(self):
@@ -163,38 +180,34 @@ class TestStackedFit:
     def test_stacked_fit_matches_single_fits(self):
         panels = self.panels()
         X = np.stack([pn.X for pn in panels])
-        Y, W = design_blocks(X, panels[0].Z, 4)
-        coef, residuals, rdiag = least_squares(W, Y)
+        coef, sigma, rdiag = least_squares(design_blocks(X, panels[0].Z, 4), 4)
         assert not rank_deficient(rdiag).any()
-        sigma = residual_cov(residuals, W.shape[-1])
-        _, gammas, _ = split_coefficients(coef, 4, 4)
+        intercept, gammas, exog_coef = split_coefficients(coef, 4, 4)
         for i, pn in enumerate(panels):
             est = estimate_var(pn, p=4)
-            assert np.array_equal(residuals[i], est.residuals)
             assert np.array_equal(sigma[i], est.sigma)
+            assert np.array_equal(intercept[i], est.intercept)
             assert np.array_equal(gammas[i], est.gammas)
+            assert np.array_equal(exog_coef[i], est.exog_coef)
 
     def test_per_panel_exogenous_columns(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(3, 30, 2))
         Z = rng.normal(size=(3, 30, 2))
-        Y, W = design_blocks(X, Z, 2)
+        A = design_blocks(X, Z, 2)
         for i in range(3):
-            Y_i, W_i = design_blocks(X[i], Z[i], 2)
-            assert np.array_equal(Y[i], Y_i)
-            assert np.array_equal(W[i], W_i)
-        assert np.array_equal(W[:, :, -2:], Z[:, 2:])
+            assert np.array_equal(A[i], design_blocks(X[i], Z[i], 2))
+        assert np.array_equal(A[:, :, -4:-2], Z[:, 2:])
 
     def test_rank_deficient_member_leaves_stack_usable(self):
         panels = self.panels()
         X = np.stack([pn.X for pn in panels])
         X[1, :, 1] = 2.0 * X[1, :, 0]  # collinear pair in one member
-        Y, W = design_blocks(X, panels[0].Z, 4)
-        coef, residuals, rdiag = least_squares(W, Y)
+        coef, sigma, rdiag = least_squares(design_blocks(X, panels[0].Z, 4), 4)
         assert rank_deficient(rdiag).tolist() == [False, True, False]
         assert np.isfinite(coef).all()
         for i in (0, 2):
-            assert np.array_equal(residuals[i], estimate_var(panels[i], p=4).residuals)
+            assert np.array_equal(sigma[i], estimate_var(panels[i], p=4).sigma)
 
     def test_recursion_stack_matches_single_runs(self):
         rng = np.random.default_rng(8)
@@ -212,9 +225,56 @@ class TestStackedFit:
 
 class TestResidualCov:
     def test_exact_small_case(self):
-        U = np.array([[2.0, 0.0], [0.0, 1.0], [-2.0, -1.0]])
-        sigma = residual_cov(U, n_regressors=1)
-        assert np.array_equal(sigma, np.array([[4.0, 1.0], [1.0, 1.0]]))
+        # one regressor, an indicator of row 1, so the fit takes row 1 of
+        # Y and leaves the other rows as residuals; every Householder
+        # reflection of this design is exact in binary
+        A = np.array([
+            [0.0, 0.0, 0.0],
+            [1.0, 3.0, 5.0],
+            [0.0, 2.0, 1.0],
+            [0.0, 0.0, 0.0],
+            [0.0, 0.0, 2.0],
+        ])
+        coef, sigma, rdiag = least_squares(A, k=2)
+        assert np.array_equal(coef, np.array([[3.0, 5.0]]))
+        # U'U / (5 - 1) with U = Y less row 1
+        assert np.array_equal(sigma, np.array([[1.0, 0.5], [0.5, 1.25]]))
+        assert np.array_equal(rdiag, np.array([1.0]))
+
+
+class TestFactorization:
+    """Every fit reads its numbers off one R-only QR of the augmented
+    design."""
+
+    def test_no_fit_forms_q(self, monkeypatch):
+        modes = []
+        real = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr",
+                            lambda a, mode="reduced": modes.append(mode) or real(a, mode=mode))
+        panel = load_panels(load_run_config(SNAPSHOT_CONFIG))["cz"]
+        bootstrap_inference(panel, BootstrapConfig(replications=30))
+        monte_carlo_recovery(reference_spec(seed=1), 3,
+                             RecoveryConfig(bootstrap=BootstrapConfig(replications=20)))
+        assert modes and set(modes) == {"r"}
+
+    @pytest.mark.parametrize("source", ["cz", "hu", "pl", "sk", "reference"])
+    def test_matches_lstsq(self, source):
+        # independent oracle: LAPACK's SVD-based least squares and the
+        # covariance of its residuals
+        if source == "reference":
+            panel = simulate_var(reference_spec())
+        else:
+            panel = load_panels(load_run_config(SNAPSHOT_CONFIG))[source]
+        est = estimate_var(panel, p=4)
+        k = panel.X.shape[1]
+        A = design_blocks(panel.X, panel.Z, 4)
+        W, Y = A[:, :-k], A[:, -k:]
+        coef = np.linalg.lstsq(W, Y, rcond=None)[0]
+        U = Y - W @ coef
+        got = np.concatenate([est.intercept[None], *(g.T for g in est.gammas), est.exog_coef.T])
+        assert np.abs(got - coef).max() <= 1e-12 * np.abs(coef).max()
+        sigma = U.T @ U / (W.shape[0] - W.shape[1])
+        assert np.abs(est.sigma - sigma).max() <= 1e-12 * np.abs(sigma).max()
 
 
 class TestSimulate:
