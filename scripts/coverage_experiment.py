@@ -4,8 +4,11 @@
 Simulates the reference system at its working sample size, runs the
 full bootstrap in every trial, and reports how often each nominal band
 contains the true cumulative multiplier. The defaults reproduce the
-release-gate numbers (300 trials x 1000 replications, 28-38 s on
-two cores); pass smaller --trials/--reps for a quick look. A count
+release-gate numbers (300 trials x 1000 replications, 14-15 s on two
+cores, 26 s on one); pass smaller --trials/--reps for a quick look. The
+trials run in one worker process per CPU the process may use, so
+``taskset -c 0`` runs them all on one core, and coverage.csv is the
+same for any worker count. A count
 outside 1..100000, or a --sample or --seed the reference system
 rejects, or an --out directory that cannot be created, is a config
 error: one line on stderr and exit code 2, before anything is simulated.

@@ -354,11 +354,13 @@ def significance_flags(bands: dict[int, np.ndarray]) -> tuple[str, ...]:
     return tuple(np.where(strong, "**", np.where(weak, "*", "")).tolist())
 
 
-def fit_draws(n: int, draw, model: ModelSpec, rows: int):
-    """Draws 0..n-1 in index order, one fit stack per step: its indices,
-    the panels X (C, T, k) and Z that ``draw(indices)`` returned for them,
-    their :class:`StackedFit` and the failed draws as
-    {index: "Type: message"}.
+def fit_draws(draws: range, draw, model: ModelSpec, rows: int):
+    """The draws a unit-step range of indices names, in index order, one
+    fit stack per step: its indices, the panels X (C, T, k) and Z that
+    ``draw(indices)`` returned for them, their :class:`StackedFit` and
+    the failed draws as {index: "Type: message"}. A draw's numbers
+    depend on its index alone, so a range may start anywhere: Monte
+    Carlo trials run in contiguous ranges, one per worker process.
 
     ``draw`` simulates ``rows`` rows per draw, and is called on the
     most draws that stay within ``ROWS`` rows, rounded down to a whole
@@ -369,8 +371,8 @@ def fit_draws(n: int, draw, model: ModelSpec, rows: int):
     # whole stacks of CHUNK: a short stack at every block's end would
     # cost a stacked_fit call's fixed overhead for a few draws
     block = max(1, ROWS // rows // CHUNK) * CHUNK
-    for start in range(0, n, block):
-        indices = np.arange(start, min(start + block, n))
+    for start in range(draws.start, draws.stop, block):
+        indices = np.arange(start, min(start + block, draws.stop))
         with np.errstate(all="ignore"):  # an overflowing draw fails as non-finite
             X, Z = draw(indices)
         size = min(CHUNK, max(1, ROWS // X.shape[1]))
@@ -413,7 +415,7 @@ def bootstrap_inference(
     irf_draws = np.empty((R, *point_irf.responses.shape))
     multipliers = np.empty((R, model.horizons))
     failed, unstable = {}, 0
-    for rs, _, _, fit, stack_failed in fit_draws(R, resample, model, len(U)):
+    for rs, _, _, fit, stack_failed in fit_draws(range(R), resample, model, len(U)):
         failed.update(stack_failed)
         irf_draws[rs], multipliers[rs] = fit.responses, fit.paths
         keep = ~np.isin(rs, list(stack_failed))

@@ -10,11 +10,14 @@ Everything ``estimate`` produces lands in one output directory:
 per-country IRF and multiplier CSVs, a combined multiplier table in text
 and CSV form, SVG band plots, and a manifest recording the seed, a hash
 of the semantically meaningful config fields, and per-country failure
-counts. A country's files are rendered to text as soon as its bootstrap
-ends, so one country's draws are held at a time, and :func:`write_text`
-writes every file after the last country, so a failing country leaves
-none behind. Outputs carry no timestamps, so a rerun with the same
-config and seed reproduces the bundle byte for byte.
+counts. Countries run in forked worker processes, one per CPU the
+process may use (``taskset -c 0`` runs them all on one core). A
+country's files are rendered to text as soon as its bootstrap ends, so
+each process holds one country's draws at a time, and
+:func:`write_text` writes every file after the last country, so a
+failing country leaves none behind. Each country draws from its own
+seed and outputs carry no timestamps, so a rerun with the same config
+and seed reproduces the bundle byte for byte, for any worker count.
 """
 from __future__ import annotations
 
@@ -40,6 +43,7 @@ from .bootstrap import (
 )
 from .errors import ConfigError, DataError, EstimationError, FiscalSvarError, ShapeError
 from .errors import json_int, reject_unknown_keys
+from .fanout import fan_out
 from .ingest import DATE_COLUMN, SERIES, X_LABELS, TransformedPanel, build_panel, load_csv
 from .plots import render_band_plot
 from .series import Quarter
@@ -374,20 +378,25 @@ def _check_output_dir(out: Path) -> None:
 
 
 def run_pipeline(config: RunConfig) -> dict:
-    """Read every input, then run and render every country, one after
-    another, keeping only its files' text, and write the full report
-    bundle after the last country. Returns the manifest dict (also
-    written to manifest.json).
+    """Read every input, then run and render every country, keeping only
+    its files' text, and write the full report bundle after the last
+    country. The countries run in contiguous runs, one forked worker
+    process per usable CPU (:func:`~fiscalsvar.fanout.fan_out`); the
+    first failing country in config order is the one reported. Returns
+    the manifest dict (also written to manifest.json).
     """
     panels = load_panels(config)
     out = output_dir(config.output_dir)
 
-    files, columns, countries = {}, {}, {}
-    for entry in config.countries:
+    def run(entry: CountryEntry):
         with _for_country(entry.code):
-            texts, columns[entry.code], countries[entry.code] = _run_country(
-                entry, panels[entry.code], config)
+            return _run_country(entry, panels[entry.code], config)
+
+    files, columns, countries = {}, {}, {}
+    for entry, (texts, column, info) in zip(config.countries,
+                                             fan_out(run, config.countries)):
         files.update(texts)
+        columns[entry.code], countries[entry.code] = column, info
 
     files["table1.txt"], files["table1.csv"] = emit_table(
         columns, labels={e.code: e.display for e in config.countries})
@@ -590,7 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--workers", type=int, default=None,
             help="ignored; still accepted so existing command lines parse "
-                 "(the program runs on one thread)",
+                 "(countries run in one worker process per usable CPU, so "
+                 "'taskset -c 0' runs them on one core; the bundle is the same "
+                 "for any count)",
         )
     return parser
 

@@ -8,7 +8,8 @@ band coverage. A spec is a law, as a fitted
 reads it too: :func:`~fiscalsvar.var.simulate` (which refuses mismatched
 shapes), :func:`~fiscalsvar.var.stability` and :func:`~fiscalsvar.svar.irf`.
 
-Monte Carlo trials run through the bootstrap's draw loop,
+Monte Carlo trials run in contiguous ranges, one forked worker process
+per usable CPU, each range through the bootstrap's draw loop,
 :func:`~fiscalsvar.bootstrap.fit_draws` (its module docstring describes
 the block and stack sizes): :func:`~fiscalsvar.var.simulate`, as for
 replications, draws a block of trials, burn-in included, each with its
@@ -19,7 +20,7 @@ stack kept, each from its own row of the stack.
 Determinism contract: trial t draws its shocks, then its exogenous
 columns, from its own stream, ``default_rng(SeedSequence([seed, t, 0]))``,
 so every trial equals the single-trial path bit for bit and neither
-size in the draw loop ever changes a number. Each trial's generator is
+size in the draw loop, nor the worker count, ever changes a number. Each trial's generator is
 numpy's own SeedSequence, PCG64 and Generator on its entropy words
 (:func:`~fiscalsvar.bootstrap.stream_generators`); the draws are numpy's
 own ``standard_normal`` on exactly that stream.
@@ -40,6 +41,7 @@ from .bootstrap import (
     fit_draws,
     stream_generators,
 )
+from . import fanout
 from .errors import (
     ConfigError,
     DegenerateDenominatorError,
@@ -258,10 +260,15 @@ def monte_carlo_recovery(
     Trial t simulates with a substream hashed from (spec.seed, t); when a
     bootstrap config is supplied its master seed is re-derived per trial
     the same way, so the whole report is a pure function of the spec and
-    config. Estimation failures are counted, not fatal; a trial the
-    stacked fit fails is never bootstrapped. Paths are written in place
-    by trial index, and a coverage trial keeps only its bootstrap's
-    bands, so its draws are freed before the next trial's bootstrap.
+    config. The trials run in contiguous ranges, one forked worker
+    process per usable CPU (:func:`~fiscalsvar.fanout.fan_out`; ``taskset
+    -c 0`` runs them all in one); each range returns its estimate rows,
+    failed trials and coverage hits in trial order, and they are joined
+    in range order, so the report is the same for any worker count.
+    Estimation failures are counted, not fatal; a trial the stacked fit
+    fails is never bootstrapped. Paths are written in place by trial
+    index, and a coverage trial keeps only its bootstrap's bands, so each
+    process frees a trial's draws before its next trial's bootstrap.
     """
     if not 1 <= n_trials <= MAX_REPLICATIONS:
         raise ConfigError(f"n_trials must be between 1 and {MAX_REPLICATIONS}")
@@ -276,25 +283,36 @@ def monte_carlo_recovery(
     def draw(ts):
         return _simulate_panels(spec, len(ts), stream_generators(spec.seed, ts, (0,)))
 
-    estimates = np.empty((n_trials, config.horizons))
+    def run_trials(trials: range):
+        estimates = np.empty((len(trials), config.horizons))
+        covered, failed = {}, {}
+        for ts, X, Z, fit, stack_failed in fit_draws(trials, draw, model, spec.burn_in + spec.T):
+            failed.update(stack_failed)
+            estimates[ts - trials.start] = fit.paths
+            if config.bootstrap is None:
+                continue
+            for i, t in enumerate(ts.tolist()):
+                if t in stack_failed:
+                    continue
+                boot = replace(config.bootstrap, seed=derive_seed(spec.seed, t, 1))
+                panel = _panel(spec, X[i], Z[i])
+                try:
+                    bands = bootstrap_inference(panel, boot, model).multiplier_bands
+                except EstimationError as exc:
+                    failed[t] = f"{type(exc).__name__}: {exc}"
+                    continue
+                for level, band in bands.items():
+                    hit = (band[0] <= truth.values) & (truth.values <= band[1])
+                    covered.setdefault(level, []).append(hit)
+        return estimates, failed, covered
+
+    parts = fanout.fan_out(run_trials, fanout.ranges(n_trials, fanout.usable_cpus()))
+    estimates = np.concatenate([part[0] for part in parts])
     covered, failed = {}, {}
-    for ts, X, Z, fit, stack_failed in fit_draws(n_trials, draw, model, spec.burn_in + spec.T):
-        failed.update(stack_failed)
-        estimates[ts] = fit.paths
-        if config.bootstrap is None:
-            continue
-        for i, t in enumerate(ts.tolist()):
-            if t in stack_failed:
-                continue
-            boot = replace(config.bootstrap, seed=derive_seed(spec.seed, t, 1))
-            try:
-                bands = bootstrap_inference(_panel(spec, X[i], Z[i]), boot, model).multiplier_bands
-            except EstimationError as exc:
-                failed[t] = f"{type(exc).__name__}: {exc}"
-                continue
-            for level, band in bands.items():
-                hit = (band[0] <= truth.values) & (truth.values <= band[1])
-                covered.setdefault(level, []).append(hit)
+    for _, part_failed, part_covered in parts:
+        failed.update(part_failed)
+        for level, hits in part_covered.items():
+            covered.setdefault(level, []).extend(hits)
 
     if len(failed) == n_trials:  # trial 0 among them
         raise InferenceError(f"all {n_trials} trials failed; first: {failed[0]}")

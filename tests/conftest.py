@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 
+import fiscalsvar.fanout as fanout_mod
 from fiscalsvar.errors import fit_error
 from fiscalsvar.ingest import SERIES
 from fiscalsvar.series import Quarter
@@ -49,6 +50,13 @@ def write_country_csv(path, columns: dict[str, list], header: list[str] | None =
             writer.writerow(
                 [columns[name][i] if name in columns else "" for name in names]
             )
+
+
+def pin_workers(monkeypatch, n):
+    """Make :func:`~fiscalsvar.fanout.fan_out` see ``n`` usable CPUs, so
+    it runs at most ``n`` processes at once; at 1 it runs the plain loop,
+    and what a test records in this process covers every unit."""
+    monkeypatch.setattr(fanout_mod, "usable_cpus", lambda: n)
 
 
 def fail_draws(monkeypatch, module, failing):

@@ -329,13 +329,14 @@ class TestSignificanceFlags:
         assert significance_flags(bands) == want
 
 
-def steps(n, chunk, budget, rows, T):
+def steps(start, n, chunk, budget, rows, T):
     """The draw blocks and the fit stacks, as index lists, of
-    ``fit_draws`` over n draws at sizes (CHUNK, ROWS) = (chunk, budget),
-    for draws that simulate ``rows`` rows into panels of T rows."""
+    ``fit_draws`` over draws start..n-1 at sizes (CHUNK, ROWS) = (chunk,
+    budget), for draws that simulate ``rows`` rows into panels of T
+    rows."""
     block = max(1, budget // rows // chunk) * chunk
     size = min(chunk, max(1, budget // T))
-    blocks = [list(range(b, min(b + block, n))) for b in range(0, n, block)]
+    blocks = [list(range(b, min(b + block, n))) for b in range(start, n, block)]
     return blocks, [b[i:i + size] for b in blocks for i in range(0, len(b), size)]
 
 
@@ -343,9 +344,11 @@ class TestFitDraws:
     """The one simulate-and-fit loop behind replications and trials."""
 
     @pytest.mark.parametrize(
-        "n, chunk, budget",
-        [pytest.param(n, chunk, budget, id=f"{n}-{chunk}" + (budget != 8192) * f"-{budget}")
-         for n, chunk, budget in [
+        "start, n, chunk, budget",
+        [pytest.param(start, n, chunk, budget,
+                      id=bool(start) * f"{start}:" + f"{n}-{chunk}"
+                      + (budget != 8192) * f"-{budget}")
+         for start, n, chunk, budget in [(0, *sizes) for sizes in [
              # blocks of 100 at the defaults (98 at CHUNK = 7), in stacks
              # of CHUNK: both sides of the first stack and block edges
              (1, 25, 8192), (25, 25, 8192), (26, 25, 8192), (53, 7, 8192),
@@ -356,12 +359,16 @@ class TestFitDraws:
              # blocks of 25 in stacks of 2 and a last one, and blocks of 7
              # in stacks of 1
              (2, 25, 200), (3, 25, 200), (25, 25, 200), (26, 25, 200), (8, 7, 50),
+         ]] + [
+             # a range that starts past 0, as a worker's trials do: blocks
+             # and stacks count from its start
+             (13, 53, 7, 8192), (3, 25, 4, 1000), (150, 251, 25, 8192),
          ]],
     )
-    def test_each_draw_once_in_order(self, panel, monkeypatch, n, chunk, budget):
+    def test_each_draw_once_in_order(self, panel, monkeypatch, start, n, chunk, budget):
         monkeypatch.setattr(bootstrap_mod, "CHUNK", chunk)
         monkeypatch.setattr(bootstrap_mod, "ROWS", budget)
-        blocks, stacks = steps(n, chunk, budget, 80, panel.rows)
+        blocks, stacks = steps(start, n, chunk, budget, 80, panel.rows)
         # draws on both sides of every block and stack edge
         bad = {t for stack in stacks for t in (stack[0], stack[-1])}
         seen = []
@@ -374,7 +381,7 @@ class TestFitDraws:
 
         _, _, point = point_fit(panel, ModelSpec())
         failed, got = {}, []
-        for indices, X, Z, fit, stack_failed in fit_draws(n, simulate, ModelSpec(), 80):
+        for indices, X, Z, fit, stack_failed in fit_draws(range(start, n), simulate, ModelSpec(), 80):
             assert X.shape[0] == fit.paths.shape[0] == len(indices)
             assert Z is panel.Z
             assert list(stack_failed) == sorted(bad & set(indices.tolist()))
@@ -403,7 +410,7 @@ class TestFitDraws:
             return X, Z
 
         got = []
-        for indices, X, Z, fit, failed in fit_draws(11, simulate, ModelSpec(), 80):
+        for indices, X, Z, fit, failed in fit_draws(range(11), simulate, ModelSpec(), 80):
             assert Z.shape == (len(indices), panel.rows, 1) and not failed
             assert np.array_equal(Z[:, 0, 0], indices)
             got.append(len(indices))

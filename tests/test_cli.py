@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fiscalsvar.cli as cli_mod
-from conftest import synthetic_levels, write_country_csv
+from conftest import pin_workers, synthetic_levels, write_country_csv
 from fiscalsvar.cli import (
     CountryEntry,
     RunConfig,
@@ -848,7 +848,9 @@ class TestOneCountryAtATime:
     def test_a_finished_result_dies_before_the_next_bootstrap(self, tmp_path, data_dir,
                                                               monkeypatch):
         # a country's result, draws and all, must be freed once its files
-        # are rendered, so peak memory holds one country's draws
+        # are rendered, so each process holds one country's draws; at one
+        # worker every country runs in this process, where refs sees it
+        pin_workers(monkeypatch, 1)
         real, refs = cli_mod.bootstrap_inference, []
 
         def tracked(*args, **kwargs):
@@ -864,22 +866,26 @@ class TestOneCountryAtATime:
         assert len(refs) == 2
 
     def test_a_failing_country_writes_no_bundle(self, tmp_path, data_dir, capsys, monkeypatch):
-        real, calls = cli_mod.bootstrap_inference, []
+        # hu, the second country, fails in this process at one worker and
+        # in a child process at two
+        real = cli_mod.bootstrap_inference
 
-        def second_fails(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 2:
+        def hu_fails(panel, boot, model):
+            if boot.seed == country_seed(7, "hu"):
                 raise InferenceError("2 of 30 replications failed (limit 5%)")
-            return real(*args, **kwargs)
+            return real(panel, boot, model)
 
-        monkeypatch.setattr(cli_mod, "bootstrap_inference", second_fails)
+        monkeypatch.setattr(cli_mod, "bootstrap_inference", hu_fails)
         path = write_config(tmp_path / "c.json", data_dir)
-        out = tmp_path / "o"
-        assert main(["estimate", "--config", str(path), "--out", str(out), "--reps", "30"]) == 4
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("estimation error: country hu:")
-        for pattern in ("irf_*", "multipliers_*", "table1.*", "manifest.json"):
-            assert not list(out.glob(pattern)), pattern
+        for workers in (1, 2):
+            pin_workers(monkeypatch, workers)
+            out = tmp_path / f"o{workers}"
+            assert main(["estimate", "--config", str(path), "--out", str(out),
+                         "--reps", "30"]) == 4
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("estimation error: country hu:")
+            for pattern in ("irf_*", "multipliers_*", "table1.*", "manifest.json"):
+                assert not list(out.glob(pattern)), (workers, pattern)
 
 
 class TestRunConfigValidation:

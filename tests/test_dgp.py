@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import fiscalsvar.bootstrap as bootstrap_mod
 import fiscalsvar.dgp as dgp_mod
-from conftest import SIZES, fail_draws
+from conftest import SIZES, fail_draws, pin_workers
 from fiscalsvar.bootstrap import (
     BootstrapConfig,
     ModelSpec,
@@ -346,6 +346,9 @@ class TestStackedTrials:
                 assert np.array_equal(rep.coverage[level], cov), (chunk, budget, level)
 
     def test_stack_failed_trials_not_bootstrapped(self, monkeypatch):
+        # at one worker every bootstrap runs in this process, where seeds
+        # records it
+        pin_workers(monkeypatch, 1)
         spec = reference_spec(seed=5)
         config = RecoveryConfig(bootstrap=BootstrapConfig(replications=20))
         want, _ = per_trial_coverage(spec, 8, config)
@@ -363,9 +366,24 @@ class TestStackedTrials:
         assert seeds == [derive_seed(spec.seed, t, 1) for t in (0, 2, 3, 4, 5, 7)]
         assert np.array_equal(rep.estimates, np.delete(want, [1, 6], axis=0))
 
+    def test_stack_failed_trials_counted_across_workers(self, monkeypatch):
+        # trials 0-2, 3-5 and 6-7, one range per process: the failures in
+        # the first and last range are counted and their rows dropped
+        pin_workers(monkeypatch, 3)
+        spec = reference_spec(seed=5)
+        config = RecoveryConfig(bootstrap=BootstrapConfig(replications=20))
+        want, _ = per_trial_coverage(spec, 8, config)
+        monkeypatch.setattr(bootstrap_mod, "CHUNK", 3)
+        fail_draws(monkeypatch, dgp_mod, {1, 6})
+        rep = monte_carlo_recovery(spec, 8, config)
+        assert rep.failures == 2
+        assert np.array_equal(rep.estimates, np.delete(want, [1, 6], axis=0))
+
     def test_a_trial_result_dies_before_the_next_bootstrap(self, monkeypatch):
-        # only a coverage trial's bands outlive its bootstrap, so one
-        # trial's draws are held at a time
+        # only a coverage trial's bands outlive its bootstrap, so each
+        # process holds one trial's draws at a time; at one worker every
+        # trial runs in this process, where refs sees it
+        pin_workers(monkeypatch, 1)
         refs = []
 
         def tracked(panel, boot, model):
@@ -396,6 +414,9 @@ def test_trial_generators_equal_per_trial_streams(spec):
 def test_large_t_stacks_stay_within_the_row_budget(monkeypatch, T, stack):
     # 27 trials of T + 200 rows: blocks of CHUNK draws (the budget alone
     # would give 2 or 0), fitted in stacks of ROWS // T panels, or one
+    # at one worker every block is drawn in this process, where blocks
+    # records it
+    pin_workers(monkeypatch, 1)
     spec = reference_spec(T=T, seed=2)
     blocks, stacks = [], []
     simulate_panels, stacked_fit = dgp_mod._simulate_panels, bootstrap_mod.stacked_fit
