@@ -21,15 +21,17 @@ panel, rank, pivot, multiplier denominator, a non-finite result) in the
 order the single-fit functions run them, and that report alone decides
 which draws fail and with which error.
 
-Determinism contract: replication r draws its residual rows as
+Determinism contract, kept by every command: each draw has its own
+stream, ``default_rng(SeedSequence([seed, i, *suffix]))`` for draw i.
+Replication r draws its residual rows as
 ``default_rng(SeedSequence([seed, r])).integers(0, n, size=n)``, and
 every stacked stage runs the single-fit routine matrix by matrix. So
-every draw equals the single-fit path bit for bit, neither size ever
-changes a number, and results are a pure function of the data, the
-model and the config. :func:`stream_generators` builds those streams
-with numpy's own SeedSequence, PCG64 and Generator, from the seed's
-uint32 words split once per block, so they are numpy's exactly; the
-tests pin each step against the installed numpy.
+every draw equals the single-fit path bit for bit, no block or stack
+size and no worker count ever changes a number, and results are a pure
+function of the data, the model and the config. :func:`stream_generators`
+builds those streams with numpy's own SeedSequence, PCG64 and Generator,
+from the seed's uint32 words split once per block, so they are numpy's
+exactly; the tests pin each step against the installed numpy.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InferenceError, ShapeError, fit_error
+from .errors import ConfigError, InferenceError, ShapeError, fit_error, json_int
 from .ingest import X_LABELS, TransformedPanel
 from .series import Quarter
 from .svar import (
@@ -149,6 +151,11 @@ class ModelSpec:
     horizons: int = 20
 
     def __post_init__(self):
+        for name in ("lags", "horizons"):
+            if not json_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
+        if not isinstance(self.ordering, (list, tuple)):
+            raise ConfigError("ordering must be a list of variable names")
         object.__setattr__(self, "ordering", tuple(self.ordering))
         check_names(self.ordering, "ordering")
         if self.lags < 1:
@@ -169,6 +176,11 @@ class BootstrapConfig:
     levels: tuple[int, ...] = (68, 90)
 
     def __post_init__(self):
+        for name in ("replications", "seed"):
+            if not json_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
+        if not (isinstance(self.levels, (list, tuple)) and all(map(json_int, self.levels))):
+            raise ConfigError("levels must be a list of integers")
         object.__setattr__(self, "levels", tuple(sorted(self.levels)))
         if not 1 <= self.replications <= MAX_REPLICATIONS:
             raise ConfigError(f"replications must be between 1 and {MAX_REPLICATIONS}")

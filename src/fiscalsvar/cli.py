@@ -16,8 +16,8 @@ country's files are rendered to text as soon as its bootstrap ends, so
 each process holds one country's draws at a time, and
 :func:`write_text` writes every file after the last country, so a
 failing country leaves none behind. Each country draws from its own
-seed and outputs carry no timestamps, so a rerun with the same config
-and seed reproduces the bundle byte for byte, for any worker count.
+seed (:func:`country_seed`) and no output holds a timestamp, so the
+bundle keeps the determinism contract of :mod:`fiscalsvar.bootstrap`.
 """
 from __future__ import annotations
 
@@ -112,6 +112,10 @@ class RunConfig:
     plots: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.plots, bool):
+            raise ConfigError("plots must be true or false")
+        if not isinstance(self.output_dir, (str, Path)):
+            raise ConfigError("output_dir must be a path string")
         if not self.countries:
             raise ConfigError("countries must be non-empty")
         # a code names output files, and cz and CZ clash where file names ignore case
@@ -160,95 +164,84 @@ def _read_json(path: Path, what: str):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
-def load_run_config(path) -> RunConfig:
-    """Parse the strict JSON config; unknown keys are hard errors.
+@contextmanager
+def _prefixed(prefix: str):
+    """Put ``prefix`` in front of the message of any package error raised
+    inside, once; the error keeps its type and attributes."""
+    try:
+        yield
+    except FiscalSvarError as exc:
+        if not str(exc).startswith(prefix):
+            exc.args = (prefix + str(exc),)
+        raise
 
-    Relative CSV paths are resolved against the config file's directory.
-    A minimal config is just {"countries": [{"code": ..., "csv": ...}]}.
+
+def _country_entry(path: Path, i: int, item) -> CountryEntry:
+    """``countries[i]`` of the config at ``path``: its keys, schema map and
+    CSV path are checked here, its code and name by :class:`CountryEntry`."""
+    with _prefixed(f"{path}: "):
+        if not isinstance(item, dict):
+            raise ConfigError(f"countries[{i}] must be an object")
+        with _prefixed(f"countries[{i}]: "):
+            reject_unknown_keys(item, _COUNTRY_KEYS, "unknown key(s)")
+            for req in ("code", "csv"):
+                if req not in item:
+                    raise ConfigError(f"missing '{req}'")
+            schema = item.get("schema")
+            if schema is not None:
+                if not isinstance(schema, dict):
+                    raise ConfigError("schema must be an object")
+                reject_unknown_keys(schema, (DATE_COLUMN, *SERIES), "unknown schema key(s)")
+                if not all(isinstance(column, str) and column for column in schema.values()):
+                    raise ConfigError("schema values must be non-empty strings")
+                owners: dict[str, str] = {}
+                for name in (DATE_COLUMN, *SERIES):
+                    column = schema.get(name, name)
+                    if column in owners:
+                        raise ConfigError(f"schema maps both '{owners[column]}' "
+                                          f"and '{name}' to column '{column}'")
+                    owners[column] = name
+            try:
+                csv_path = (path.parent / item["csv"]).resolve()
+            except (TypeError, ValueError):  # not a string, a NUL byte, a lone surrogate
+                raise ConfigError("csv must be a path string") from None
+    return CountryEntry(item["code"], csv_path, item.get("name", ""), schema)
+
+
+def load_run_config(path) -> RunConfig:
+    """Parse the strict JSON config into a :class:`RunConfig`.
+
+    Only what needs the file is checked here: the JSON shape, unknown and
+    required keys, each country's CSV path (relative paths are resolved
+    against the config file's directory) and schema map, and the window.
+    Every other value goes to the constructors as it was read, and each
+    class checks its own fields; their messages do not name the file. A
+    minimal config is just {"countries": [{"code": ..., "csv": ...}]}.
     """
     path = Path(path)
     raw = _read_json(path, "config")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-
-    reject_unknown_keys(raw, _CONFIG_KEYS, f"{path}: unknown config key(s)")
-    if "countries" not in raw:
-        raise ConfigError(f"{path}: missing required key 'countries'")
-    if not isinstance(raw["countries"], list):
-        raise ConfigError(f"{path}: countries must be a list of objects")
-
-    entries = []
-    for i, item in enumerate(raw["countries"]):
-        if not isinstance(item, dict):
-            raise ConfigError(f"{path}: countries[{i}] must be an object")
-        reject_unknown_keys(item, _COUNTRY_KEYS, f"{path}: countries[{i}]: unknown key(s)")
-        for req in ("code", "csv"):
-            if req not in item:
-                raise ConfigError(f"{path}: countries[{i}]: missing '{req}'")
-        schema = item.get("schema")
-        if schema is not None:
-            if not isinstance(schema, dict):
-                raise ConfigError(f"{path}: countries[{i}]: schema must be an object")
-            reject_unknown_keys(schema, (DATE_COLUMN, *SERIES),
-                                f"{path}: countries[{i}]: unknown schema key(s)")
-            if not all(isinstance(column, str) and column for column in schema.values()):
-                raise ConfigError(
-                    f"{path}: countries[{i}]: schema values must be non-empty strings"
-                )
-            owners: dict[str, str] = {}
-            for name in (DATE_COLUMN, *SERIES):
-                column = schema.get(name, name)
-                if column in owners:
-                    raise ConfigError(
-                        f"{path}: countries[{i}]: schema maps both '{owners[column]}' "
-                        f"and '{name}' to column '{column}'"
-                    )
-                owners[column] = name
-        try:
-            csv_path = (path.parent / item["csv"]).resolve()
-        except (TypeError, ValueError):  # not a string, a NUL byte, a lone surrogate
-            raise ConfigError(f"{path}: countries[{i}]: csv must be a path string") from None
-        entries.append(
-            CountryEntry(
-                code=item["code"],
-                csv=csv_path,
-                name=item.get("name", ""),
-                schema=schema,
-            )
-        )
-
-    kwargs: dict = {"countries": tuple(entries)}
-    if "window" in raw:
-        win = raw["window"]
-        if not (isinstance(win, dict) and set(win) == {"start", "end"}):
-            raise ConfigError(f"{path}: window must be {{'start': ..., 'end': ...}}")
-        try:
-            kwargs["window"] = (Quarter.parse(win["start"]), Quarter.parse(win["end"]))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad window: {exc}") from None
-    for key in ("lags", "horizons", "replications", "seed", "workers"):
-        if key in raw:
-            if not json_int(raw[key]):
-                raise ConfigError(f"{path}: {key} must be an integer")
-            kwargs[key] = raw[key]
-    kwargs.pop("workers", None)
-    if "ordering" in raw:
-        if not isinstance(raw["ordering"], list):
-            raise ConfigError(f"{path}: ordering must be a list of variable names")
-        kwargs["ordering"] = tuple(raw["ordering"])
-    if "levels" in raw:
-        levels = raw["levels"]
-        if not (isinstance(levels, list) and all(json_int(lv) for lv in levels)):
-            raise ConfigError(f"{path}: levels must be a list of integers")
-        kwargs["levels"] = tuple(levels)
-    if "plots" in raw:
-        if not isinstance(raw["plots"], bool):
-            raise ConfigError(f"{path}: plots must be true or false")
-        kwargs["plots"] = raw["plots"]
-    output_dir = raw.get("output_dir", os.environ.get(OUT_ENV_VAR, "out"))
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"{path}: output_dir must be a path string")
-    kwargs["output_dir"] = Path(output_dir)
+    with _prefixed(f"{path}: "):
+        if not isinstance(raw, dict):
+            raise ConfigError("top level must be an object")
+        reject_unknown_keys(raw, _CONFIG_KEYS, "unknown config key(s)")
+        if "countries" not in raw:
+            raise ConfigError("missing required key 'countries'")
+        if not isinstance(raw["countries"], list):
+            raise ConfigError("countries must be a list of objects")
+    kwargs = dict(raw, countries=tuple(
+        _country_entry(path, i, item) for i, item in enumerate(raw["countries"])))
+    with _prefixed(f"{path}: "):
+        if "window" in kwargs:
+            win = kwargs["window"]
+            if not (isinstance(win, dict) and set(win) == {"start", "end"}):
+                raise ConfigError("window must be {'start': ..., 'end': ...}")
+            try:
+                kwargs["window"] = (Quarter.parse(win["start"]), Quarter.parse(win["end"]))
+            except ValueError as exc:
+                raise ConfigError(f"bad window: {exc}") from None
+        if not json_int(kwargs.pop("workers", 0)):
+            raise ConfigError("workers must be an integer")
+    kwargs.setdefault("output_dir", os.environ.get(OUT_ENV_VAR, "out"))
     return RunConfig(**kwargs)
 
 
@@ -326,24 +319,11 @@ def _run_country(
     return files, (result.point_multipliers, result.stars), info
 
 
-@contextmanager
-def _for_country(code: str):
-    """Name the country in any package error raised inside, once; the
-    error keeps its type and attributes."""
-    try:
-        yield
-    except FiscalSvarError as exc:
-        prefix = f"country {code}: "
-        if not str(exc).startswith(prefix):
-            exc.args = (prefix + str(exc),)
-        raise
-
-
 def load_panels(config: RunConfig) -> dict[str, TransformedPanel]:
     """Read every country's CSV and build its panel over the window."""
     panels = {}
     for entry in config.countries:
-        with _for_country(entry.code):
+        with _prefixed(f"country {entry.code}: "):
             data = load_csv(entry.csv, entry.schema, country=entry.code)
             panels[entry.code] = build_panel(data, config.window)
     return panels
@@ -389,7 +369,7 @@ def run_pipeline(config: RunConfig) -> dict:
     out = output_dir(config.output_dir)
 
     def run(entry: CountryEntry):
-        with _for_country(entry.code):
+        with _prefixed(f"country {entry.code}: "):
             return _run_country(entry, panels[entry.code], config)
 
     files, columns, countries = {}, {}, {}
@@ -542,10 +522,8 @@ def _cmd_montecarlo(args) -> int:
         payload = {**payload, "seed": args.seed}
     trials = args.reps if args.reps is not None else 100
     horizons = args.horizon if args.horizon is not None else dgp_mod.RecoveryConfig.horizons
-    try:
+    with _prefixed(f"{path}: "):
         spec = dgp_mod.DgpSpec.from_dict(payload)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
     if args.out is not None:  # refused before the study, created after it
         _check_output_dir(Path(args.out))
     report = dgp_mod.monte_carlo_recovery(spec, trials, dgp_mod.RecoveryConfig(horizons))

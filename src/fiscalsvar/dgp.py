@@ -17,13 +17,9 @@ own exogenous columns Z, and a trial fails when its fit stack reports a
 failing check for it. Coverage trials then bootstrap only the trials the
 stack kept, each from its own row of the stack.
 
-Determinism contract: trial t draws its shocks, then its exogenous
-columns, from its own stream, ``default_rng(SeedSequence([seed, t, 0]))``,
-so every trial equals the single-trial path bit for bit and neither
-size in the draw loop, nor the worker count, ever changes a number. Each trial's generator is
-numpy's own SeedSequence, PCG64 and Generator on its entropy words
-(:func:`~fiscalsvar.bootstrap.stream_generators`); the draws are numpy's
-own ``standard_normal`` on exactly that stream.
+Trial t draws its shocks, then its exogenous columns, with numpy's own
+``standard_normal`` from its own stream, ``SeedSequence([seed, t, 0])``;
+the rest is the determinism contract of :mod:`fiscalsvar.bootstrap`.
 """
 from __future__ import annotations
 
@@ -75,6 +71,10 @@ class DgpSpec:
     labels: tuple[str, ...] = X_LABELS
 
     def __post_init__(self):
+        if not all(json_int(v) for v in (self.T, self.burn_in, self.seed)):
+            raise ConfigError("T, burn_in and seed must be integers")
+        if not isinstance(self.labels, (list, tuple)):
+            raise ConfigError("labels must be a list")
         gammas = np.array(self.gammas, dtype=float)
         B = np.array(self.B, dtype=float)
         intercept = np.array(self.intercept, dtype=float)
@@ -145,15 +145,13 @@ class DgpSpec:
     def from_dict(cls, payload: dict) -> "DgpSpec":
         """Spec from its :meth:`to_dict` form, as read from a JSON file.
 
-        Every malformed payload raises a :class:`ConfigError`.
+        Only the JSON shape is checked here, an object without unknown
+        keys; the constructor checks every field. Every malformed payload
+        raises a :class:`ConfigError`.
         """
         if not isinstance(payload, dict):
             raise ConfigError("a DGP spec must be a JSON object")
         reject_unknown_keys(payload, cls.__dataclass_fields__, "unknown DGP fields")
-        if not all(json_int(payload.get(name, 0)) for name in ("T", "burn_in", "seed")):
-            raise ConfigError("T, burn_in and seed must be integers")
-        if not isinstance(payload.get("labels", []), list):
-            raise ConfigError("labels must be a list")
         try:
             return cls(**payload)
         except (TypeError, ValueError) as exc:

@@ -10,8 +10,9 @@ failure message is written once. The single-fit functions raise it; the
 bootstrap and the Monte Carlo harness read it off the stacked fit and
 count it as one failed draw, not a failed run.
 
-Both JSON inputs, run config and DGP file, share :func:`json_int` and
-:func:`reject_unknown_keys`.
+The loaders of both JSON inputs, run config and DGP file, check the
+JSON shape with :func:`reject_unknown_keys`; the class that declares a
+field checks it, an integer field with :func:`json_int`.
 """
 
 

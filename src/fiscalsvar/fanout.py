@@ -2,10 +2,11 @@
 
 :func:`fan_out` maps a function over a list in forked worker processes,
 one per usable CPU, and returns the results in order. It serves units
-whose numbers depend only on their own inputs and seed, such as a
-country's bootstrap or a range of Monte Carlo trials, so the results
-are the same for any worker count; only the wall time changes. On one
-CPU, and where the platform has no ``os.fork``, it is the plain loop.
+whose numbers depend only on their own inputs and seed (the determinism
+contract of :mod:`fiscalsvar.bootstrap`), such as a country's bootstrap
+or a range of Monte Carlo trials, so the worker count changes only the
+wall time. On one CPU, and where the platform has no ``os.fork``, it is
+the plain loop.
 
 Inputs are inherited through the fork and never pickled; only results
 cross back, one pickle per worker through a pipe; numpy has already

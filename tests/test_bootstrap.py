@@ -548,6 +548,11 @@ class TestBootstrapInference:
              "ordering ['G', 'Y', ''] must be distinct, non-empty strings"),
             (lambda: ModelSpec(ordering=("G", "Y", 5)),
              "ordering ['G', 'Y', 5] must be distinct, non-empty strings"),
+            # each class checks its fields' types, however it is built
+            (lambda: BootstrapConfig(replications=2.5), "replications must be an integer"),
+            (lambda: BootstrapConfig(levels=(68, "90")), "levels must be a list of integers"),
+            (lambda: ModelSpec(lags="4"), "lags must be an integer"),
+            (lambda: ModelSpec(ordering="GTYi"), "ordering must be a list of variable names"),
         ]:
             with pytest.raises(ConfigError, match=re.escape(message)):
                 build()

@@ -118,6 +118,16 @@ class TestDgpSpec:
         with pytest.raises(ConfigError, match="^T \\+ burn_in must not exceed 40000 quarters$"):
             replace(reference_spec(), **sizes)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [({"T": 84.5}, "T, burn_in and seed must be integers"),
+         ({"labels": "GTYi"}, "labels must be a list")],
+    )
+    def test_field_types_checked_by_the_spec(self, field, message):
+        # built in Python, not read from JSON
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            replace(reference_spec(), **field)
+
     def test_unknown_field_rejected(self):
         payload = reference_spec().to_dict()
         payload["rho"] = 0.5

@@ -4,6 +4,8 @@ process left behind."""
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -19,7 +21,8 @@ from fiscalsvar.fanout import fan_out, ranges, usable_cpus
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
-SNAPSHOT_CONFIG = Path(__file__).resolve().parent.parent / "data" / "v4_config.json"
+ROOT = Path(__file__).resolve().parent.parent
+SNAPSHOT_CONFIG = ROOT / "data" / "v4_config.json"
 
 
 @pytest.fixture(autouse=True)
@@ -87,6 +90,38 @@ class TestByteIdentity:
             assert got.coverage.keys() == want.coverage.keys()
             for level, cov in want.coverage.items():
                 assert got.coverage[level].tobytes() == cov.tobytes(), level
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs os.sched_setaffinity")
+    def test_one_cpu_and_every_cpu_write_the_same_bytes(self, tmp_path):
+        # the real affinity mask, which pin_workers stands in for: a child
+        # held to one CPU runs the plain loop, an unrestricted one a worker
+        # per usable CPU
+        dgp_path = tmp_path / "dgp.json"
+        dgp_path.write_text(json.dumps(reference_spec().to_dict()), encoding="utf-8")
+        paths = [str(ROOT / "src"), *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        cpu = min(os.sched_getaffinity(0))
+
+        def python(argv, one_cpu):
+            preexec = (lambda: os.sched_setaffinity(0, {cpu})) if one_cpu else None
+            return subprocess.run([sys.executable, *argv], env=env, preexec_fn=preexec,
+                                  capture_output=True, text=True, check=True).stdout
+
+        probe = ["-c", "from fiscalsvar.fanout import usable_cpus; print(usable_cpus())"]
+        assert python(probe, one_cpu=True) == "1\n"
+        bundles = {}
+        for one_cpu in (True, False):
+            for command, config, reps in (("estimate", SNAPSHOT_CONFIG, "100"),
+                                          ("montecarlo", dgp_path, "200")):
+                out = tmp_path / f"{command}_{one_cpu}"
+                python(["-m", "fiscalsvar", command, "--config", str(config), "--reps", reps,
+                        "--out", str(out)], one_cpu)
+                bundles[command, one_cpu] = bundle(out)
+        assert len(bundles["estimate", True]) == 19
+        assert bundles["estimate", True] == bundles["estimate", False]
+        assert list(bundles["montecarlo", True]) == ["recovery.csv"]
+        assert bundles["montecarlo", True] == bundles["montecarlo", False]
 
 
 class TestCountryErrors:
