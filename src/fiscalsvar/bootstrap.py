@@ -308,7 +308,7 @@ def point_fit(
         raise fit_error(*fit.failures[0], SHOCK)
     A = design_blocks(panel.X, panel.Z, model.lags)
     estimate = VarEstimate.from_fit(A, fit.coef[0], fit.sigma[0], model.lags)
-    irfs = IrfSet(shock=SHOCK, ordering=model.ordering, responses=fit.responses[0])
+    irfs = IrfSet(ordering=model.ordering, responses=fit.responses[0])
     return estimate, irfs, MultiplierPath(values=fit.paths[0])
 
 

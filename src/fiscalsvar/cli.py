@@ -44,7 +44,7 @@ from .bootstrap import (
 from .errors import ConfigError, DataError, EstimationError, FiscalSvarError, ShapeError
 from .errors import json_int, reject_unknown_keys
 from .fanout import fan_out
-from .ingest import DATE_COLUMN, SERIES, X_LABELS, TransformedPanel, build_panel, load_csv
+from .ingest import X_LABELS, TransformedPanel, build_panel, load_csv
 from .plots import render_band_plot
 from .series import Quarter
 from .svar import RESPONSE, MultiplierPath
@@ -87,6 +87,9 @@ class CountryEntry:
                 f"country {self.code}: name {name!r} must be a string without control "
                 "characters, U+FFFE, U+FFFF or lone surrogates"
             )
+        if not isinstance(self.csv, (str, Path)):
+            raise ConfigError(f"country {self.code}: csv must be a path string")
+        object.__setattr__(self, "csv", Path(self.csv))
 
     @property
     def display(self) -> str:
@@ -116,8 +119,14 @@ class RunConfig:
             raise ConfigError("plots must be true or false")
         if not isinstance(self.output_dir, (str, Path)):
             raise ConfigError("output_dir must be a path string")
+        if not (isinstance(self.countries, (list, tuple))
+                and all(isinstance(c, CountryEntry) for c in self.countries)):
+            raise ConfigError("countries must be a list of CountryEntry values")
         if not self.countries:
             raise ConfigError("countries must be non-empty")
+        if not (isinstance(self.window, (list, tuple)) and len(self.window) == 2
+                and all(isinstance(q, Quarter) for q in self.window)):
+            raise ConfigError("window must be a pair of quarters")
         # a code names output files, and cz and CZ clash where file names ignore case
         codes = [c.code for c in self.countries]
         if len({c.lower() for c in codes}) != len(codes):
@@ -141,6 +150,7 @@ class RunConfig:
                 f"the window's {quarters} quarters"
             )
         object.__setattr__(self, "countries", tuple(self.countries))
+        object.__setattr__(self, "window", tuple(self.window))
         object.__setattr__(self, "ordering", model.ordering)
         object.__setattr__(self, "levels", boot.levels)
         object.__setattr__(self, "output_dir", Path(self.output_dir))
@@ -177,8 +187,8 @@ def _prefixed(prefix: str):
 
 
 def _country_entry(path: Path, i: int, item) -> CountryEntry:
-    """``countries[i]`` of the config at ``path``: its keys, schema map and
-    CSV path are checked here, its code and name by :class:`CountryEntry`."""
+    """``countries[i]`` of the config at ``path``: its keys are checked and
+    a relative CSV path resolved here, its fields by :class:`CountryEntry`."""
     with _prefixed(f"{path}: "):
         if not isinstance(item, dict):
             raise ConfigError(f"countries[{i}] must be an object")
@@ -187,36 +197,25 @@ def _country_entry(path: Path, i: int, item) -> CountryEntry:
             for req in ("code", "csv"):
                 if req not in item:
                     raise ConfigError(f"missing '{req}'")
-            schema = item.get("schema")
-            if schema is not None:
-                if not isinstance(schema, dict):
-                    raise ConfigError("schema must be an object")
-                reject_unknown_keys(schema, (DATE_COLUMN, *SERIES), "unknown schema key(s)")
-                if not all(isinstance(column, str) and column for column in schema.values()):
-                    raise ConfigError("schema values must be non-empty strings")
-                owners: dict[str, str] = {}
-                for name in (DATE_COLUMN, *SERIES):
-                    column = schema.get(name, name)
-                    if column in owners:
-                        raise ConfigError(f"schema maps both '{owners[column]}' "
-                                          f"and '{name}' to column '{column}'")
-                    owners[column] = name
-            try:
-                csv_path = (path.parent / item["csv"]).resolve()
-            except (TypeError, ValueError):  # not a string, a NUL byte, a lone surrogate
-                raise ConfigError("csv must be a path string") from None
-    return CountryEntry(item["code"], csv_path, item.get("name", ""), schema)
+            csv_path = item["csv"]
+            if isinstance(csv_path, str):  # CountryEntry refuses any other type
+                try:
+                    csv_path = (path.parent / csv_path).resolve()
+                except ValueError:  # a NUL byte, a lone surrogate
+                    raise ConfigError("csv is not a valid path") from None
+    return CountryEntry(item["code"], csv_path, item.get("name", ""), item.get("schema"))
 
 
 def load_run_config(path) -> RunConfig:
     """Parse the strict JSON config into a :class:`RunConfig`.
 
     Only what needs the file is checked here: the JSON shape, unknown and
-    required keys, each country's CSV path (relative paths are resolved
-    against the config file's directory) and schema map, and the window.
+    required keys, relative CSV paths (resolved against the config file's
+    directory), the window's {"start", "end"} text form and ``workers``.
     Every other value goes to the constructors as it was read, and each
-    class checks its own fields; their messages do not name the file. A
-    minimal config is just {"countries": [{"code": ..., "csv": ...}]}.
+    class checks its own fields; their messages do not name the file.
+    ``load_csv`` checks a ``schema`` map when it reads that country's CSV.
+    A minimal config is just {"countries": [{"code": ..., "csv": ...}]}.
     """
     path = Path(path)
     raw = _read_json(path, "config")

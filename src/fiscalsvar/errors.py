@@ -10,9 +10,9 @@ failure message is written once. The single-fit functions raise it; the
 bootstrap and the Monte Carlo harness read it off the stacked fit and
 count it as one failed draw, not a failed run.
 
-The loaders of both JSON inputs, run config and DGP file, check the
-JSON shape with :func:`reject_unknown_keys`; the class that declares a
-field checks it, an integer field with :func:`json_int`.
+The JSON loaders check only the JSON shape (:func:`reject_unknown_keys`);
+the class that declares a field checks it, an integer with :func:`json_int`;
+``ingest.load_csv`` checks, for every caller, the schema map it applies.
 """
 
 
@@ -143,6 +143,6 @@ def json_int(value) -> bool:
 def reject_unknown_keys(payload: dict, known, message: str) -> None:
     """Raise :class:`ConfigError` ``"<message>: <keys>"`` naming, sorted,
     every key of the JSON object ``payload`` outside ``known``."""
-    unknown = sorted(set(payload) - set(known))
+    unknown = sorted(map(str, set(payload) - set(known)))
     if unknown:
         raise ConfigError(f"{message}: {', '.join(unknown)}")

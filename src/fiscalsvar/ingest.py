@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     CsvParseError,
     DataError,
     DomainError,
@@ -23,6 +24,7 @@ from .errors import (
     SchemaError,
     ShapeError,
     WindowCoverageError,
+    reject_unknown_keys,
 )
 from .series import Quarter
 
@@ -110,12 +112,22 @@ def load_csv(path, schema: dict[str, str] | None = None, country: str = "") -> M
 
     ``schema`` maps canonical series names (plus ``date``) to the column
     headers actually present in the file; omitted entries default to the
-    canonical name itself. The run config checks the map's keys and
-    values (:func:`~fiscalsvar.cli.load_run_config`).
+    canonical name itself. The map is checked before the file is opened,
+    for every caller: a bad map is a ``ConfigError``, a bad file a ``DataError``.
     """
     path = Path(path)
-    full_schema = {name: name for name in (DATE_COLUMN, *SERIES)}
-    full_schema.update(schema or {})
+    schema = {} if schema is None else schema
+    if not isinstance(schema, dict):
+        raise ConfigError("schema must be an object")
+    reject_unknown_keys(schema, (DATE_COLUMN, *SERIES), "unknown schema key(s)")
+    if not all(isinstance(column, str) and column for column in schema.values()):
+        raise ConfigError("schema values must be non-empty strings")
+    full_schema = {name: schema.get(name, name) for name in (DATE_COLUMN, *SERIES)}
+    owners: dict[str, str] = {}
+    for name, column in full_schema.items():
+        if owners.setdefault(column, name) != name:
+            raise ConfigError(f"schema maps both '{owners[column]}' and '{name}' "
+                              f"to column '{column}'")
 
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:

@@ -46,7 +46,6 @@ class StructuralModel(NamedTuple):
 class IrfSet:
     """Responses of every variable to one structural shock, horizons 0..H."""
 
-    shock: str
     ordering: tuple[str, ...]
     responses: np.ndarray  # (H + 1, k)
 
@@ -167,7 +166,7 @@ def irf(model: StructuralModel, shock: str, horizons: int) -> IrfSet:
         raise ShapeError("horizons must be >= 0")
     impact = model.B[:, column_of(model.ordering, shock)]
     responses = propagate_impulse(companion_matrix(model.law.gammas), impact, horizons)
-    return IrfSet(shock=shock, ordering=model.ordering, responses=responses)
+    return IrfSet(ordering=model.ordering, responses=responses)
 
 
 def cumulative_ratio(

@@ -37,7 +37,7 @@ from fiscalsvar.errors import (
     ShapeError,
     fit_error,
 )
-from fiscalsvar.ingest import TransformedPanel
+from fiscalsvar.ingest import X_LABELS, TransformedPanel
 from fiscalsvar.series import Quarter
 from fiscalsvar.svar import identify_cholesky, irf, multiplier_path
 from fiscalsvar.var import (
@@ -674,6 +674,19 @@ class TestStackedFit:
         assert str(exc) == str(single.value)
         with pytest.raises(type(single.value), match="^" + re.escape(str(exc)) + "$"):
             point_fit(rebuilt, ModelSpec())
+
+    def test_overflowing_responses_are_a_non_finite_fit(self):
+        # a root of 1.06 takes the responses past the float range long
+        # before quarter 20000; no earlier check trips
+        rng = np.random.default_rng(0)
+        X = var_recursion(1.06 * np.eye(4)[None], rng.normal(size=(84, 4)), np.zeros((1, 4)))
+        panel = TransformedPanel(Quarter(2000, 1), X[1:], np.zeros((84, 0)), X_LABELS, ())
+        model = ModelSpec(horizons=20000)
+        fit = stacked_fit(panel.X[None], panel.Z, model)
+        assert fit.failures == {0: ("non-finite fit", 0, 0.0)}
+        message = "fit produced non-finite coefficients or responses"
+        with pytest.raises(NonFiniteError, match="^" + re.escape(message) + "$"):
+            point_fit(panel, model)
 
     @given(
         rows=rows_strategy,

@@ -82,6 +82,15 @@ def write_config(path, data_dir, **overrides):
     return path
 
 
+def validate_schema(tmp_path, capsys, schema) -> str:
+    """stderr of ``validate`` on one country with ``schema`` and a CSV
+    that does not exist; exit 2 is asserted."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"countries": [{"code": "cz", "csv": "x.csv", "schema": schema}]}))
+    assert main(["validate", "--config", str(path)]) == 2
+    return capsys.readouterr().err
+
+
 class TestLoadRunConfig:
     def test_defaults_applied(self, tmp_path, data_dir):
         config = load_run_config(write_config(tmp_path / "c.json", data_dir))
@@ -151,22 +160,16 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="ordering"):
             load_run_config(path)
 
-    def test_unknown_schema_key(self, tmp_path, data_dir):
-        path = tmp_path / "c.json"
-        payload = {"countries": [{"code": "cz", "csv": "x.csv", "schema": {"so_wrong": "gdp"}}]}
-        path.write_text(json.dumps(payload))
-        message = f"{path}: countries[0]: unknown schema key(s): so_wrong"
-        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
-            load_run_config(path)
+    # the file only carries a country's schema map: load_csv checks it
+    # when validate reads that country's CSV, before it opens the file
+    def test_unknown_schema_key(self, tmp_path, capsys):
+        err = validate_schema(tmp_path, capsys, {"so_wrong": "gdp"})
+        assert err == "config error: country cz: unknown schema key(s): so_wrong\n"
 
     @pytest.mark.parametrize("column", [5, "", None, ["gdp"]])
-    def test_schema_values_are_non_empty_strings(self, tmp_path, column):
-        path = tmp_path / "c.json"
-        payload = {"countries": [{"code": "cz", "csv": "x.csv", "schema": {"date": column}}]}
-        path.write_text(json.dumps(payload))
-        message = f"{path}: countries[0]: schema values must be non-empty strings"
-        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
-            load_run_config(path)
+    def test_schema_values_are_non_empty_strings(self, tmp_path, capsys, column):
+        err = validate_schema(tmp_path, capsys, {"date": column})
+        assert err == "config error: country cz: schema values must be non-empty strings\n"
 
     @pytest.mark.parametrize(
         "schema, first, second, column",
@@ -176,14 +179,11 @@ class TestLoadRunConfig:
             ({"us_gdp": "x", "us_inflation": "x"}, "us_gdp", "us_inflation", "x"),
         ],
     )
-    def test_schema_columns_must_be_distinct(self, tmp_path, schema, first, second, column):
-        path = tmp_path / "c.json"
-        payload = {"countries": [{"code": "cz", "csv": "x.csv", "schema": schema}]}
-        path.write_text(json.dumps(payload))
-        message = (f"{path}: countries[0]: schema maps both '{first}' and '{second}' "
-                   f"to column '{column}'")
-        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
-            load_run_config(path)
+    def test_schema_columns_must_be_distinct(self, tmp_path, capsys, schema, first, second,
+                                             column):
+        err = validate_schema(tmp_path, capsys, schema)
+        assert err == (f"config error: country cz: schema maps both '{first}' and '{second}' "
+                       f"to column '{column}'\n")
 
     def test_schema_swap_accepted(self, tmp_path):
         path = tmp_path / "c.json"
@@ -687,6 +687,27 @@ class TestMainExitCodes:
         assert err.startswith("data error: country hu: cannot read") and "absent.csv" in err
         assert not out.exists()
 
+    def test_schema_checked_only_for_the_countries_kept(self, tmp_path, data_dir, capsys):
+        # the map is checked when its CSV is read, so a country that
+        # --countries leaves out is checked no more than its CSV is read
+        countries = [{"code": "cz", "csv": str(data_dir / "cz.csv")},
+                     {"code": "hu", "csv": "absent.csv", "schema": {"gdp": "vat"}}]
+        path = write_config(tmp_path / "c.json", data_dir, countries=countries)
+        assert main(["validate", "--config", str(path), "--countries", "cz"]) == 0
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: country hu: schema maps both 'vat' and 'gdp' to column 'vat'\n")
+
+    def test_one_quarter_horizon_plots(self, tmp_path, capsys):
+        # one multiplier quarter is a single-point x range
+        out = tmp_path / "o"
+        argv = ["estimate", "--config", str(SNAPSHOT_CONFIG), "--out", str(out),
+                "--horizon", "1", "--reps", "50", "--countries", "cz"]
+        assert main(argv) == 0
+        for name in ("multipliers_cz.svg", "irf_cz.svg"):
+            root = ET.parse(out / name).getroot()
+            assert sum(el.tag.endswith("polyline") for el in root.iter()) == 5, name
+
     def test_unknown_country_filter_exit_2(self, tmp_path, data_dir, capsys):
         path = write_config(tmp_path / "c.json", data_dir)
         assert main([
@@ -902,6 +923,35 @@ class TestRunConfigValidation:
                         CountryEntry(other, data_dir / "cz.csv"),
                     ),
                 )
+
+    def test_python_built_schema_checked_before_any_output(self, tmp_path, data_dir):
+        entry = CountryEntry("cz", data_dir / "cz.csv", schema={"gdp": "vat"})
+        out = tmp_path / "o"
+        config = RunConfig(countries=(entry,), window=(START, END), replications=5,
+                           output_dir=out)
+        with pytest.raises(ConfigError) as info:
+            run_pipeline(config)
+        assert str(info.value) == "country cz: schema maps both 'vat' and 'gdp' to column 'vat'"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: CountryEntry("cz", 5), "country cz: csv must be a path string"),
+            (lambda: RunConfig(countries=(CountryEntry("cz", Path("cz.csv")),),
+                               window=("1999-Q1", "2019-Q4")),
+             "window must be a pair of quarters"),
+            (lambda: RunConfig(countries=[{"code": "cz", "csv": "x"}]),
+             "countries must be a list of CountryEntry values"),
+        ],
+        ids=["csv", "window", "countries"],
+    )
+    def test_field_types_checked(self, build, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            build()
+
+    def test_csv_stored_as_a_path(self):
+        assert CountryEntry("cz", "cz.csv").csv == Path("cz.csv")
 
     def test_bad_levels(self, data_dir):
         from fiscalsvar.cli import CountryEntry

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import synthetic_levels, write_country_csv
 from fiscalsvar.errors import (
+    ConfigError,
     CsvParseError,
     DomainError,
     InsufficientDataError,
@@ -155,6 +156,31 @@ class TestLoadCsv:
         write_country_csv(path, cols, header=header)
         data = load_csv(path, schema={"gdp": "gdp_lcu"})
         assert list(data.values["gdp"]) == [10000.0, 10100.0, 10000.0, 10200.0]
+
+    @pytest.mark.parametrize(
+        "schema, message",
+        [
+            ({"gdp": "vat"}, "schema maps both 'vat' and 'gdp' to column 'vat'"),
+            ({"so_wrong": "gdp"}, "unknown schema key(s): so_wrong"),
+            ({"date": 5}, "schema values must be non-empty strings"),
+            ({"date": ""}, "schema values must be non-empty strings"),
+            (["x"], "schema must be an object"),
+            ({5: "gdp", "so_wrong": "x"}, "unknown schema key(s): 5, so_wrong"),
+        ],
+        ids=["shared_column", "unknown_key", "int_column", "empty_column", "list", "int_key"],
+    )
+    def test_bad_schema_refused_before_the_file_is_opened(self, tmp_path, schema, message):
+        # every caller's map is checked, and a missing file is not reached
+        with pytest.raises(ConfigError) as info:
+            load_csv(tmp_path / "missing.csv", schema)
+        assert str(info.value) == message
+
+    def test_schema_swap_accepted(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_country_csv(path, tiny_columns())
+        data = load_csv(path, schema={"gdp": "vat", "vat": "gdp"})
+        assert list(data.values["gdp"]) == tiny_columns()["vat"]
+        assert list(data.values["vat"]) == tiny_columns()["gdp"]
 
     def test_byte_order_mark_accepted(self, tmp_path):
         # spreadsheet exports often start a UTF-8 file with a BOM

@@ -169,7 +169,7 @@ class TestIrf:
 
 def irfset(g_resp, y_resp):
     responses = np.column_stack([g_resp, y_resp])
-    return IrfSet(shock="G", ordering=("G", "Y"), responses=responses)
+    return IrfSet(ordering=("G", "Y"), responses=responses)
 
 
 class TestMultiplierPath:
