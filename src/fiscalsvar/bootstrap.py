@@ -15,11 +15,18 @@ more when the draws are short, and fits each block in stacks of at most
 chains the stack-native stages of :mod:`fiscalsvar.var` and
 :mod:`fiscalsvar.svar`; the point estimate is the same function on a
 stack of one. :func:`~fiscalsvar.var.below_unit_radius` counts the
-unstable refits, proving most stable ones by squaring. The stack
-reports, per draw, the first check that fails (sample size, a non-finite
-panel, rank, pivot, multiplier denominator, a non-finite result) in the
-order the single-fit functions run them, and that report alone decides
-which draws fail and with which error.
+unstable refits, proving most stable ones by squaring.
+
+The draw record: each draw's checks run in the order the single-fit
+functions run them (sample size, a non-finite panel, rank, Cholesky
+pivot, multiplier denominator, a non-finite result); the first that
+trips fails the draw with the typed error
+:func:`~fiscalsvar.errors.fit_error` writes, the one its single fit
+raises. That error, keyed by row or draw index, is the only record of a
+failed draw, in ``StackedFit.failures``, :func:`fit_draws`,
+``BootstrapResult.failed`` and the Monte Carlo harness. A failed draw is
+counted and dropped; only the :class:`~fiscalsvar.errors.InferenceError`
+that ends a run with too many quotes the first, as ``Type: message``.
 
 Determinism contract, kept by every command: each draw has its own
 stream, ``default_rng(SeedSequence([seed, i, *suffix]))`` for draw i.
@@ -40,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InferenceError, ShapeError, fit_error, json_int
+from .errors import ConfigError, EstimationError, InferenceError, ShapeError, fit_error, json_int
 from .ingest import X_LABELS, TransformedPanel
 from .series import Quarter
 from .svar import (
@@ -207,16 +214,15 @@ class BootstrapResult:
     point_multipliers: MultiplierPath
     multipliers: np.ndarray  # (S, H)
     irf_draws: np.ndarray  # (S, H + 1, k)
-    replication_index: np.ndarray  # (S,)
     multiplier_bands: dict[int, np.ndarray]  # level -> (2, H)
     irf_bands: dict[int, np.ndarray]  # level -> (2, H + 1, k)
     stars: tuple[str, ...]
     replications: int
-    failed: dict[int, str] = field(default_factory=dict)
+    failed: dict[int, EstimationError] = field(default_factory=dict)
     unstable: int = 0
 
     def __post_init__(self):
-        for name in ("multipliers", "irf_draws", "replication_index"):
+        for name in ("multipliers", "irf_draws"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -231,10 +237,9 @@ class BootstrapResult:
 class StackedFit(NamedTuple):
     """A stack of C fits, row by row; see :func:`stacked_fit`.
 
-    ``failures`` maps each failed row to its first failing check as the
-    ``(check, index, value)`` arguments of
-    :func:`~fiscalsvar.errors.fit_error`; the arrays are meaningless in
-    those rows. No fit keeps residuals: :func:`point_fit` forms its own.
+    ``failures`` is the draw record of the module docstring, by row; the
+    arrays are meaningless in those rows. No fit keeps residuals:
+    :func:`point_fit` forms its own.
     """
 
     coef: np.ndarray  # (C, n_reg, k), ordered as the design's columns
@@ -242,7 +247,7 @@ class StackedFit(NamedTuple):
     companion: np.ndarray  # (C, kp, kp)
     responses: np.ndarray  # (C, H + 1, k)
     paths: np.ndarray  # (C, H)
-    failures: dict[int, tuple]
+    failures: dict[int, EstimationError]
 
 
 @np.errstate(all="ignore")
@@ -253,20 +258,19 @@ def stacked_fit(X: np.ndarray, Z: np.ndarray, model: ModelSpec) -> StackedFit:
     :func:`~fiscalsvar.var.design_blocks`.
 
     Each row gets exactly the numbers of its own single fit, or fails at
-    the first check that trips, in the order the single-fit functions run
-    them: sample size (T - p >= n_reg + k), a non-finite panel, rank,
-    Cholesky pivot, multiplier denominator, non-finite results. X is
-    never written to; a non-finite panel is fitted as zeros in a copy, so
-    no stage meets a nan.
+    its first failing check (the draw record of the module docstring;
+    the sample size needs T - p >= n_reg + k). X is never written to; a
+    non-finite panel is fitted as zeros in a copy, so no stage meets a
+    nan.
     """
     C, T, k = X.shape
     p, H = model.lags, model.horizons
     n_reg = 1 + k * p + Z.shape[-1]
     if T - p < n_reg + k:
-        failure = ("lags", T, p) if T <= p else ("sample size", T - p, n_reg)
+        check, index, value = ("lags", T, p) if T <= p else ("sample size", T - p, n_reg)
         shapes = (n_reg, k), (k, k), (k * p, k * p), (H + 1, k), (H,)
         blank = (np.full((C, *shape), np.nan) for shape in shapes)
-        return StackedFit(*blank, dict.fromkeys(range(C), failure))
+        return StackedFit(*blank, {i: fit_error(check, index, value, SHOCK) for i in range(C)})
     finite = np.isfinite(X).all(axis=(1, 2))
     if not finite.all():
         X = np.where(finite[:, None, None], X, 0.0)
@@ -283,7 +287,7 @@ def stacked_fit(X: np.ndarray, Z: np.ndarray, model: ModelSpec) -> StackedFit:
     small = np.abs(cum_g) <= DENOMINATOR_TOL
     j, q = bad_pivot.argmax(axis=1), small.argmax(axis=1)
     results = np.concatenate([a.reshape(C, -1) for a in (coef, sigma, responses, paths)], axis=1)
-    failures: dict[int, tuple] = {}
+    failures: dict[int, EstimationError] = {}
     for check, failed, index, value in (
         ("non-finite panel", ~finite, zero, zero),
         ("rank", rank_deficient(rdiag), zero, rdiag.min(axis=1)),
@@ -291,8 +295,9 @@ def stacked_fit(X: np.ndarray, Z: np.ndarray, model: ModelSpec) -> StackedFit:
         ("denominator", small.any(axis=1), q + 1, cum_g[rows, q]),
         ("non-finite fit", ~np.isfinite(results).all(axis=1), zero, zero),
     ):
-        for i in np.flatnonzero(failed):
-            failures.setdefault(int(i), (check, int(index[i]), float(value[i])))
+        for i in np.flatnonzero(failed).tolist():
+            if i not in failures:
+                failures[i] = fit_error(check, int(index[i]), float(value[i]), SHOCK)
     return StackedFit(coef, sigma, F, responses, paths, failures)
 
 
@@ -305,7 +310,7 @@ def point_fit(
     check raises its typed error, as the single-fit functions would."""
     fit = stacked_fit(panel.X[None], panel.Z, model)
     if fit.failures:
-        raise fit_error(*fit.failures[0], SHOCK)
+        raise fit.failures[0]
     A = design_blocks(panel.X, panel.Z, model.lags)
     estimate = VarEstimate.from_fit(A, fit.coef[0], fit.sigma[0], model.lags)
     irfs = IrfSet(ordering=model.ordering, responses=fit.responses[0])
@@ -370,9 +375,9 @@ def fit_draws(draws: range, draw, model: ModelSpec, rows: int):
     """The draws a unit-step range of indices names, in index order, one
     fit stack per step: its indices, the panels X (C, T, k) and Z that
     ``draw(indices)`` returned for them, their :class:`StackedFit` and
-    the failed draws as {index: "Type: message"}. A draw's numbers
-    depend on its index alone, so a range may start anywhere: Monte
-    Carlo trials run in contiguous ranges, one per worker process.
+    its draw record by draw index. A draw's numbers depend on its index
+    alone, so a range may start anywhere: Monte Carlo trials run in
+    contiguous ranges, one per worker process.
 
     ``draw`` simulates ``rows`` rows per draw, and is called on the
     most draws that stay within ``ROWS`` rows, rounded down to a whole
@@ -392,10 +397,7 @@ def fit_draws(draws: range, draw, model: ModelSpec, rows: int):
             part = slice(lo, lo + size)
             Xs, Zs = X[part], Z[part] if Z.ndim == 3 else Z
             fit = stacked_fit(Xs, Zs, model)
-            failed = {}
-            for i, failure in sorted(fit.failures.items()):
-                exc = fit_error(*failure, SHOCK)
-                failed[int(indices[lo + i])] = f"{type(exc).__name__}: {exc}"
+            failed = {int(indices[lo + i]): exc for i, exc in sorted(fit.failures.items())}
             yield indices[part], Xs, Zs, fit, failed
 
 
@@ -407,11 +409,9 @@ def bootstrap_inference(
     """Full resampling loop around the point pipeline.
 
     Each stack's draws are written in place, at their replication
-    indices, into arrays allocated once. Failed replications (rank loss,
-    covariance not PD, degenerate denominator, numeric overflow) are
-    recorded with the typed error of their first failing check and
-    dropped in one copy at the end; more than 5% failures aborts.
-    Unstable re-estimates are kept and counted.
+    indices, into arrays allocated once. Failed replications are kept in
+    ``failed`` and dropped in one copy at the end; more than 5% failures
+    aborts. Unstable re-estimates are kept and counted.
     """
     if panel.x_labels != model.ordering:
         panel = panel.reordered(model.ordering)
@@ -434,13 +434,14 @@ def bootstrap_inference(
         unstable += int(np.count_nonzero(~below_unit_radius(fit.companion[keep])))
 
     if len(failed) > MAX_FAILURE_SHARE * R:
+        first = next(iter(failed.values()))
         raise InferenceError(
             f"{len(failed)} of {R} replications failed "
-            f"(limit {MAX_FAILURE_SHARE:.0%}); first: {next(iter(failed.values()))}"
+            f"(limit {MAX_FAILURE_SHARE:.0%}); first: {type(first).__name__}: {first}"
         )
-    order = np.delete(np.arange(R), list(failed))
     if failed:
-        irf_draws, multipliers = irf_draws[order], multipliers[order]
+        drop = list(failed)
+        irf_draws, multipliers = np.delete(irf_draws, drop, 0), np.delete(multipliers, drop, 0)
 
     m_bands = quantile_bands(multipliers, config.levels)
     i_bands = quantile_bands(irf_draws, config.levels)
@@ -452,7 +453,6 @@ def bootstrap_inference(
         point_multipliers=point_m,
         multipliers=multipliers,
         irf_draws=irf_draws,
-        replication_index=order,
         multiplier_bands=m_bands,
         irf_bands=i_bands,
         stars=stars,

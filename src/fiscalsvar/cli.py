@@ -359,13 +359,15 @@ def _check_output_dir(out: Path) -> None:
 def run_pipeline(config: RunConfig) -> dict:
     """Read every input, then run and render every country, keeping only
     its files' text, and write the full report bundle after the last
-    country. The countries run in contiguous runs, one forked worker
+    country. The output directory is checked before the first country
+    and created after the last, so a failed run leaves none behind. The
+    countries run in contiguous runs, one forked worker
     process per usable CPU (:func:`~fiscalsvar.fanout.fan_out`); the
     first failing country in config order is the one reported. Returns
     the manifest dict (also written to manifest.json).
     """
     panels = load_panels(config)
-    out = output_dir(config.output_dir)
+    _check_output_dir(config.output_dir)
 
     def run(entry: CountryEntry):
         with _prefixed(f"country {entry.code}: "):
@@ -389,6 +391,7 @@ def run_pipeline(config: RunConfig) -> dict:
         "outputs": sorted([*files, "manifest.json"]),
     }
     files["manifest.json"] = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    out = output_dir(config.output_dir)
     for name, text in files.items():
         write_text(out, name, text)
     return manifest

@@ -13,9 +13,9 @@ per usable CPU, each range through the bootstrap's draw loop,
 :func:`~fiscalsvar.bootstrap.fit_draws` (its module docstring describes
 the block and stack sizes): :func:`~fiscalsvar.var.simulate`, as for
 replications, draws a block of trials, burn-in included, each with its
-own exogenous columns Z, and a trial fails when its fit stack reports a
-failing check for it. Coverage trials then bootstrap only the trials the
-stack kept, each from its own row of the stack.
+own exogenous columns Z, and a trial fails as a draw does (the draw
+record of :mod:`fiscalsvar.bootstrap`). Coverage trials then bootstrap
+only the trials the stack kept, each from its own row of the stack.
 
 Trial t draws its shocks, then its exogenous columns, with numpy's own
 ``standard_normal`` from its own stream, ``SeedSequence([seed, t, 0])``;
@@ -260,12 +260,13 @@ def monte_carlo_recovery(
     the same way, so the whole report is a pure function of the spec and
     config. The trials run in contiguous ranges, one forked worker
     process per usable CPU (:func:`~fiscalsvar.fanout.fan_out`; ``taskset
-    -c 0`` runs them all in one); each range returns its estimate rows,
-    failed trials and coverage hits in trial order, and they are joined
-    in range order, so the report is the same for any worker count.
-    Estimation failures are counted, not fatal; a trial the stacked fit
-    fails is never bootstrapped. Paths are written in place by trial
-    index, and a coverage trial keeps only its bootstrap's bands, so each
+    -c 0`` runs them all in one). A trial is one row: its estimate path
+    and its coverage hits, one per band level and horizon, written in
+    place by trial index. Each range returns its rows and its failed
+    trials, which are joined in range order, so the report is the same
+    for any worker count, and the failed trials' rows are dropped once.
+    A failed trial is counted, not fatal; one the stacked fit fails is
+    never bootstrapped, and a coverage trial keeps only its hits, so each
     process frees a trial's draws before its next trial's bootstrap.
     """
     if not 1 <= n_trials <= MAX_REPLICATIONS:
@@ -281,9 +282,12 @@ def monte_carlo_recovery(
     def draw(ts):
         return _simulate_panels(spec, len(ts), stream_generators(spec.seed, ts, (0,)))
 
+    levels = () if config.bootstrap is None else config.bootstrap.levels
+
     def run_trials(trials: range):
         estimates = np.empty((len(trials), config.horizons))
-        covered, failed = {}, {}
+        hits = np.zeros((len(trials), len(levels), config.horizons), dtype=bool)
+        failed = {}
         for ts, X, Z, fit, stack_failed in fit_draws(trials, draw, model, spec.burn_in + spec.T):
             failed.update(stack_failed)
             estimates[ts - trials.start] = fit.paths
@@ -297,30 +301,24 @@ def monte_carlo_recovery(
                 try:
                     bands = bootstrap_inference(panel, boot, model).multiplier_bands
                 except EstimationError as exc:
-                    failed[t] = f"{type(exc).__name__}: {exc}"
+                    failed[t] = exc
                     continue
-                for level, band in bands.items():
-                    hit = (band[0] <= truth.values) & (truth.values <= band[1])
-                    covered.setdefault(level, []).append(hit)
-        return estimates, failed, covered
+                lower, upper = np.stack(list(bands.values()), axis=1)
+                hits[t - trials.start] = (lower <= truth.values) & (truth.values <= upper)
+        return estimates, hits, failed
 
     parts = fanout.fan_out(run_trials, fanout.ranges(n_trials, fanout.usable_cpus()))
-    estimates = np.concatenate([part[0] for part in parts])
-    covered, failed = {}, {}
-    for _, part_failed, part_covered in parts:
-        failed.update(part_failed)
-        for level, hits in part_covered.items():
-            covered.setdefault(level, []).extend(hits)
-
+    estimates, hits, part_failures = zip(*parts)
+    failed = {t: exc for part in part_failures for t, exc in part.items()}
     if len(failed) == n_trials:  # trial 0 among them
-        raise InferenceError(f"all {n_trials} trials failed; first: {failed[0]}")
-    estimates = np.delete(estimates, list(failed), axis=0)
+        first = failed[0]
+        raise InferenceError(
+            f"all {n_trials} trials failed; first: {type(first).__name__}: {first}"
+        )
+    drop = list(failed)
+    estimates, hits = (np.delete(np.concatenate(a), drop, axis=0) for a in (estimates, hits))
     errors = estimates - truth.values
-    coverage = None
-    if covered:
-        coverage = {
-            level: np.mean(np.stack(hits), axis=0) for level, hits in covered.items()
-        }
+    coverage = None if config.bootstrap is None else dict(zip(levels, hits.mean(axis=0)))
     return RecoveryReport(
         analytic=truth.values,
         estimates=estimates,

@@ -4,11 +4,8 @@ Every error derives from exactly one of three bases, and the base alone
 sets the command-line exit code: :class:`ConfigError` 2,
 :class:`DataError` 3, :class:`EstimationError` 4.
 
-A fit stops at the first of its checks that fails, and :func:`fit_error`
-turns that check into its typed :class:`EstimationError`, so each
-failure message is written once. The single-fit functions raise it; the
-bootstrap and the Monte Carlo harness read it off the stacked fit and
-count it as one failed draw, not a failed run.
+:func:`fit_error` writes every fit failure's typed error and message; see
+:mod:`fiscalsvar.bootstrap` for the draw record it makes.
 
 The JSON loaders check only the JSON shape (:func:`reject_unknown_keys`);
 the class that declares a field checks it, an integer with :func:`json_int`;

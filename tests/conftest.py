@@ -70,7 +70,7 @@ def fail_draws(monkeypatch, module, failing):
         for indices, X, Z, fit, failed in real(*args):
             for t in indices.tolist():
                 if t in failing:
-                    failed[t] = f"{type(exc).__name__}: {exc}"
+                    failed[t] = exc
             yield indices, X, Z, fit, dict(sorted(failed.items()))
 
     monkeypatch.setattr(module, "fit_draws", draws)

@@ -1,3 +1,4 @@
+import pickle
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -88,6 +89,11 @@ def reference_draw(r, estimate, panel, config, model=ModelSpec()):
     )
     est, responses, path = single_fit(panel_star, model)
     return responses, path.values, stability(est)[1]
+
+
+def described(failed):
+    """A failure record, {index: error}, as {index: (type, message)}."""
+    return {i: (type(exc), str(exc)) for i, exc in failed.items()}
 
 
 def count_eigvals_rows(monkeypatch):
@@ -392,10 +398,8 @@ class TestFitDraws:
             got.append(indices.tolist())
         assert seen == blocks
         assert got == stacks
-        assert list(failed) == sorted(bad)
-        assert set(failed.values()) == {
-            "NonFiniteError: simulated panel holds non-finite values"
-        }
+        assert described(failed) == dict.fromkeys(
+            sorted(bad), (NonFiniteError, "simulated panel holds non-finite values"))
 
     def test_per_draw_z_sliced_with_x(self, panel, monkeypatch):
         monkeypatch.setattr(bootstrap_mod, "CHUNK", 4)
@@ -427,7 +431,7 @@ class TestBootstrapInference:
             runs.append(bootstrap_inference(panel, cfg, ModelSpec()))
         a = runs[0]
         for b in runs[1:]:
-            assert np.array_equal(a.replication_index, b.replication_index)
+            assert described(a.failed) == described(b.failed)
             assert np.array_equal(a.multipliers, b.multipliers)
             assert np.array_equal(a.irf_draws, b.irf_draws)
             for lv in cfg.levels:
@@ -446,7 +450,8 @@ class TestBootstrapInference:
         assert np.all(res.multiplier_bands[90][0] <= res.multiplier_bands[68][0])
         assert np.all(res.multiplier_bands[68][1] <= res.multiplier_bands[90][1])
         assert res.n_failed + res.multipliers.shape[0] == 80
-        assert list(res.replication_index) == sorted(res.replication_index)
+        assert list(res.failed) == sorted(res.failed)
+        assert all(isinstance(exc, EstimationError) for exc in res.failed.values())
 
     def test_seed_changes_bands(self, panel):
         a = bootstrap_inference(panel, BootstrapConfig(replications=40, seed=1))
@@ -476,7 +481,10 @@ class TestBootstrapInference:
 
     def test_failure_budget_enforced(self, panel, monkeypatch):
         fail_draws(monkeypatch, bootstrap_mod, set(range(0, 100, 10)))
-        with pytest.raises(InferenceError, match="failed"):
+        # the one place a failed draw is written out as "Type: message"
+        message = ("10 of 100 replications failed (limit 5%); first: RankError: "
+                   "regressor matrix is rank deficient (min |R_ii| = 0.000e+00)")
+        with pytest.raises(InferenceError, match="^" + re.escape(message) + "$"):
             bootstrap_inference(panel, BootstrapConfig(replications=100, seed=3))
 
     def test_few_failures_tolerated(self, panel, monkeypatch):
@@ -485,12 +493,13 @@ class TestBootstrapInference:
         assert res.n_failed == 2
         assert sorted(res.failed) == [3, 15]
         assert res.multipliers.shape[0] == 98
-        assert all("RankError" in msg for msg in res.failed.values())
+        message = "regressor matrix is rank deficient (min |R_ii| = 0.000e+00)"
+        assert described(res.failed) == dict.fromkeys([3, 15], (RankError, message))
 
     def test_batched_draws_match_scalar_routine(self, panel, estimate):
         cfg = BootstrapConfig(replications=60, seed=4)
         res = bootstrap_inference(panel, cfg)
-        assert list(res.replication_index) == list(range(60))
+        assert res.failed == {}
         unstable = 0
         for r in range(60):
             responses, path, stable = reference_draw(r, estimate, panel, cfg)
@@ -556,6 +565,32 @@ class TestBootstrapInference:
         ]:
             with pytest.raises(ConfigError, match=re.escape(message)):
                 build()
+
+
+@pytest.fixture(scope="module")
+def cz_bootstrap():
+    """The snapshot's cz panel, 300 replications at its country seed, and
+    the model: the inputs of the power-of-two scaling cases."""
+    config = load_run_config(SNAPSHOT_CONFIG)
+    boot = replace(config.bootstrap, seed=country_seed(config.seed, "cz"), replications=300)
+    return load_panels(config)["cz"], boot, config.model
+
+
+@pytest.mark.parametrize("exponent", [-20, 20])
+def test_power_of_two_data_scaling_leaves_the_bootstrap_bit_identical(cz_bootstrap, exponent):
+    # scaling every endogenous column by 2**j is exact in floating point;
+    # multipliers are ratios of responses, so no draw, band, star or
+    # failure may move
+    panel, boot, model = cz_bootstrap
+    want = bootstrap_inference(panel, boot, model)
+    got = bootstrap_inference(replace(panel, X=panel.X * 2.0**exponent), boot, model)
+    assert np.array_equal(got.point_multipliers.values, want.point_multipliers.values)
+    assert np.array_equal(got.multipliers, want.multipliers)
+    for level in boot.levels:
+        assert np.array_equal(got.multiplier_bands[level], want.multiplier_bands[level]), level
+    assert got.stars == want.stars
+    assert described(got.failed) == described(want.failed)
+    assert got.unstable == want.unstable
 
 
 KINDS = ("stable", "near_unit", "overflow", "collinear", "predictable_g", "collinear_residuals")
@@ -642,7 +677,8 @@ class TestStackedFit:
         before = X.copy()
         fit = stacked_fit(X, panel.Z, ModelSpec())
         assert np.array_equal(X, before)
-        assert fit.failures == {1: ("non-finite panel", 0, 0.0)}
+        assert described(fit.failures) == {
+            1: (NonFiniteError, "simulated panel holds non-finite values")}
         assert np.array_equal(fit.paths[0], fit.paths[2])
         assert np.isfinite(spectral_radius(fit.companion)).all()
 
@@ -669,7 +705,7 @@ class TestStackedFit:
             single_fit(rebuilt, ModelSpec())
         fit = stacked_fit(np.stack([panel.X, rebuilt.X]), panel.Z, ModelSpec())
         assert list(fit.failures) == [1]
-        exc = fit_error(*fit.failures[1])
+        exc = fit.failures[1]
         assert type(exc) is type(single.value)
         assert str(exc) == str(single.value)
         with pytest.raises(type(single.value), match="^" + re.escape(str(exc)) + "$"):
@@ -683,10 +719,23 @@ class TestStackedFit:
         panel = TransformedPanel(Quarter(2000, 1), X[1:], np.zeros((84, 0)), X_LABELS, ())
         model = ModelSpec(horizons=20000)
         fit = stacked_fit(panel.X[None], panel.Z, model)
-        assert fit.failures == {0: ("non-finite fit", 0, 0.0)}
         message = "fit produced non-finite coefficients or responses"
+        assert described(fit.failures) == {0: (NonFiniteError, message)}
         with pytest.raises(NonFiniteError, match="^" + re.escape(message) + "$"):
             point_fit(panel, model)
+
+    @pytest.mark.parametrize("check, index, value", [
+        ("lags", 3, 4), ("sample size", 10, 17), ("rank", 0, 1e-14), ("pivot", 2, -1e-3),
+        ("denominator", 5, 1e-13), ("non-finite panel", 0, 0.0), ("non-finite fit", 0, 0.0),
+    ])
+    def test_failure_records_survive_pickling(self, check, index, value):
+        # a Monte Carlo worker's failed trials cross back to the parent
+        # through a pickle
+        exc = fit_error(check, index, value)
+        got = pickle.loads(pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL))
+        assert type(got) is type(exc) and str(got) == str(exc)
+        assert getattr(got, "pivot", None) == getattr(exc, "pivot", None)
+        assert getattr(got, "horizon", None) == getattr(exc, "horizon", None)
 
     @given(
         rows=rows_strategy,
@@ -707,10 +756,10 @@ class TestStackedFit:
         for i, row in enumerate(rows):
             want = wrapper_chain(row, T, k, model)
             if want is NonFiniteError:
-                assert fit.failures[i][0].startswith("non-finite"), (row, fit.failures.get(i))
+                assert type(fit.failures.get(i)) is NonFiniteError, (row, fit.failures.get(i))
             elif isinstance(want, EstimationError):
                 assert i in fit.failures, (row, want)
-                got = fit_error(*fit.failures[i], "G")
+                got = fit.failures[i]
                 assert type(got) is type(want)
                 assert str(got) == str(want)
                 assert getattr(got, "pivot", None) == getattr(want, "pivot", None)

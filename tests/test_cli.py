@@ -905,8 +905,7 @@ class TestOneCountryAtATime:
                          "--reps", "30"]) == 4
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and err.startswith("estimation error: country hu:")
-            for pattern in ("irf_*", "multipliers_*", "table1.*", "manifest.json"):
-                assert not list(out.glob(pattern)), (workers, pattern)
+            assert not out.exists(), workers
 
 
 class TestRunConfigValidation:

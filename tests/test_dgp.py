@@ -75,13 +75,14 @@ def per_trial_estimates(spec, n_trials, horizons=20):
     return np.stack(paths)
 
 
-def per_trial_coverage(spec, n_trials, config):
+def per_trial_coverage(spec, n_trials, config, failed=()):
     """The reference for stacked coverage trials: each trial simulated on
     its own stream and bootstrapped from the public one-panel form.
-    Returns the estimate rows and the per-level coverage."""
+    Returns the estimate rows and the per-level coverage of the trials
+    not in ``failed``."""
     truth = analytic_multipliers(spec, config.horizons).values
     rows, hits = [], {}
-    for t in range(n_trials):
+    for t in sorted(set(range(n_trials)) - set(failed)):
         panel = simulate_var(spec, trial_stream(spec.seed, t))
         boot = replace(config.bootstrap, seed=derive_seed(spec.seed, t, 1))
         result = bootstrap_inference(panel, boot)
@@ -378,16 +379,20 @@ class TestStackedTrials:
 
     def test_stack_failed_trials_counted_across_workers(self, monkeypatch):
         # trials 0-2, 3-5 and 6-7, one range per process: the failures in
-        # the first and last range are counted and their rows dropped
+        # the first and last range are counted and their rows, estimates
+        # and coverage hits alike, dropped
         pin_workers(monkeypatch, 3)
         spec = reference_spec(seed=5)
         config = RecoveryConfig(bootstrap=BootstrapConfig(replications=20))
-        want, _ = per_trial_coverage(spec, 8, config)
+        want, want_coverage = per_trial_coverage(spec, 8, config, failed={1, 6})
         monkeypatch.setattr(bootstrap_mod, "CHUNK", 3)
         fail_draws(monkeypatch, dgp_mod, {1, 6})
         rep = monte_carlo_recovery(spec, 8, config)
         assert rep.failures == 2
-        assert np.array_equal(rep.estimates, np.delete(want, [1, 6], axis=0))
+        assert np.array_equal(rep.estimates, want)
+        assert rep.coverage.keys() == want_coverage.keys()
+        for level, cov in want_coverage.items():
+            assert np.array_equal(rep.coverage[level], cov), level
 
     def test_a_trial_result_dies_before_the_next_bootstrap(self, monkeypatch):
         # only a coverage trial's bands outlive its bootstrap, so each
@@ -406,6 +411,17 @@ class TestStackedTrials:
         config = RecoveryConfig(bootstrap=BootstrapConfig(replications=20))
         assert monte_carlo_recovery(reference_spec(seed=5), 3, config).failures == 0
         assert len(refs) == 3
+
+
+@pytest.mark.parametrize("exponent", [-20, 20])
+def test_power_of_two_shock_scaling_leaves_trials_bit_identical(exponent):
+    # scaling B by 2**j scales every simulated panel exactly; multipliers
+    # are ratios of responses, so no estimate may move and no trial fail
+    spec = reference_spec(seed=3)
+    want = monte_carlo_recovery(spec, 100)
+    got = monte_carlo_recovery(replace(spec, B=spec.B * 2.0**exponent), 100)
+    assert want.failures == got.failures == 0
+    assert np.array_equal(got.estimates, want.estimates)
 
 
 @pytest.mark.parametrize("spec", [reference_spec(seed=4), exog_spec(seed=4)], ids=["m0", "m2"])

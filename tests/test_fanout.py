@@ -154,7 +154,7 @@ class TestCountryErrors:
         err = capsys.readouterr().err
         assert err == (f"estimation error: country {reported}: "
                        "3 of 30 replications failed (limit 5%)\n")
-        assert not list(out.iterdir())
+        assert not out.exists()
 
 
 class TestFanOut:
