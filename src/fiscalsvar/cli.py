@@ -18,23 +18,25 @@ each process holds one country's draws at a time, and
 failing country leaves none behind. Each country draws from its own
 seed (:func:`country_seed`) and no output holds a timestamp, so the
 bundle keeps the determinism contract of :mod:`fiscalsvar.bootstrap`.
+
+Every process pays for its imports at start-up, so :mod:`fiscalsvar.dgp`,
+:mod:`fiscalsvar.plots` and ``hashlib`` are imported where they are
+used, and ``validate`` loads none of them.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import dgp as dgp_mod
 from .bootstrap import (
     BootstrapConfig,
     ModelSpec,
@@ -45,7 +47,6 @@ from .errors import ConfigError, DataError, EstimationError, FiscalSvarError, Sh
 from .errors import json_int, reject_unknown_keys
 from .fanout import fan_out
 from .ingest import X_LABELS, TransformedPanel, build_panel, load_csv
-from .plots import render_band_plot
 from .series import Quarter
 from .svar import RESPONSE, MultiplierPath
 from .var import stability
@@ -69,7 +70,9 @@ class CountryEntry:
     code: str
     csv: Path
     name: str = ""
-    schema: dict | None = None
+    # a copy of the caller's map, left out of the hash as a dict has none;
+    # equal entries still hash equal
+    schema: dict | None = field(default=None, hash=False)
 
     def __post_init__(self):
         if not (isinstance(self.code, str) and self.code and set(self.code) <= _CODE_CHARS):
@@ -90,6 +93,8 @@ class CountryEntry:
         if not isinstance(self.csv, (str, Path)):
             raise ConfigError(f"country {self.code}: csv must be a path string")
         object.__setattr__(self, "csv", Path(self.csv))
+        if isinstance(self.schema, dict):  # load_csv checks any other value
+            object.__setattr__(self, "schema", dict(self.schema))
 
     @property
     def display(self) -> str:
@@ -251,6 +256,8 @@ def config_hash(config: RunConfig) -> str:
     not affect a single number in the bundle, and any edit to the data
     does. A CSV that cannot be read is a :class:`DataError`.
     """
+    import hashlib
+
     payload = {f.name: getattr(config, f.name) for f in fields(RunConfig)}
     del payload["output_dir"]
     payload["countries"] = []
@@ -305,6 +312,8 @@ def _run_country(
         }),
     }
     if config.plots:
+        from .plots import render_band_plot
+
         y = irfs.ordering.index(RESPONSE)
         files[f"multipliers_{entry.code}.svg"] = render_band_plot(
             steps[1:], m, result.multiplier_bands,
@@ -518,6 +527,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
+    from . import dgp as dgp_mod
+
     path = Path(args.config)
     payload = _read_json(path, "DGP file")
     if args.seed is not None and isinstance(payload, dict):

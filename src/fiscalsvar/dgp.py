@@ -35,6 +35,7 @@ from .bootstrap import (
     check_names,
     derive_seed,
     fit_draws,
+    sample_median,
     stream_generators,
 )
 from . import fanout
@@ -324,8 +325,8 @@ def monte_carlo_recovery(
         estimates=estimates,
         n_trials=n_trials,
         failures=len(failed),
-        median_bias=np.median(errors, axis=0),
-        median_abs_error=np.median(np.abs(errors), axis=0),
+        median_bias=sample_median(errors),
+        median_abs_error=sample_median(np.abs(errors)),
         rmse=np.sqrt(np.mean(errors**2, axis=0)),
         coverage=coverage,
     )

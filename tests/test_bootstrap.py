@@ -19,6 +19,7 @@ from fiscalsvar.bootstrap import (
     fit_draws,
     point_fit,
     quantile_bands,
+    sample_median,
     significance_flags,
     simulate_bootstrap_series,
     stacked_fit,
@@ -291,6 +292,44 @@ class TestQuantileBands:
         for level in levels:
             q = [(100 - level) / 200.0, (100 + level) / 200.0]
             assert np.array_equal(bands[level], np.quantile(samples, q, axis=0))
+
+
+def pinned_samples(seed, n, trailing, pool):
+    """n finite draws shaped (n, *trailing): Cauchy, or with pool > 0
+    picked from pool values, so ties and repeats are common."""
+    rng = np.random.default_rng(seed)
+    if pool == 0:
+        return rng.standard_cauchy((n, *trailing))
+    return rng.standard_cauchy(pool)[rng.integers(0, pool, (n, *trailing))]
+
+
+# the rules quantile_bands and sample_median compute by hand, pinned bit
+# for bit against the installed numpy
+SAMPLES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2000),
+    trailing=st.one_of(st.tuples(st.integers(1, 21)),
+                       st.tuples(st.integers(2, 22), st.integers(1, 4))),
+    pool=st.sampled_from([0, 1, 2, 7]),
+)
+
+
+@given(levels=st.sampled_from([(68, 90), (90,), (50, 68, 90)]), **SAMPLES)
+@settings(max_examples=150, deadline=None)
+def test_quantile_bands_equal_numpy_linear_rule(levels, seed, n, trailing, pool):
+    samples = pinned_samples(seed, n, trailing, pool)
+    bands = quantile_bands(samples, levels)
+    qs = [q for level in levels for q in ((100 - level) / 200.0, (100 + level) / 200.0)]
+    expected = np.quantile(samples, qs, axis=0, method="linear")
+    assert np.array_equal(np.concatenate([bands[level] for level in levels]), expected)
+
+
+@given(**SAMPLES)
+@settings(max_examples=150, deadline=None)
+def test_sample_median_equals_numpy_median(seed, n, trailing, pool):
+    for rows in (n, n + 1):  # odd and even alike
+        samples = pinned_samples(seed, rows, trailing, pool)
+        assert np.array_equal(sample_median(samples), np.median(samples, axis=0))
 
 
 class TestSignificanceFlags:

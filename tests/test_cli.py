@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fiscalsvar.cli as cli_mod
+import fiscalsvar.dgp as dgp_mod
 from conftest import pin_workers, synthetic_levels, write_country_csv
 from fiscalsvar.cli import (
     CountryEntry,
@@ -794,8 +795,8 @@ class TestMainExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("allocation reached")
 
-        monkeypatch.setattr(cli_mod.dgp_mod, "analytic_multipliers", never)
-        monkeypatch.setattr(cli_mod.dgp_mod, "fit_draws", never)
+        monkeypatch.setattr(dgp_mod, "analytic_multipliers", never)
+        monkeypatch.setattr(dgp_mod, "fit_draws", never)
         spec_path = tmp_path / "dgp.json"
         spec_path.write_text(json.dumps({**reference_spec().to_dict(), **change}))
         assert main(["montecarlo", "--config", str(spec_path), *flags]) == 2
@@ -821,7 +822,7 @@ class TestMainExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("the study ran")
 
-        monkeypatch.setattr(cli_mod.dgp_mod, "monte_carlo_recovery", never)
+        monkeypatch.setattr(dgp_mod, "monte_carlo_recovery", never)
         spec_path = tmp_path / "dgp.json"
         spec_path.write_text(json.dumps(reference_spec().to_dict()))
         out = spec_path / "mc"  # under a regular file, as /dev/null/x
@@ -952,6 +953,18 @@ class TestRunConfigValidation:
     def test_csv_stored_as_a_path(self):
         assert CountryEntry("cz", "cz.csv").csv == Path("cz.csv")
 
+    def test_entry_with_a_schema_hashes(self):
+        entry = CountryEntry("cz", "x", schema={"gdp": "y"})
+        assert hash(entry) == hash(CountryEntry("cz", "x", schema={"gdp": "y"}))
+        assert hash(RunConfig(countries=(entry,))) == hash(RunConfig(countries=(entry,)))
+
+    def test_entry_keeps_its_own_schema(self):
+        schema = {"gdp": "y"}
+        entry = CountryEntry("cz", "x", schema=schema)
+        schema["gdp"] = "vat"  # an edit to the caller's map leaves the frozen entry alone
+        assert entry.schema == {"gdp": "y"}
+        assert entry != CountryEntry("cz", "x", schema=schema)
+
     def test_bad_levels(self, data_dir):
         from fiscalsvar.cli import CountryEntry
 
@@ -979,8 +992,8 @@ class TestCoverageScript:
         def never(*args, **kwargs):
             raise AssertionError("a trial was simulated")
 
-        monkeypatch.setattr(cli_mod.dgp_mod, "_simulate_panels", never)
-        monkeypatch.setattr(cli_mod.dgp_mod, "simulate_var", never)
+        monkeypatch.setattr(dgp_mod, "_simulate_panels", never)
+        monkeypatch.setattr(dgp_mod, "simulate_var", never)
         return load_coverage_script()
 
     @pytest.mark.parametrize(
