@@ -4,20 +4,22 @@
 Simulates the reference system at its working sample size, runs the
 full bootstrap in every trial, and reports how often each nominal band
 contains the true cumulative multiplier. The defaults reproduce the
-release-gate numbers (300 trials x 1000 replications, 14-15 s on two
-cores, 26 s on one); pass smaller --trials/--reps for a quick look. The
-trials run in one worker process per CPU the process may use, so
-``taskset -c 0`` runs them all on one core, and coverage.csv is the
-same for any worker count. A count
-outside 1..100000, or a --sample or --seed the reference system
-rejects, or an --out directory that cannot be created, is a config
-error: one line on stderr and exit code 2, before anything is simulated.
-A coverage.csv that cannot be written is the same config error, after
-the study has run and before it prints its table. A study in which
-every trial fails is an estimation error: one line on stderr and exit
-code 4 (a data error exits 3), as in the ``fiscalsvar`` commands. A
-reader that closes stdout early ends the script with exit code 1 and no
-traceback, the coverage.csv already written.
+release-gate numbers (300 trials x 1000 replications); pass smaller
+--trials/--reps for a quick look. The trials run in one worker process
+per CPU the process may use, so ``taskset -c 0`` runs them all on one
+core, and coverage.csv is the same for any worker count. A count
+outside 1..100000, a --sample or --seed the reference system rejects
+(a --sample not above the 20 horizons, say), or an --out directory that
+cannot be created, is a config error: one line on stderr and exit code
+2, before anything is simulated. The --out directory is checked before
+the study and created after it (``cli.write_bundle``), so a refused or
+failed study creates nothing. A coverage.csv that cannot be written is
+the same config error, after the study has run and before it prints
+its table. A study in which every trial fails is an estimation error:
+one line on stderr and exit code 4 (a data error exits 3), as in the
+``fiscalsvar`` commands. A reader that closes stdout early ends the
+script with exit code 1 and no traceback, the coverage.csv already
+written.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import time
 from pathlib import Path
 
 from fiscalsvar.bootstrap import BootstrapConfig
-from fiscalsvar.cli import output_dir, run_guarded, write_csv
+from fiscalsvar.cli import check_output_dir, csv_text, run_guarded, write_bundle
 from fiscalsvar.dgp import RecoveryConfig, monte_carlo_recovery, reference_spec
 
 
@@ -45,7 +47,9 @@ def run(args) -> int:
     asked, print its table, return 0."""
     spec = reference_spec(T=args.sample, seed=args.seed)
     config = RecoveryConfig(bootstrap=BootstrapConfig(replications=args.reps))
-    out = None if args.out is None else output_dir(Path(args.out))
+    out = None if args.out is None else Path(args.out)
+    if out is not None:  # refused before the study, created after it
+        check_output_dir(out)
     start = time.perf_counter()
     report = monte_carlo_recovery(spec, args.trials, config)
     elapsed = time.perf_counter() - start
@@ -53,13 +57,13 @@ def run(args) -> int:
     levels = sorted(report.coverage)
     # the file first, so a reader that closes stdout early cannot lose it
     if out is not None:
-        write_csv(out, "coverage.csv", {
+        write_bundle(out, {"coverage.csv": csv_text({
             "h": range(1, len(report.analytic) + 1),
             "analytic": report.analytic,
             "median_abs_error": report.median_abs_error,
             "rmse": report.rmse,
             **{f"coverage{lv}": report.coverage[lv] for lv in levels},
-        })
+        })})
     print(
         f"{args.trials} trials x {args.reps} replications at T={spec.T}: "
         f"{report.failures} failures, {elapsed:.1f} s"

@@ -351,9 +351,9 @@ def quantile_bands(samples: np.ndarray, levels: tuple[int, ...]) -> dict[int, np
     the next. It is computed here with numpy's own arithmetic, so each
     value equals numpy's ``quantile(a, qs, axis=0, method="linear")``
     bit for bit (the tests pin it against the installed numpy); numpy's
-    call imports ``numpy.ma`` on first use, about 14 ms and 1.2 MB in
-    every process that reads a band. The samples must be finite, as failed
-    draws are dropped before the bands are read; no NaN check is made.
+    call imports ``numpy.ma`` on first use, in every process that reads a
+    band. The samples must be finite, as failed draws are dropped before
+    the bands are read; no NaN check is made.
     """
     a = np.asarray(samples, dtype=float)
     if a.size == 0 or a.shape[0] == 0:

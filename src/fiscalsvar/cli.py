@@ -10,14 +10,10 @@ Everything ``estimate`` produces lands in one output directory:
 per-country IRF and multiplier CSVs, a combined multiplier table in text
 and CSV form, SVG band plots, and a manifest recording the seed, a hash
 of the semantically meaningful config fields, and per-country failure
-counts. Countries run in forked worker processes, one per CPU the
-process may use (``taskset -c 0`` runs them all on one core). A
-country's files are rendered to text as soon as its bootstrap ends, so
-each process holds one country's draws at a time, and
-:func:`write_text` writes every file after the last country, so a
-failing country leaves none behind. Each country draws from its own
-seed (:func:`country_seed`) and no output holds a timestamp, so the
-bundle keeps the determinism contract of :mod:`fiscalsvar.bootstrap`.
+counts. Each country draws from its own seed (:func:`country_seed`) and
+no output holds a timestamp, so the bundle keeps the determinism
+contract stated in :mod:`fiscalsvar.bootstrap`; :func:`write_bundle`
+states the output rule.
 
 Every process pays for its imports at start-up, so :mod:`fiscalsvar.dgp`,
 :mod:`fiscalsvar.plots` and ``hashlib`` are imported where they are
@@ -337,20 +333,11 @@ def load_panels(config: RunConfig) -> dict[str, TransformedPanel]:
     return panels
 
 
-def output_dir(out: Path) -> Path:
-    """Create the output directory; a path that cannot be one is a
-    config error."""
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot create output directory: {exc}") from None
-    return out
-
-
-def _check_output_dir(out: Path) -> None:
+def check_output_dir(out: Path) -> None:
     """Refuse, creating nothing, an output directory that
-    :func:`output_dir` could not create: the nearest existing ancestor of
-    ``out`` must be a writable directory."""
+    :func:`write_bundle` could not create: the nearest existing ancestor
+    of ``out`` must be a writable directory. Every command calls it
+    before its work and :func:`write_bundle` after it."""
     for path in (out, *out.parents):
         try:
             path.stat()
@@ -376,7 +363,7 @@ def run_pipeline(config: RunConfig) -> dict:
     the manifest dict (also written to manifest.json).
     """
     panels = load_panels(config)
-    _check_output_dir(config.output_dir)
+    check_output_dir(config.output_dir)
 
     def run(entry: CountryEntry):
         with _prefixed(f"country {entry.code}: "):
@@ -400,9 +387,7 @@ def run_pipeline(config: RunConfig) -> dict:
         "outputs": sorted([*files, "manifest.json"]),
     }
     files["manifest.json"] = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    out = output_dir(config.output_dir)
-    for name, text in files.items():
-        write_text(out, name, text)
+    write_bundle(config.output_dir, files)
     return manifest
 
 
@@ -417,21 +402,34 @@ def csv_text(columns: dict) -> str:
     return buf.getvalue()
 
 
-def write_text(out: Path, name: str, text: str) -> str:
-    """Write ``text`` to ``out / name`` as UTF-8; returns ``name``. Every
-    output file goes through here, and one that cannot be written is a
-    config error naming it."""
+def write_bundle(out: Path, files: dict[str, str]) -> None:
+    """Publish ``files``, {name: text}, into ``out`` as UTF-8, creating
+    ``out`` and its parents; every output directory and file is made
+    here. The last file is the bundle's index, as ``manifest.json`` is
+    ``estimate``'s. Its old copy is removed first, and each file is
+    written to a temporary name beside its own and renamed into place in
+    order, so a directory holds an index only when every file it lists
+    came from the run that wrote it. A directory that cannot be created,
+    or a file that cannot be written, is a config error naming it; the
+    temporary file is removed on any exception, an interrupt included.
+    """
     try:
-        (out / name).write_text(text, encoding="utf-8")
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
+    name = next(reversed(files))  # the index, until the loop names each file
+    try:
+        (out / name).unlink(missing_ok=True)
+        for name, text in files.items():
+            partial = out / f".{name}.partial"
+            try:
+                partial.write_text(text, encoding="utf-8")
+                os.replace(partial, out / name)
+            except BaseException:
+                partial.unlink(missing_ok=True)
+                raise
     except OSError as exc:
         raise ConfigError(f"cannot write {out / name}: {exc.strerror or exc}") from None
-    return name
-
-
-def write_csv(out: Path, name: str, columns: dict) -> str:
-    """Write :func:`csv_text` of ``columns`` to ``out / name``; returns
-    ``name``."""
-    return write_text(out, name, csv_text(columns))
 
 
 def _band_columns(bands: dict[int, np.ndarray], levels) -> dict:
@@ -502,7 +500,7 @@ def _run_config(args) -> RunConfig:
 def _cmd_validate(args) -> int:
     config = _run_config(args)
     load_panels(config)
-    _check_output_dir(config.output_dir)
+    check_output_dir(config.output_dir)
     w0, w1 = config.window
     print(f"config ok: {len(config.countries)} countries "
           f"({', '.join(c.code for c in config.countries)})")
@@ -537,19 +535,19 @@ def _cmd_montecarlo(args) -> int:
     horizons = args.horizon if args.horizon is not None else dgp_mod.RecoveryConfig.horizons
     with _prefixed(f"{path}: "):
         spec = dgp_mod.DgpSpec.from_dict(payload)
-    if args.out is not None:  # refused before the study, created after it
-        _check_output_dir(Path(args.out))
+    out = None if args.out is None else Path(args.out)
+    if out is not None:  # refused before the study, created after it
+        check_output_dir(out)
     report = dgp_mod.monte_carlo_recovery(spec, trials, dgp_mod.RecoveryConfig(horizons))
     # the file first, so a reader that closes stdout early cannot lose it
-    if args.out is not None:
-        out = output_dir(Path(args.out))
-        write_csv(out, "recovery.csv", {
+    if out is not None:
+        write_bundle(out, {"recovery.csv": csv_text({
             "h": range(1, horizons + 1),
             "analytic": report.analytic,
             "median_bias": report.median_bias,
             "median_abs_error": report.median_abs_error,
             "rmse": report.rmse,
-        })
+        })})
     print(f"{trials} trials at T={spec.T}, failures {report.failures}")
     print("  h   true m   med bias   med |err|     rmse")
     for h in range(horizons):
@@ -557,7 +555,7 @@ def _cmd_montecarlo(args) -> int:
             f"{h + 1:>3}  {report.analytic[h]:>7.3f}  {report.median_bias[h]:>+9.4f}"
             f"  {report.median_abs_error[h]:>9.4f}  {report.rmse[h]:>7.4f}"
         )
-    if args.out is not None:
+    if out is not None:
         print(f"wrote {out / 'recovery.csv'}")
     return 0
 

@@ -17,10 +17,7 @@ snapshot.
 Fork safety is taken on trust. The process forks with OpenBLAS's worker
 thread alive, started at ``import numpy``. Python 3.12 and later warn on
 ``os.fork()`` in a multi-threaded process; the project is tested on 3.10
-and 3.11 only, so whether that warning fires here is unchecked. BLAS
-threads stay unpinned: ``OPENBLAS_NUM_THREADS=1`` made ``estimate``
-slower, 0.431 s against 0.365 s (medians of 10 alternated pairs on two
-cores), for a cause not yet found.
+and 3.11 only, so whether that warning fires here is unchecked.
 """
 from __future__ import annotations
 

@@ -373,6 +373,17 @@ class TestDeterminism:
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_rerun_over_another_seed_matches_a_fresh_run(self, tmp_path, data_dir):
+        path = write_config(tmp_path / "c.json", data_dir)
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        for out, seed in ((reused, "1"), (reused, "0"), (fresh, "0")):
+            assert main(["estimate", "--config", str(path), "--out", str(out),
+                         "--seed", seed, "--reps", "30"]) == 0
+        names = sorted(p.name for p in fresh.iterdir())
+        assert names == sorted(p.name for p in reused.iterdir())
+        for name in names:
+            assert (fresh / name).read_bytes() == (reused / name).read_bytes(), name
+
 
 class TestMainExitCodes:
     def test_validate_ok(self, tmp_path, data_dir, capsys):
@@ -505,6 +516,21 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == (
             f"config error: cannot write {tmp_path / 'o' / 'table1.txt'}: Is a directory\n"
         )
+
+    def test_a_failed_write_leaves_no_stale_manifest(self, tmp_path, capsys):
+        # a rerun that fails part-way leaves no manifest of the earlier run
+        # beside the files it did write, and no temporary file
+        out = tmp_path / "o"
+        argv = ["estimate", "--config", str(SNAPSHOT_CONFIG), "--out", str(out)]
+        assert main([*argv, "--reps", "50"]) == 0
+        (out / "irf_pl.csv").unlink()
+        (out / "irf_pl.csv").mkdir()
+        assert main([*argv, "--reps", "60"]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"config error: cannot write {out / 'irf_pl.csv'}: Is a directory\n")
+        names = sorted(p.name for p in out.iterdir())
+        assert "manifest.json" not in names
+        assert [n for n in names if n.startswith(".")] == []
 
     def test_short_window_exit_4(self, tmp_path, data_dir, capsys):
         # 12 quarters leave too few rows for 4 lags; horizons stay below
@@ -841,6 +867,7 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == (
             f"config error: cannot write {tmp_path / 'mc' / 'recovery.csv'}: Is a directory\n"
         )
+        assert [p.name for p in (tmp_path / "mc").iterdir()] == ["recovery.csv"]
 
 
 class TestCountryErrors:
@@ -1001,15 +1028,18 @@ class TestCoverageScript:
         [(["--reps", "100001"], "replications must be between 1 and 100000"),
          (["--trials", "100001"], "n_trials must be between 1 and 100000"),
          (["--sample", "0"], "T must be >= 1"),
+         (["--sample", "15"], "horizons (20) must be below the DGP's T (15)"),
          (["--seed", "-1"], "seed must be non-negative"),
          (["--out", "/dev/null/x"],
           "cannot create output directory: [Errno 20] Not a directory: '/dev/null/x'")],
-        ids=["reps", "trials", "sample", "seed", "out"],
+        ids=["reps", "trials", "sample", "sample_not_above_horizons", "seed", "out"],
     )
-    def test_bad_input_exit_2(self, script, capsys, args, message):
-        assert script.main(args) == 2
+    def test_bad_input_exit_2(self, script, tmp_path, capsys, args, message):
+        out = tmp_path / "o"  # the out case's own --out comes later and wins
+        assert script.main(["--out", str(out), *args]) == 2
         err = capsys.readouterr().err
         assert err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_unwritable_csv_exit_2(self, tmp_path, capsys):
         (tmp_path / "coverage.csv").mkdir()
@@ -1018,6 +1048,7 @@ class TestCoverageScript:
         assert capsys.readouterr().err == (
             f"config error: cannot write {tmp_path / 'coverage.csv'}: Is a directory\n"
         )
+        assert [p.name for p in tmp_path.iterdir()] == ["coverage.csv"]
 
     def test_every_trial_failing_exit_4(self, capsys):
         # 21 quarters leave 17 rows for 17 regressors, so no trial fits
